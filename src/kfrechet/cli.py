@@ -57,8 +57,6 @@ def _require_k(args) -> int:
 def _cmd_decide(args) -> tuple[bool, dict]:
     P = _load_curve(args.p)
     Q = _load_curve(args.q)
-    if args.eps < 0:
-        raise CliError("--eps must be >= 0")
     diagram = build_diagram(P, Q, args.eps)
     selection: Selection | None = None
     if args.algo == "brute":
@@ -94,8 +92,6 @@ def _cmd_decide(args) -> tuple[bool, dict]:
 def _cmd_minimize_k(args) -> tuple[bool, dict]:
     P = _load_curve(args.p)
     Q = _load_curve(args.q)
-    if args.eps < 0:
-        raise CliError("--eps must be >= 0")
     diagram = build_diagram(P, Q, args.eps)
     best = minimize_k(diagram, method=args.method)
     witness = None
@@ -134,8 +130,6 @@ def _cmd_minimize_eps(args) -> tuple[bool, dict]:
 def _cmd_svg(args) -> tuple[bool, dict]:
     P = _load_curve(args.p)
     Q = _load_curve(args.q)
-    if args.eps < 0:
-        raise CliError("--eps must be >= 0")
     diagram = build_diagram(P, Q, args.eps)
     selected = None
     if args.select:

@@ -277,58 +277,65 @@ def decide_strong_frechet(diagram: FreeSpaceDiagram, tol: float | None = None) -
     """
     tol = resolve_tol(tol)
     n, m = diagram.n, diagram.m
-    cells = diagram.cells
+    # Edge intervals as lo and hi lists (empty where lo > hi): v_*[i][j] on
+    # the left edge of cell (i, j), the right edge of cell (i-1, j);
+    # h_*[i][j] on the bottom edge of cell (i, j).
+    grid = diagram.cells
+    v_lo, v_hi = grid.vert[..., 0].tolist(), grid.vert[..., 1].tolist()
+    h_lo, h_hi = grid.horiz[..., 0].tolist(), grid.horiz[..., 1].tolist()
     empty = (1.0, -1.0)
 
-    def clip_from(iv: Interval, lo: float):
-        if iv.is_empty or iv.hi < lo:
+    def clip_from(edge_lo: float, edge_hi: float, lo: float):
+        if edge_lo > edge_hi or edge_hi < lo:
             return empty
-        return (max(iv.lo, lo), iv.hi)
+        return (max(edge_lo, lo), edge_hi)
+
+    def opens(edge_lo: float, edge_hi: float) -> bool:
+        """Nonempty and starting at the cell corner."""
+        return edge_lo <= edge_hi and edge_lo <= tol
 
     # reach_left[j] for the current column i: reachable part of the left
     # edge of cell (i, j); reach_bottom[i][j] handled column by column.
     reach_left = [empty] * m
-    first = cells[0][0].left
-    if not first.is_empty and first.lo <= tol:
-        reach_left[0] = (first.lo, first.hi)
+    if opens(v_lo[0][0], v_hi[0][0]):
+        reach_left[0] = (v_lo[0][0], v_hi[0][0])
         for j in range(1, m):
             below = reach_left[j - 1]
-            edge = cells[0][j].left
-            if below[0] <= below[1] and below[1] >= 1.0 - tol and not edge.is_empty and edge.lo <= tol:
-                reach_left[j] = (edge.lo, edge.hi)
+            if (below[0] <= below[1] and below[1] >= 1.0 - tol
+                    and opens(v_lo[0][j], v_hi[0][j])):
+                reach_left[j] = (v_lo[0][j], v_hi[0][j])
             else:
                 break
 
     reach_bottom = [empty] * n
-    first = cells[0][0].bottom
-    if not first.is_empty and first.lo <= tol:
-        reach_bottom[0] = (first.lo, first.hi)
+    if opens(h_lo[0][0], h_hi[0][0]):
+        reach_bottom[0] = (h_lo[0][0], h_hi[0][0])
         for i in range(1, n):
             left_of = reach_bottom[i - 1]
-            edge = cells[i][0].bottom
-            if left_of[0] <= left_of[1] and left_of[1] >= 1.0 - tol and not edge.is_empty and edge.lo <= tol:
-                reach_bottom[i] = (edge.lo, edge.hi)
+            if (left_of[0] <= left_of[1] and left_of[1] >= 1.0 - tol
+                    and opens(h_lo[i][0], h_hi[i][0])):
+                reach_bottom[i] = (h_lo[i][0], h_hi[i][0])
             else:
                 break
 
     for i in range(n):
+        right_lo, right_hi, top_lo, top_hi = v_lo[i + 1], v_hi[i + 1], h_lo[i], h_hi[i]
         next_left = [empty] * m
         bottom_in = reach_bottom[i]
         for j in range(m):
             left_in = reach_left[j]
-            cell = cells[i][j]
             has_left = left_in[0] <= left_in[1]
             has_bottom = bottom_in[0] <= bottom_in[1]
             if has_bottom:
-                out_right = clip_from(cell.right, 0.0)
+                out_right = clip_from(right_lo[j], right_hi[j], 0.0)
             elif has_left:
-                out_right = clip_from(cell.right, left_in[0])
+                out_right = clip_from(right_lo[j], right_hi[j], left_in[0])
             else:
                 out_right = empty
             if has_left:
-                out_top = clip_from(cell.top, 0.0)
+                out_top = clip_from(top_lo[j + 1], top_hi[j + 1], 0.0)
             elif has_bottom:
-                out_top = clip_from(cell.top, bottom_in[0])
+                out_top = clip_from(top_lo[j + 1], top_hi[j + 1], bottom_in[0])
             else:
                 out_top = empty
             next_left[j] = out_right

@@ -8,6 +8,11 @@ square, hence convex; the diagram stitches the cells together and keeps,
 for every connected component, the interval it projects onto on each
 parameter axis.
 
+The geometry is computed for the whole grid at once and kept as arrays
+(:class:`FreeSpaceGrid`): free intervals of the (n+1)×m vertical and
+n×(m+1) horizontal cell edges and the n×m cell projections on each axis.
+:meth:`FreeSpaceDiagram.cell` builds a :class:`CellFreeSpace` from them.
+
 Connectivity uses the closed-set convention: two adjacent cells sharing
 only a single free boundary point belong to the same component.
 """
@@ -21,6 +26,8 @@ import numpy as np
 
 from .config import resolve_tol
 from .curves import EMPTY, Interval, PolyCurve
+
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -72,47 +79,145 @@ class Component:
     touches: BoundaryTouch
 
 
+@dataclass(frozen=True, eq=False)
+class FreeSpaceGrid:
+    """Cell geometry of a diagram, as float arrays ending in a (lo, hi) axis.
+
+    ``vert[i, j]``: free t-interval at P-vertex i along Q-segment j (right edge
+    of cell (i-1, j), left of cell (i, j)); ``horiz[i, j]``: free s-interval
+    along P-segment i at Q-vertex j; ``s_proj``/``t_proj[i, j]``: the cell's
+    free region projected on each axis, in local [0, 1]. Empty is (inf, -inf).
+    """
+
+    vert: np.ndarray  # (n+1, m, 2)
+    horiz: np.ndarray  # (n, m+1, 2)
+    s_proj: np.ndarray  # (n, m, 2)
+    t_proj: np.ndarray  # (n, m, 2)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FreeSpaceGrid) and all(
+            np.array_equal(a, b) for a, b in zip(vars(self).values(), vars(other).values()))
+
+    def __hash__(self) -> int:
+        return hash(tuple((a + 0.0).tobytes() for a in vars(self).values()))  # -0.0 == 0.0
+
+    def cell(self, i: int, j: int) -> CellFreeSpace:
+        n, m = self.s_proj.shape[:2]
+        if not (0 <= i < n and 0 <= j < m):
+            raise IndexError(f"cell ({i}, {j}) outside the {n}x{m} grid")
+        s_projection = _interval(self.s_proj[i, j])
+        return CellFreeSpace(
+            i=i, j=j, left=_interval(self.vert[i, j]), right=_interval(self.vert[i + 1, j]),
+            bottom=_interval(self.horiz[i, j]), top=_interval(self.horiz[i, j + 1]),
+            interior_nonempty=not s_projection.is_empty,
+            s_projection=s_projection, t_projection=_interval(self.t_proj[i, j]))
+
+
 @dataclass(frozen=True)
 class FreeSpaceDiagram:
     epsilon: float
     n: int
     m: int
-    cells: tuple  # n-tuple of m-tuples of CellFreeSpace, indexed [i][j]
+    cells: FreeSpaceGrid | tuple  # () for diagrams made from projections alone
     components: tuple  # tuple of Component, ids equal to positions
     z: int  # max number of components met by any axis-aligned line
 
     def cell(self, i: int, j: int) -> CellFreeSpace:
-        return self.cells[i][j]
+        """Per-cell view, built on demand from the grid arrays."""
+        return self.cells.cell(i, j)
 
     def component_count(self) -> int:
         return len(self.components)
 
 
-def _point_free_interval(p, a, b, eps: float, tol: float) -> Interval:
-    """Parameters u in [0, 1] with ``|a + u*(b-a) - p| <= eps``.
+def _interval(pair) -> Interval:
+    lo, hi = (float(x) for x in pair)
+    return EMPTY if lo > hi else Interval(lo, hi)
 
-    Solves the quadratic in u; a discriminant within ``-tol..0`` is
-    clamped to zero so tangencies survive rounding.
+
+def _pairs(lo, hi, empty):
+    """Stack (lo, hi) along a last axis, with ``(inf, -inf)`` where empty."""
+    return np.stack((np.where(empty, _INF, lo), np.where(empty, -_INF, hi)), axis=-1)
+
+
+def _dot(x, y):
+    """Dot products of 2-vectors on the last axis. A batched matmul rounds
+    exactly like the scalar ``x @ y`` (a BLAS dot); ``x0*y0 + x1*y1`` does
+    not for about a quarter of inputs, flipping edges at near-critical eps."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _disk_slice(w, d, eps: float, tol: float):
+    """Parameters u in [0, 1] with ``|w + u*d| <= eps``, as (lo, hi) pairs.
+
+    ``w`` is the edge start minus the fixed point, ``d`` the edge direction.
+    A discriminant within ``-tol..0`` is clamped to zero so tangencies survive.
     """
-    d = b - a
-    w = a - p
-    qa = float(d @ d)
-    qb = float(d @ w)
-    qc = float(w @ w) - eps * eps
+    qa, qb, qc = _dot(d, d), _dot(d, w), _dot(w, w) - eps * eps
     disc = qb * qb - qa * qc
-    if disc < 0.0:
-        if disc < -tol:
-            return EMPTY
-        disc = 0.0
-    root = math.sqrt(disc)
+    root = np.sqrt(np.where(disc < 0.0, 0.0, disc))
     lo = (-qb - root) / qa
     hi = (-qb + root) / qa
-    if hi < 0.0 or lo > 1.0:
-        return EMPTY
-    return Interval(max(lo, 0.0), min(hi, 1.0))
+    return _pairs(np.maximum(lo, 0.0), np.minimum(hi, 1.0), (disc < -tol) | (hi < 0.0) | (lo > 1.0))
 
 
-_EDGES = ("left", "right", "bottom", "top")
+def _linear_slice(alpha, beta, lo: float, hi: float):
+    """Solutions u of ``lo <= alpha + beta*u <= hi`` as raw (lo, hi) arrays."""
+    flat = beta == 0.0
+    inside = (lo <= alpha) & (alpha <= hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u0 = (lo - alpha) / beta
+        u1 = (hi - alpha) / beta
+    return (np.where(flat, np.where(inside, -_INF, _INF), np.minimum(u0, u1)),
+            np.where(flat, np.where(inside, _INF, -_INF), np.maximum(u0, u1)))
+
+
+def _strip_slice(w0, d, e, eps: float):
+    """Parameters u in [0, 1] where ``w0 + u*d`` lies in the strip of half-width
+    eps over segment [0, e]: its eps-capsule without the endpoint disks."""
+    den = _dot(e, e)
+    foot_lo, foot_hi = _linear_slice(_dot(w0, e) / den, _dot(d, e) / den, 0.0, 1.0)
+    norm_e = np.sqrt(den)
+    gamma = (e[..., 0] * w0[..., 1] - e[..., 1] * w0[..., 0]) / norm_e
+    delta = (e[..., 0] * d[..., 1] - e[..., 1] * d[..., 0]) / norm_e
+    perp_lo, perp_hi = _linear_slice(gamma, delta, -eps, eps)
+    lo = np.maximum(np.maximum(foot_lo, perp_lo), 0.0)
+    hi = np.minimum(np.minimum(foot_hi, perp_hi), 1.0)
+    return _pairs(lo, hi, lo > hi)
+
+
+def _hull(*pieces):
+    """Smallest interval holding every (..., 2) piece; an empty piece adds nothing."""
+    stacked = np.stack(pieces)
+    return np.stack((stacked[..., 0].min(axis=0), stacked[..., 1].max(axis=0)), axis=-1)
+
+
+def _grid(pv: np.ndarray, qv: np.ndarray, eps: float, tol: float) -> FreeSpaceGrid:
+    """All edge intervals and cell projections for vertex arrays pv, qv."""
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"eps must be a finite number >= 0, got {eps}")
+    w = pv[:, None, :] - qv[None, :, :]  # P-vertex i minus Q-vertex j
+    dp, dq = np.diff(pv, axis=0)[:, None], np.diff(qv, axis=0)[None]
+    vert = _disk_slice(-w[:, :-1], dq, eps, tol)
+    horiz = _disk_slice(w[:-1], dp, eps, tol)
+    no_v, no_h = vert[..., 0] > vert[..., 1], horiz[..., 0] > horiz[..., 1]
+    # A cell's projection on an axis is the union of its strip piece and its
+    # two edge intervals along the axis (the endpoint-disk pieces), which is
+    # an interval as distance to a segment is convex along a line. It must
+    # also hold 0 or 1 where an edge across the axis is free.
+    s_proj = _hull(_strip_slice(w[:-1, :-1], dp, dq, eps), horiz[:, :-1], horiz[:, 1:],
+                   _pairs(0.0, 0.0, no_v[:-1]), _pairs(1.0, 1.0, no_v[1:]))
+    t_proj = _hull(_strip_slice(-w[:-1, :-1], dq, dp, eps), vert[:-1], vert[1:],
+                   _pairs(0.0, 0.0, no_h[:, :-1]), _pairs(1.0, 1.0, no_h[:, 1:]))
+    return FreeSpaceGrid(vert=vert, horiz=horiz, s_proj=s_proj, t_proj=t_proj)
+
+
+def _segment_cell(seg_p, seg_q, eps: float, tol: float | None) -> CellFreeSpace:
+    """The cell of one segment pair, from the grid kernels on a 1×1 grid."""
+    P, Q = PolyCurve(seg_p), PolyCurve(seg_q)
+    if P.n != 1 or Q.n != 1:
+        raise ValueError("a segment needs exactly two endpoints")
+    return _grid(P.vertices, Q.vertices, eps, resolve_tol(tol)).cell(0, 0)
 
 
 def cell_edge_interval(seg_p, seg_q, eps: float, edge: str, tol: float | None = None) -> Interval:
@@ -122,62 +227,9 @@ def cell_edge_interval(seg_p, seg_q, eps: float, edge: str, tol: float | None = 
     t); ``bottom``/``top`` fix the Q endpoint and vary along seg_p
     (interval in s). Returns EMPTY when no point of the edge is free.
     """
-    tol = resolve_tol(tol)
-    if eps < 0.0:
-        raise ValueError("eps must be >= 0")
-    pa, pb = (np.asarray(v, dtype=float) for v in seg_p)
-    qa, qb = (np.asarray(v, dtype=float) for v in seg_q)
-    if edge == "left":
-        return _point_free_interval(pa, qa, qb, eps, tol)
-    if edge == "right":
-        return _point_free_interval(pb, qa, qb, eps, tol)
-    if edge == "bottom":
-        return _point_free_interval(qa, pa, pb, eps, tol)
-    if edge == "top":
-        return _point_free_interval(qb, pa, pb, eps, tol)
-    raise ValueError(f"edge must be one of {_EDGES}, got {edge!r}")
-
-
-def _linear_interval(alpha: float, beta: float, lo: float, hi: float) -> tuple[float, float]:
-    """Solutions of ``lo <= alpha + beta*u <= hi`` as a raw (lo, hi) pair."""
-    if beta == 0.0:
-        return (-math.inf, math.inf) if lo <= alpha <= hi else (math.inf, -math.inf)
-    u0 = (lo - alpha) / beta
-    u1 = (hi - alpha) / beta
-    return (u0, u1) if u0 <= u1 else (u1, u0)
-
-
-def _capsule_slice(a, b, c0, c1, eps: float, tol: float) -> Interval:
-    """Parameters u in [0, 1] where ``a + u*(b-a)`` is within eps of segment c0-c1.
-
-    The moving point lies in the eps-capsule around the segment exactly
-    when it is in one of the two endpoint disks or the perpendicular
-    strip; the union of the three pieces is an interval because
-    point-to-segment distance is convex along a line.
-    """
-    pieces = [
-        _point_free_interval(c0, a, b, eps, tol),
-        _point_free_interval(c1, a, b, eps, tol),
-    ]
-
-    d = b - a
-    e = c1 - c0
-    den = float(e @ e)
-    w0 = a - c0
-    foot_lo, foot_hi = _linear_interval(float(w0 @ e) / den, float(d @ e) / den, 0.0, 1.0)
-    norm_e = math.sqrt(den)
-    gamma = (e[0] * w0[1] - e[1] * w0[0]) / norm_e
-    delta = (e[0] * d[1] - e[1] * d[0]) / norm_e
-    perp_lo, perp_hi = _linear_interval(gamma, delta, -eps, eps)
-    lo = max(foot_lo, perp_lo, 0.0)
-    hi = min(foot_hi, perp_hi, 1.0)
-    if lo <= hi:
-        pieces.append(Interval(lo, hi))
-
-    out = EMPTY
-    for piece in pieces:
-        out = out.hull(piece)
-    return out
+    if edge not in ("left", "right", "bottom", "top"):
+        raise ValueError(f"edge must be left, right, bottom or top, got {edge!r}")
+    return getattr(_segment_cell(seg_p, seg_q, eps, tol), edge)
 
 
 def cell_axis_projection(seg_p, seg_q, eps: float, axis: str = "p",
@@ -187,34 +239,26 @@ def cell_axis_projection(seg_p, seg_q, eps: float, axis: str = "p",
     For axis "p" this is the set of s with dist(P(s), seg_q) <= eps; axis
     "q" swaps the roles.
     """
-    tol = resolve_tol(tol)
-    if eps < 0.0:
-        raise ValueError("eps must be >= 0")
-    pa, pb = (np.asarray(v, dtype=float) for v in seg_p)
-    qa, qb = (np.asarray(v, dtype=float) for v in seg_q)
-    if axis == "p":
-        return _capsule_slice(pa, pb, qa, qb, eps, tol)
-    if axis == "q":
-        return _capsule_slice(qa, qb, pa, pb, eps, tol)
-    raise ValueError(f'axis must be "p" or "q", got {axis!r}')
+    if axis not in ("p", "q"):
+        raise ValueError(f'axis must be "p" or "q", got {axis!r}')
+    cell = _segment_cell(seg_p, seg_q, eps, tol)
+    return cell.s_projection if axis == "p" else cell.t_projection
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
+def _component_roots(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Smallest node of each node's component, for nodes joined by edges (a, b).
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    Each round hooks the larger root of every edge whose ends still differ
+    onto the smaller, then jumps pointers until all point at roots; that
+    at least halves the trees with an edge leaving them.
+    """
+    root = np.arange(size)
+    while not np.array_equal(root[a], root[b]):
+        ra, rb = root[a], root[b]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    return root
 
 
 def build_diagram(P: PolyCurve, Q: PolyCurve, eps: float,
@@ -224,114 +268,70 @@ def build_diagram(P: PolyCurve, Q: PolyCurve, eps: float,
     Cells are joined into components when their shared edge carries a
     nonempty free interval (a single shared tangency point suffices).
     Components that never reach a cell edge, an ellipse interior to one
-    cell, become single-cell components.
+    cell, become single-cell components. Components are numbered in the
+    row-major order (cell index i*m + j) of their first cell.
     """
     tol = resolve_tol(tol)
-    if eps < 0.0:
-        raise ValueError("eps must be >= 0")
     n, m = P.n, Q.n
-    pseg = [P.segment(i) for i in range(n)]
-    qseg = [Q.segment(j) for j in range(m)]
+    grid = _grid(P.vertices, Q.vertices, eps, tol)
 
-    # vert[i][j]: free t-interval at P-vertex i along Q-segment j (shared
-    # by the cells left and right of gridline i). horiz[i][j]: free
-    # s-interval along P-segment i at Q-vertex j.
-    vert = [[_point_free_interval(P.vertices[i], qseg[j][0], qseg[j][1], eps, tol)
-             for j in range(m)] for i in range(n + 1)]
-    horiz = [[_point_free_interval(Q.vertices[j], pseg[i][0], pseg[i][1], eps, tol)
-              for j in range(m + 1)] for i in range(n)]
+    # cells join across the free shared edges only; every other cell stays alone
+    index = np.arange(n * m).reshape(n, m)
+    join_i = grid.vert[1:-1, :, 0] <= grid.vert[1:-1, :, 1]
+    join_j = grid.horiz[:, 1:-1, 0] <= grid.horiz[:, 1:-1, 1]
+    root = _component_roots(n * m, np.concatenate((index[:-1][join_i], index[:, :-1][join_j])),
+                            np.concatenate((index[1:][join_i], index[:, 1:][join_j])))
+    occupied = index[grid.s_proj[..., 0] <= grid.s_proj[..., 1]]
+    roots = occupied[root[occupied] == occupied]  # each component's first cell
+    number = np.empty(n * m, dtype=int)
+    number[roots] = np.arange(len(roots))
+    label = number[root[occupied]]
 
-    cells = []
-    for i in range(n):
-        column = []
-        for j in range(m):
-            s_proj = _capsule_slice(pseg[i][0], pseg[i][1], qseg[j][0], qseg[j][1], eps, tol)
-            t_proj = _capsule_slice(qseg[j][0], qseg[j][1], pseg[i][0], pseg[i][1], eps, tol)
-            left, right = vert[i][j], vert[i + 1][j]
-            bottom, top = horiz[i][j], horiz[i][j + 1]
-            # defensive hulls: the projections must contain every free edge
-            if not bottom.is_empty:
-                s_proj = s_proj.hull(bottom)
-            if not top.is_empty:
-                s_proj = s_proj.hull(top)
-            if not left.is_empty:
-                s_proj = s_proj.hull(Interval(0.0, 0.0))
-                t_proj = t_proj.hull(left)
-            if not right.is_empty:
-                s_proj = s_proj.hull(Interval(1.0, 1.0))
-                t_proj = t_proj.hull(right)
-            column.append(CellFreeSpace(
-                i=i, j=j, left=left, right=right, bottom=bottom, top=top,
-                interior_nonempty=not s_proj.is_empty,
-                s_projection=s_proj, t_projection=t_proj,
-            ))
-        cells.append(tuple(column))
+    # hull of the member cells' projections, shifted to global parameters
+    ii, jj = np.divmod(occupied, m)
+    ends = []
+    for proj, offset in ((grid.s_proj, ii), (grid.t_proj, jj)):
+        for side, reduce, start in ((0, np.minimum, _INF), (1, np.maximum, -_INF)):
+            out = np.full(len(roots), start)
+            reduce.at(out, label, proj[..., side].ravel()[occupied] + offset)
+            ends.append(out)
+    members = [[] for _ in roots]
+    for c, i, j in zip(label.tolist(), ii.tolist(), jj.tolist()):
+        members[c].append((i, j))
 
-    uf = _UnionFind(n * m)
-    occupied = [cells[i][j].interior_nonempty for i in range(n) for j in range(m)]
-    for i in range(n):
-        for j in range(m):
-            if i + 1 < n and not vert[i + 1][j].is_empty:
-                uf.union(i * m + j, (i + 1) * m + j)
-            if j + 1 < m and not horiz[i][j + 1].is_empty:
-                uf.union(i * m + j, i * m + j + 1)
-
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for i in range(n):
-        for j in range(m):
-            if occupied[i * m + j]:
-                groups.setdefault(uf.find(i * m + j), []).append((i, j))
-
-    components = []
-    for root in sorted(groups):
-        members = groups[root]
-        proj_p = EMPTY
-        proj_q = EMPTY
-        for (i, j) in members:
-            cell = cells[i][j]
-            proj_p = proj_p.hull(cell.s_projection.shift(float(i)))
-            proj_q = proj_q.hull(cell.t_projection.shift(float(j)))
-        touches = BoundaryTouch(
-            left=proj_p.lo <= tol,
-            right=proj_p.hi >= n - tol,
-            bottom=proj_q.lo <= tol,
-            top=proj_q.hi >= m - tol,
-        )
-        components.append(Component(
-            id=len(components),
-            cells=frozenset(members),
-            proj_p=proj_p,
-            proj_q=proj_q,
-            touches=touches,
-        ))
-
-    z = _stab_number(components, n, m, tol)
-    return FreeSpaceDiagram(epsilon=eps, n=n, m=m, cells=tuple(cells),
-                            components=tuple(components), z=z)
+    components = tuple(
+        Component(id=c, cells=frozenset(members[c]),
+                  proj_p=_interval((plo, phi)), proj_q=_interval((qlo, qhi)),
+                  touches=BoundaryTouch(left=plo <= tol, right=phi >= n - tol,
+                                        bottom=qlo <= tol, top=qhi >= m - tol))
+        for c, (plo, phi, qlo, qhi) in enumerate(zip(*(e.tolist() for e in ends))))
+    return FreeSpaceDiagram(epsilon=eps, n=n, m=m, cells=grid, components=components,
+                            z=_stab_number(ends, n, m, tol))
 
 
-def _stab_number(components, n: int, m: int, tol: float) -> int:
+def _stab_number(ends, n: int, m: int, tol: float) -> int:
+    """Most components met by one axis-parallel line, by a sorted sweep.
+
+    ``ends`` holds the arrays (p_lo, p_hi, q_lo, q_hi) of the component
+    projections; empty ones (lo > hi) meet no line and are skipped.
+    """
     best = 0
-    for axis_len, proj in ((float(n), lambda c: c.proj_p), (float(m), lambda c: c.proj_q)):
-        positions = set()
-        for c in components:
-            iv = proj(c)
-            for e in (iv.lo, iv.hi):
-                for pos in (e - tol, e, e + tol):
-                    if 0.0 <= pos <= axis_len:
-                        positions.add(pos)
-        for pos in positions:
-            count = sum(1 for c in components if proj(c).lo <= pos <= proj(c).hi)
-            best = max(best, count)
+    for lo, hi, length in ((ends[0], ends[1], n), (ends[2], ends[3], m)):
+        lo, hi = np.sort(lo[lo <= hi]), np.sort(hi[lo <= hi])
+        pos = np.concatenate([e + shift for e in (lo, hi) for shift in (-tol, 0.0, tol)])
+        pos = pos[(pos >= 0.0) & (pos <= length)]
+        if pos.size:
+            count = np.searchsorted(lo, pos, "right") - np.searchsorted(hi, pos, "left")
+            best = max(best, int(count.max()))
     return best
 
 
 def compute_z(diagram: FreeSpaceDiagram, tol: float | None = None) -> int:
     """Maximum number of components hit by any horizontal or vertical line.
 
-    Evaluated by stabbing the component projection intervals at their
-    endpoints (and a tolerance to either side); the count only changes at
-    endpoints, so this finds the maximum.
-    """
+    Only projection endpoints (and a tolerance to either side) are tried:
+    the count changes only there."""
     tol = resolve_tol(tol)
-    return _stab_number(diagram.components, diagram.n, diagram.m, tol)
+    ends = np.array([(c.proj_p.lo, c.proj_p.hi, c.proj_q.lo, c.proj_q.hi)
+                     for c in diagram.components], dtype=float).reshape(-1, 4)
+    return _stab_number(ends.T, diagram.n, diagram.m, tol)

@@ -92,8 +92,8 @@ def minimize_epsilon(P: PolyCurve, Q: PolyCurve, k: int, tol: float = 1e-6,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     if method not in ("bisect", "candidates"):
         raise ValueError(f'method must be "bisect" or "candidates", got {method!r}')
 
@@ -117,6 +117,8 @@ def minimize_epsilon(P: PolyCurve, Q: PolyCurve, k: int, tol: float = 1e-6,
     lo, hi = 0.0, pairwise_vertex_max(P, Q)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # lo and hi are adjacent floats: no finer eps exists
+            break
         if feasible(mid):
             hi = mid
         else:

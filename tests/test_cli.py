@@ -73,6 +73,17 @@ class TestDecide:
         assert code == 2
         assert "eps" in err
 
+    @pytest.mark.parametrize("command", ["decide", "minimize-k", "freespace-svg"])
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+    def test_non_finite_eps(self, capsys, tmp_path, curve_files, command, eps):
+        p, q = curve_files
+        extra = {"decide": ["--k", "1"], "minimize-k": [],
+                 "freespace-svg": ["--out", str(tmp_path / "x.svg")]}[command]
+        code, report, err = run_cli(capsys, command, "--p", p, "--q", q, f"--eps={eps}", *extra)
+        assert code == 2
+        assert report is None
+        assert "eps" in err
+
     def test_missing_file(self, capsys, tmp_path, curve_files):
         p, _ = curve_files
         code, _, err = run_cli(capsys, "decide", "--p", p, "--q",
@@ -125,6 +136,19 @@ class TestMinimize:
         assert code == 0
         assert abs(report["epsilon"] - 1.0) < 1e-4
         assert report["selection"] == [0]
+
+    def test_minimize_eps_tol_below_float_spacing(self, capsys, curve_files):
+        p, q = curve_files
+        code, report, _ = run_cli(capsys, "minimize-eps", "--p", p, "--q", q,
+                                  "--k", "1", "--tol", "1e-30")
+        assert code == 0
+        assert report["epsilon"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_minimize_eps_nan_tol(self, capsys, curve_files):
+        p, q = curve_files
+        code, report, err = run_cli(capsys, "minimize-eps", "--p", p, "--q", q,
+                                    "--k", "1", "--tol", "nan")
+        assert code == 2 and report is None and "tol" in err
 
     def test_minimize_eps_bad_k(self, capsys, curve_files):
         p, q = curve_files

@@ -35,6 +35,11 @@ class TestCellEdgeInterval:
         with pytest.raises(ValueError):
             kf.cell_edge_interval(UNIT_P, UNIT_Q, 1.0, "diagonal")
 
+    def test_malformed_segment_rejected(self):
+        for seg_p in (((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))):
+            with pytest.raises(ValueError):
+                kf.cell_edge_interval(seg_p, UNIT_Q, 1.0, "left")
+
     def test_matches_dense_sampling(self, rng):
         for _ in range(50):
             seg_p = rng.uniform(0, 1, size=(2, 2))
@@ -129,6 +134,34 @@ class TestBuildDiagram:
         P, Q = diagonal_pair()
         with pytest.raises(ValueError):
             kf.build_diagram(P, Q, -0.1)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        P, Q = diagonal_pair()
+        with pytest.raises(ValueError, match="eps"):
+            kf.build_diagram(P, Q, eps)
+        with pytest.raises(ValueError, match="eps"):
+            kf.cell_edge_interval(UNIT_P, UNIT_Q, eps, "left")
+        with pytest.raises(ValueError, match="eps"):
+            kf.cell_axis_projection(UNIT_P, UNIT_Q, eps, "p")
+
+    def test_free_top_edge_puts_top_into_t_projection(self):
+        # the only free point of cell (1, 2) is a tangency on its top edge;
+        # the component must then project onto t = 3 and touch the top
+        P = kf.PolyCurve([[0.1378161543499311, 0.7603732959901822],
+                          [0.9929488587486061, 0.14798814876206468],
+                          [0.7126756760614649, 0.8253234003000403],
+                          [0.9205719449963611, 0.12338141427757432]])
+        Q = kf.PolyCurve([[0.09180991315160947, 0.9878715818465336],
+                          [0.11675648510158831, 0.17680755913689605],
+                          [0.574952933829019, 0.44627303628963466],
+                          [0.750392191327833, 0.19055724815811337]])
+        d = kf.build_diagram(P, Q, 0.20785064927471805)
+        (comp,) = [c for c in d.components if c.cells == {(1, 2)}]
+        assert not d.cell(1, 2).top.is_empty
+        assert comp.proj_p.lo == comp.proj_p.hi == pytest.approx(1.1802, abs=1e-4)
+        assert comp.proj_q == kf.Interval(3.0, 3.0)
+        assert comp.touches.top
 
     def test_interior_only_component(self):
         # crossing X: free space at small eps hugs the crossing point and

@@ -1,0 +1,346 @@
+"""The array-built free space diagram against a scalar, cell-by-cell reference.
+
+The reference below builds the diagram one cell at a time with scalar
+arithmetic: per edge a quadratic solve, per cell the capsule slice of
+each axis, then a union-find over cells and an all-pairs stabbing count.
+It is the original builder of this package, kept here as the reference,
+with one fix: a free bottom/top edge now puts 0/1 into the cell's
+t-projection, as a free left/right edge always put 0/1 into its
+s-projection. ``build_diagram`` must equal it exactly, cell by cell
+(every float compares equal; only the sign of a zero may differ).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import kfrechet as kf
+from kfrechet.freespace import FreeSpaceGrid
+
+from conftest import random_curve
+
+TOL = 1e-9
+
+
+# ----------------------------------------------------------- scalar reference
+
+def point_free_interval(p, a, b, eps, tol):
+    d = b - a
+    w = a - p
+    qa = float(d @ d)
+    qb = float(d @ w)
+    qc = float(w @ w) - eps * eps
+    disc = qb * qb - qa * qc
+    if disc < 0.0:
+        if disc < -tol:
+            return kf.EMPTY
+        disc = 0.0
+    root = math.sqrt(disc)
+    lo = (-qb - root) / qa
+    hi = (-qb + root) / qa
+    if hi < 0.0 or lo > 1.0:
+        return kf.EMPTY
+    return kf.Interval(max(lo, 0.0), min(hi, 1.0))
+
+
+def linear_interval(alpha, beta, lo, hi):
+    if beta == 0.0:
+        return (-math.inf, math.inf) if lo <= alpha <= hi else (math.inf, -math.inf)
+    u0 = (lo - alpha) / beta
+    u1 = (hi - alpha) / beta
+    return (u0, u1) if u0 <= u1 else (u1, u0)
+
+
+def capsule_slice(a, b, c0, c1, eps, tol):
+    pieces = [point_free_interval(c0, a, b, eps, tol), point_free_interval(c1, a, b, eps, tol)]
+    d = b - a
+    e = c1 - c0
+    den = float(e @ e)
+    w0 = a - c0
+    foot_lo, foot_hi = linear_interval(float(w0 @ e) / den, float(d @ e) / den, 0.0, 1.0)
+    norm_e = math.sqrt(den)
+    gamma = (e[0] * w0[1] - e[1] * w0[0]) / norm_e
+    delta = (e[0] * d[1] - e[1] * d[0]) / norm_e
+    perp_lo, perp_hi = linear_interval(gamma, delta, -eps, eps)
+    lo = max(foot_lo, perp_lo, 0.0)
+    hi = min(foot_hi, perp_hi, 1.0)
+    if lo <= hi:
+        pieces.append(kf.Interval(lo, hi))
+    out = kf.EMPTY
+    for piece in pieces:
+        out = out.hull(piece)
+    return out
+
+
+def stab_number(components, n, m, tol):
+    best = 0
+    for axis_len, proj in ((float(n), lambda c: c.proj_p), (float(m), lambda c: c.proj_q)):
+        positions = set()
+        for c in components:
+            iv = proj(c)
+            for e in (iv.lo, iv.hi):
+                for pos in (e - tol, e, e + tol):
+                    if 0.0 <= pos <= axis_len:
+                        positions.add(pos)
+        for pos in positions:
+            count = sum(1 for c in components if proj(c).lo <= pos <= proj(c).hi)
+            best = max(best, count)
+    return best
+
+
+def reference_diagram(P, Q, eps, tol=TOL):
+    """Scalar builder; returns (diagram, cells as nested tuples of CellFreeSpace)."""
+    n, m = P.n, Q.n
+    pseg = [P.segment(i) for i in range(n)]
+    qseg = [Q.segment(j) for j in range(m)]
+    vert = [[point_free_interval(P.vertices[i], *qseg[j], eps, tol) for j in range(m)]
+            for i in range(n + 1)]
+    horiz = [[point_free_interval(Q.vertices[j], *pseg[i], eps, tol) for j in range(m + 1)]
+             for i in range(n)]
+    point0, point1 = kf.Interval(0.0, 0.0), kf.Interval(1.0, 1.0)
+    cells = []
+    for i in range(n):
+        column = []
+        for j in range(m):
+            s_proj = capsule_slice(*pseg[i], *qseg[j], eps, tol)
+            t_proj = capsule_slice(*qseg[j], *pseg[i], eps, tol)
+            left, right = vert[i][j], vert[i + 1][j]
+            bottom, top = horiz[i][j], horiz[i][j + 1]
+            # defensive hulls: the projections must contain every free edge
+            if not bottom.is_empty:
+                s_proj = s_proj.hull(bottom)
+                t_proj = t_proj.hull(point0)  # the fix
+            if not top.is_empty:
+                s_proj = s_proj.hull(top)
+                t_proj = t_proj.hull(point1)  # the fix
+            if not left.is_empty:
+                s_proj = s_proj.hull(point0)
+                t_proj = t_proj.hull(left)
+            if not right.is_empty:
+                s_proj = s_proj.hull(point1)
+                t_proj = t_proj.hull(right)
+            column.append(kf.CellFreeSpace(
+                i=i, j=j, left=left, right=right, bottom=bottom, top=top,
+                interior_nonempty=not s_proj.is_empty,
+                s_projection=s_proj, t_projection=t_proj))
+        cells.append(tuple(column))
+
+    parent = list(range(n * m))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    for i in range(n):
+        for j in range(m):
+            if i + 1 < n and not vert[i + 1][j].is_empty:
+                union(i * m + j, (i + 1) * m + j)
+            if j + 1 < m and not horiz[i][j + 1].is_empty:
+                union(i * m + j, i * m + j + 1)
+    groups = {}
+    for i in range(n):
+        for j in range(m):
+            if cells[i][j].interior_nonempty:
+                groups.setdefault(find(i * m + j), []).append((i, j))
+    components = []
+    for root in sorted(groups):
+        proj_p = proj_q = kf.EMPTY
+        for (i, j) in groups[root]:
+            proj_p = proj_p.hull(cells[i][j].s_projection.shift(float(i)))
+            proj_q = proj_q.hull(cells[i][j].t_projection.shift(float(j)))
+        components.append(kf.Component(
+            id=len(components), cells=frozenset(groups[root]), proj_p=proj_p, proj_q=proj_q,
+            touches=kf.BoundaryTouch(left=proj_p.lo <= tol, right=proj_p.hi >= n - tol,
+                                     bottom=proj_q.lo <= tol, top=proj_q.hi >= m - tol)))
+
+    def pairs(rows):
+        return np.array([[(iv.lo, iv.hi) for iv in row] for row in rows], dtype=float)
+
+    grid = FreeSpaceGrid(
+        vert=pairs(vert), horiz=pairs(horiz),
+        s_proj=pairs([[c.s_projection for c in col] for col in cells]),
+        t_proj=pairs([[c.t_projection for c in col] for col in cells]))
+    diagram = kf.FreeSpaceDiagram(epsilon=eps, n=n, m=m, cells=grid,
+                                  components=tuple(components),
+                                  z=stab_number(components, n, m, tol))
+    return diagram, tuple(cells)
+
+
+def reference_strong_frechet(cells, n, m, tol=TOL):
+    """Monotone corner-to-corner reachability over the per-cell views."""
+    empty = (1.0, -1.0)
+
+    def clip_from(iv, lo):
+        if iv.is_empty or iv.hi < lo:
+            return empty
+        return (max(iv.lo, lo), iv.hi)
+
+    reach_left = [empty] * m
+    first = cells[0][0].left
+    if not first.is_empty and first.lo <= tol:
+        reach_left[0] = (first.lo, first.hi)
+        for j in range(1, m):
+            below = reach_left[j - 1]
+            edge = cells[0][j].left
+            if below[0] <= below[1] and below[1] >= 1.0 - tol and not edge.is_empty and edge.lo <= tol:
+                reach_left[j] = (edge.lo, edge.hi)
+            else:
+                break
+
+    reach_bottom = [empty] * n
+    first = cells[0][0].bottom
+    if not first.is_empty and first.lo <= tol:
+        reach_bottom[0] = (first.lo, first.hi)
+        for i in range(1, n):
+            left_of = reach_bottom[i - 1]
+            edge = cells[i][0].bottom
+            if left_of[0] <= left_of[1] and left_of[1] >= 1.0 - tol and not edge.is_empty and edge.lo <= tol:
+                reach_bottom[i] = (edge.lo, edge.hi)
+            else:
+                break
+
+    for i in range(n):
+        next_left = [empty] * m
+        bottom_in = reach_bottom[i]
+        for j in range(m):
+            left_in = reach_left[j]
+            cell = cells[i][j]
+            has_left = left_in[0] <= left_in[1]
+            has_bottom = bottom_in[0] <= bottom_in[1]
+            if has_bottom:
+                out_right = clip_from(cell.right, 0.0)
+            elif has_left:
+                out_right = clip_from(cell.right, left_in[0])
+            else:
+                out_right = empty
+            if has_left:
+                out_top = clip_from(cell.top, 0.0)
+            elif has_bottom:
+                out_top = clip_from(cell.top, bottom_in[0])
+            else:
+                out_top = empty
+            next_left[j] = out_right
+            bottom_in = out_top
+        if i == n - 1 and bottom_in[0] <= bottom_in[1] and bottom_in[1] >= 1.0 - tol:
+            return True
+        reach_left = next_left
+    top_right = reach_left[m - 1]
+    return top_right[0] <= top_right[1] and top_right[1] >= 1.0 - tol
+
+
+# ------------------------------------------------------------ seeded cases
+
+def piece_pair(rng, n, pieces):
+    """A random walk P and Q = P cut into pieces, shuffled, partly reversed, jittered."""
+    steps = rng.normal(0.0, 1.0, size=(n, 2)) + np.array([1.0, 0.0])
+    P = np.vstack([np.zeros(2), np.cumsum(steps, axis=0)])
+    cuts = np.sort(rng.choice(np.arange(1, n), size=min(pieces, n) - 1, replace=False))
+    parts = [P[a:b + 1] for a, b in zip([0, *cuts], [*cuts, n])]
+    parts = [parts[k][::-1] if rng.random() < 0.4 else parts[k]
+             for k in rng.permutation(len(parts))]
+    Q = np.vstack(parts) + rng.normal(0.0, 0.05, size=(sum(len(p) for p in parts), 2))
+    return kf.PolyCurve(P), kf.PolyCurve(Q)
+
+
+def grid_curve(rng, nseg, axis_parallel):
+    """Integer-grid vertices: axis-parallel steps, or points along one line."""
+    while True:
+        if axis_parallel:
+            steps = rng.integers(-2, 3, size=nseg)
+            along = rng.integers(0, 2, size=nseg)
+            verts = np.zeros((nseg + 1, 2))
+            verts[1:, 0] = np.cumsum(np.where(along == 0, steps, 0))
+            verts[1:, 1] = np.cumsum(np.where(along == 1, steps, 0))
+        else:
+            t = rng.integers(-3, 4, size=nseg + 1).astype(float)
+            verts = np.stack((t, 0.5 * t + 1.0), axis=1)
+        try:
+            return kf.PolyCurve(verts)
+        except kf.CurveError:
+            continue
+
+
+def eps_for(rng, P, Q, mode):
+    """A random eps, or one exactly at or just off a distance candidate."""
+    if mode == "random":
+        return float(rng.uniform(0.02, 1.0) * kf.pairwise_vertex_max(P, Q))
+    cands = [c for c in kf.distance_candidates(P, Q) if c > 0.0]
+    c = cands[int(rng.integers(len(cands)))]
+    offset = {"at": 0.0, "1e-9": 1e-9, "1e-7": 1e-7}[mode]
+    return max(0.0, c + offset * (1.0 if rng.random() < 0.5 else -1.0))
+
+
+MODES = ("random", "at", "1e-9", "1e-7")
+
+
+def seeded_cases():
+    rng = np.random.default_rng(20240611)
+    cases = []
+    for k in range(1040):
+        kind = k % 5
+        if kind == 0:
+            P, Q = piece_pair(rng, int(rng.integers(4, 11)), int(rng.integers(1, 5)))
+        elif kind in (1, 2):
+            P = random_curve(rng, int(rng.integers(1, 7)))
+            Q = random_curve(rng, int(rng.integers(1, 7)))
+        else:
+            P = grid_curve(rng, int(rng.integers(1, 6)), axis_parallel=kind == 3)
+            Q = grid_curve(rng, int(rng.integers(1, 6)), axis_parallel=kind == 3)
+        cases.append((P, Q, eps_for(rng, P, Q, MODES[(k // 5) % len(MODES)])))
+    return cases
+
+
+CASES = seeded_cases()
+
+
+def test_case_mix():
+    assert len(CASES) >= 1000
+    assert sum(d.components != () for d in (kf.build_diagram(*c) for c in CASES[:100])) >= 50
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_build_diagram_equals_reference(chunk):
+    for P, Q, eps in CASES[chunk::8]:
+        d = kf.build_diagram(P, Q, eps)
+        ref, ref_cells = reference_diagram(P, Q, eps)
+        assert d == ref and hash(d) == hash(ref)
+        assert all(d.cell(i, j) == ref_cells[i][j] for i in range(d.n) for j in range(d.m))
+        for c in d.components:
+            ends = (c.proj_p.lo, c.proj_p.hi, c.proj_q.lo, c.proj_q.hi)
+            assert all(type(x) is float for x in ends)
+            assert all(type(x) is bool for x in vars(c.touches).values())
+        assert kf.decide_strong_frechet(d) == reference_strong_frechet(ref_cells, d.n, d.m)
+        assert kf.compute_z(d) == d.z
+
+
+def test_no_component_with_one_empty_projection():
+    for P, Q, eps in CASES:
+        d = kf.build_diagram(P, Q, eps)
+        assert all(not (c.proj_p.is_empty or c.proj_q.is_empty) for c in d.components)
+
+
+def test_sweep_z_matches_pair_count_on_stubs():
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        comps = []
+        for idx in range(int(rng.integers(0, 8))):
+            proj = []
+            for length in (n, m):
+                if rng.random() < 0.15:
+                    proj.append(kf.EMPTY)
+                    continue
+                # endpoints on a coarse grid so ties and tolerance-close ends occur
+                lo, hi = sorted(np.round(rng.uniform(0, length, size=2), 1).tolist())
+                proj.append(kf.Interval(lo, hi + float(rng.choice([0.0, 0.5e-9, 2e-9]))))
+            comps.append(kf.Component(id=idx, cells=frozenset(), proj_p=proj[0], proj_q=proj[1],
+                                      touches=kf.BoundaryTouch(False, False, False, False)))
+        stub = kf.FreeSpaceDiagram(epsilon=1.0, n=n, m=m, cells=(), components=tuple(comps), z=0)
+        assert kf.compute_z(stub, TOL) == stab_number(comps, n, m, TOL)

@@ -53,6 +53,14 @@ class TestMinimizeEpsilon:
         eps = kf.minimize_epsilon(P, Q, 1, tol=1e-5)
         assert eps == pytest.approx(1.0, abs=1e-4)
 
+    def test_tol_below_float_spacing_terminates(self):
+        # the bisection stops once lo and hi are adjacent floats
+        P, Q = diagonal_pair()
+        eps = kf.minimize_epsilon(P, Q, 1, tol=1e-30)
+        assert eps == pytest.approx(1.0, abs=1e-9)  # the decider forgives tangencies within tol
+        assert kf.decide_fpt(kf.build_diagram(P, Q, eps), 1) is not None
+        assert kf.decide_fpt(kf.build_diagram(P, Q, float(np.nextafter(eps, 0.0))), 1) is None
+
     def test_candidates_mode_exact_value(self):
         P, Q = diagonal_pair()
         assert kf.minimize_epsilon(P, Q, 1, tol=1e-5, method="candidates") == pytest.approx(1.0, abs=1e-12)
@@ -63,6 +71,8 @@ class TestMinimizeEpsilon:
             kf.minimize_epsilon(P, Q, 0, tol=1e-4)
         with pytest.raises(ValueError):
             kf.minimize_epsilon(P, Q, 1, tol=0.0)
+        with pytest.raises(ValueError):
+            kf.minimize_epsilon(P, Q, 1, tol=float("nan"))
         with pytest.raises(ValueError):
             kf.minimize_epsilon(P, Q, 1, tol=1e-4, method="magic")
 

@@ -7,6 +7,9 @@ approximately (factor 2 on the budget), or in the classic limits
 (Hausdorff, weak and strong matching decisions). A companion workbench
 converts 3-SAT formulas into equivalent box-covering instances for
 hardness experiments.
+
+The scipy-backed validation oracles are not imported here; use
+``from kfrechet import oracles``.
 """
 
 from .approx import ProjectedInterval, approximate_k, axis_projections, greedy_axis_cover
@@ -19,17 +22,14 @@ from .config import DEFAULT_TOL, default_tol
 from .curves import (EMPTY, CurveError, Interval, PolyCurve, interval_union_covers,
                      parse_curve, parse_curve_json, point_segment_distance,
                      segment_distance, serialize_curve)
-from .decide import (Preprocessed, SearchTreeNode, Selection, covers_both,
-                     decide_bruteforce, decide_fpt, decide_hausdorff,
-                     decide_strong_frechet, decide_weak_frechet,
-                     fpt_feasible_selections, preprocess)
+from .decide import (Preprocessed, Selection, covers_both, decide_bruteforce,
+                     decide_fpt, decide_hausdorff, decide_strong_frechet,
+                     decide_weak_frechet, fpt_feasible_selections, preprocess)
 from .freespace import (BoundaryTouch, CellFreeSpace, Component, FreeSpaceDiagram,
                         build_diagram, cell_axis_projection, cell_edge_interval,
                         compute_z)
 from .optimize import (distance_candidates, minimize_epsilon, minimize_k,
                        pairwise_vertex_max)
-from .oracles import (PixelFreeSpace, exhaustive_min_cover, pixel_freespace,
-                      pixel_margin, sampled_hausdorff, sampled_hausdorff_bound)
 from .svg import render_diagram_svg
 
 __version__ = "0.1.0"
@@ -37,19 +37,17 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryTouch", "BoxInstance", "CellFreeSpace", "CnfFormula", "Component",
     "CurveError", "DEFAULT_TOL", "EMPTY", "FormulaError", "FreeSpaceDiagram",
-    "Interval", "LabeledBox", "PixelFreeSpace", "PolyCurve", "Preprocessed",
-    "ProjectedInterval", "SearchTreeNode", "Selection",
+    "Interval", "LabeledBox", "PolyCurve", "Preprocessed", "ProjectedInterval",
+    "Selection",
     "approximate_k", "axis_projections", "box_instance_from_json",
     "box_instance_to_json", "build_box_instance", "build_diagram",
     "cell_axis_projection", "cell_edge_interval", "compute_z", "covers_boundaries",
     "covers_both", "decide_bruteforce", "decide_fpt", "decide_hausdorff",
     "decide_strong_frechet", "decide_weak_frechet", "default_tol",
-    "distance_candidates", "exhaustive_min_cover", "fpt_feasible_selections",
+    "distance_candidates", "fpt_feasible_selections",
     "greedy_axis_cover", "interval_union_covers", "minimize_epsilon", "minimize_k",
     "normalize_formula", "pairwise_vertex_max", "parse_curve", "parse_curve_json",
-    "parse_dimacs", "pixel_freespace", "pixel_margin", "point_segment_distance",
-    "preprocess", "render_diagram_svg", "sampled_hausdorff",
-    "sampled_hausdorff_bound", "sat_bruteforce", "segment_distance",
-    "selection_from_assignment", "serialize_curve", "solve_box_bruteforce",
-    "write_dimacs",
+    "parse_dimacs", "point_segment_distance", "preprocess", "render_diagram_svg",
+    "sat_bruteforce", "segment_distance", "selection_from_assignment",
+    "serialize_curve", "solve_box_bruteforce", "write_dimacs",
 ]

@@ -113,8 +113,6 @@ def _cmd_minimize_eps(args) -> tuple[bool, dict]:
     Q = _load_curve(args.q)
     if args.k < 1:
         raise CliError("--k must be >= 1")
-    if args.tol <= 0:
-        raise CliError("--tol must be > 0")
     eps = minimize_epsilon(P, Q, args.k, args.tol, method=args.method)
     witness = decide_fpt(build_diagram(P, Q, eps), args.k)
     report = {
@@ -258,13 +256,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         answer, report = args.func(args)
-    except CliError as exc:
+        # allow_nan=False: a NaN or infinity would print as non-JSON
+        text = json.dumps(report, sort_keys=True, allow_nan=False)
+    except (CliError, CurveError, FormulaError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CurveError, FormulaError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps(report, sort_keys=True))
+    print(text)
     return 0 if answer else 1
 
 

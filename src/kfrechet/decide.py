@@ -46,22 +46,6 @@ class Selection:
 
 
 @dataclass(frozen=True)
-class SearchTreeNode:
-    """Documents the bounded-search-tree contract.
-
-    A node stands for a component whose projection interval contains the
-    parent's frontier (the right end of the prefix covered so far); the
-    root (depth 0) is the axis' left boundary. The search below is run as
-    a depth-first path enumeration and never materialises these nodes.
-    """
-
-    component_id: int
-    depth: int
-    frontier: float
-    children: tuple = ()
-
-
-@dataclass(frozen=True)
 class Preprocessed:
     """Result of :func:`preprocess`.
 
@@ -187,10 +171,13 @@ def fpt_feasible_selections(diagram: FreeSpaceDiagram, axis: str, k: int,
                             tol: float | None = None) -> tuple[list, int]:
     """All axis-covering selections found by a depth-bounded sweep search.
 
-    The root sits at the axis' left boundary; children of a node are the
-    components whose interval contains the node's frontier and extends it
-    (strictly, beyond tolerance). A path ends as soon as its component
-    reaches the right boundary. Returns the duplicate-free sorted list of
+    Each node of the search tree stands for a component whose projection
+    interval contains the parent's frontier (the right end of the prefix
+    covered so far) and extends it (strictly, beyond tolerance); the root,
+    at depth 0, is the axis' left boundary, and no path is deeper than k.
+    A path ends as soon as its component reaches the right boundary. The
+    tree is walked depth-first as a path enumeration and its nodes are
+    never materialised. Returns the duplicate-free sorted list of
     selections (as sorted id tuples) plus the raw feasible-path count.
     """
     tol = resolve_tol(tol)

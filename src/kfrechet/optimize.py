@@ -8,6 +8,7 @@ decision stays positive when k or eps grows.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -92,8 +93,8 @@ def minimize_epsilon(P: PolyCurve, Q: PolyCurve, k: int, tol: float = 1e-6,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol}")
     if method not in ("bisect", "candidates"):
         raise ValueError(f'method must be "bisect" or "candidates", got {method!r}')
 

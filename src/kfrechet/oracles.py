@@ -5,6 +5,11 @@ geometric code paths: a pixel-grid free space, an exhaustive minimum
 interval cover, and a sampled Hausdorff distance. They ship with the
 library so the validation experiments are reproducible, but nothing in
 the production modules depends on them.
+
+This module is not imported by ``import kfrechet``; import it
+explicitly (``from kfrechet import oracles``). It needs scipy, which the
+runtime install leaves out: install the ``test`` extra
+(``pip install -e ".[test]"``).
 """
 
 from __future__ import annotations

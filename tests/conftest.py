@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
+from kfrechet import oracles
 
 
 @pytest.fixture
@@ -72,7 +73,7 @@ def raster_stable(P, Q, eps: float, res: int) -> bool:
     bound this certifies every free region and every blocked gap is
     raster-visible.
     """
-    margin = kf.pixel_margin(P, Q, res)
+    margin = oracles.pixel_margin(P, Q, res)
     if eps - margin <= 0:
         return False
     lo = kf.build_diagram(P, Q, eps - margin)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
+from kfrechet import oracles
 from kfrechet.boxes import clause_size_counts
 from conftest import (Z2_PAIR, exhaustive_min_selection_size, random_curve,
                       raster_stable)
@@ -118,8 +119,8 @@ def test_criterion_4_greedy_optimality():
         intervals = [kf.ProjectedInterval(i, "p", kf.Interval(float(lo), float(lo + w)))
                      for i, (lo, w) in enumerate(zip(los, widths))]
         greedy = kf.greedy_axis_cover(intervals, kf.Interval(0.0, 1.0))
-        opt = kf.exhaustive_min_cover([(pi.interval.lo, pi.interval.hi) for pi in intervals],
-                                      (0.0, 1.0), gap_tol=TOL)
+        opt = oracles.exhaustive_min_cover([(pi.interval.lo, pi.interval.hi) for pi in intervals],
+                                           (0.0, 1.0), gap_tol=TOL)
         if opt is None:
             assert greedy is None, trial
         else:
@@ -252,7 +253,7 @@ def test_criterion_9_pixel_freespace_agreement():
         if not raster_stable(P, Q, eps, 512):
             continue  # a critical value sits inside the raster band
         d = kf.build_diagram(P, Q, eps)
-        pix = kf.pixel_freespace(P, Q, eps, res=512)
+        pix = oracles.pixel_freespace(P, Q, eps, res=512)
         assert pix.component_count == len(d.components), (P.vertices, Q.vertices, eps)
         assert pix.weak_ok() == kf.decide_weak_frechet(d), (P.vertices, Q.vertices, eps)
         assert pix.covers_both() == kf.decide_hausdorff(d), (P.vertices, Q.vertices, eps)

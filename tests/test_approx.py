@@ -1,6 +1,7 @@
 import pytest
 
 import kfrechet as kf
+from kfrechet import oracles
 from conftest import exhaustive_min_selection_size, random_pair
 
 
@@ -14,7 +15,8 @@ class TestGreedyAxisCover:
         sel = kf.greedy_axis_cover(intervals, kf.Interval(0.0, 1.0))
         assert sel == kf.Selection([0, 1])
         # brute-force minimum cover is also 2
-        assert kf.exhaustive_min_cover([(0, 0.5), (0.4, 1), (0, 0.3), (0.25, 0.8)], (0, 1)) == 2
+        spans = [(0, 0.5), (0.4, 1), (0, 0.3), (0.25, 0.8)]
+        assert oracles.exhaustive_min_cover(spans, (0, 1)) == 2
 
     def test_single_interval(self):
         assert kf.greedy_axis_cover([proj(0, 0.0, 1.0)], kf.Interval(0.0, 1.0)) == kf.Selection([0])
@@ -43,7 +45,7 @@ class TestGreedyAxisCover:
             intervals = [proj(i, float(lo), float(lo + w))
                          for i, (lo, w) in enumerate(zip(los, widths))]
             sel = kf.greedy_axis_cover(intervals, kf.Interval(0.0, 1.0))
-            opt = kf.exhaustive_min_cover(
+            opt = oracles.exhaustive_min_cover(
                 [(pi.interval.lo, pi.interval.hi) for pi in intervals], (0.0, 1.0),
                 gap_tol=kf.default_tol())
             if opt is None:

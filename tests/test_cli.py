@@ -7,6 +7,7 @@ import pytest
 
 import kfrechet as kf
 from kfrechet.cli import main
+from kfrechet.config import resolve_tol
 from conftest import random_pair
 
 
@@ -150,6 +151,12 @@ class TestMinimize:
                                     "--k", "1", "--tol", "nan")
         assert code == 2 and report is None and "tol" in err
 
+    def test_minimize_eps_infinite_tol(self, capsys, curve_files):
+        p, q = curve_files
+        code, report, err = run_cli(capsys, "minimize-eps", "--p", p, "--q", q,
+                                    "--k", "1", "--tol", "inf")
+        assert code == 2 and report is None and "tol" in err
+
     def test_minimize_eps_bad_k(self, capsys, curve_files):
         p, q = curve_files
         code, _, err = run_cli(capsys, "minimize-eps", "--p", p, "--q", q, "--k", "0")
@@ -248,13 +255,45 @@ class TestToleranceEnv:
         with pytest.raises(ValueError):
             kf.default_tol()
 
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_env_value(self, monkeypatch, raw):
+        monkeypatch.setenv("KFRECHET_TOL", raw)
+        with pytest.raises(ValueError):
+            kf.default_tol()
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_bad_tol_argument(self, tol):
+        with pytest.raises(ValueError):
+            resolve_tol(tol)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_env_exits_2(self, capsys, monkeypatch, curve_files, raw):
+        # nothing is free at eps 0.5; a non-finite tolerance used to report one component
+        p, q = curve_files
+        monkeypatch.setenv("KFRECHET_TOL", raw)
+        code, report, err = run_cli(capsys, "decide", "--p", p, "--q", q,
+                                    "--eps", "0.5", "--k", "1")
+        assert code == 2 and report is None and "KFRECHET_TOL" in err
+
 
 def test_module_entry_point(curve_files):
     p, q = curve_files
-    proc = subprocess.run(
-        [sys.executable, "-m", "kfrechet.cli", "decide", "--p", p, "--q", q,
-         "--eps", "1.0", "--k", "1"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["answer"] is True
+    golden = {
+        "1.0": (0, '{"answer": true, "components": 1, "selection": [0], "z": 1}\n'),
+        "0.5": (1, '{"answer": false, "components": 0, "selection": null, "z": 0}\n'),
+    }
+    for eps, expected in golden.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "kfrechet.cli", "decide", "--p", p, "--q", q,
+             "--eps", eps, "--k", "1"],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == expected, proc.stderr
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = ("import sys, kfrechet.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

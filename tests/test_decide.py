@@ -1,6 +1,7 @@
 import pytest
 
 import kfrechet as kf
+from kfrechet import oracles
 from conftest import (SIX_COMPONENT_PAIR, epsilon_probes, exhaustive_decide,
                       exhaustive_min_selection_size, random_pair, stub_diagram)
 
@@ -195,7 +196,7 @@ class TestClassicDecisions:
         d = kf.build_diagram(P, Q, 0.2)
         assert kf.decide_weak_frechet(d)
         assert not kf.decide_strong_frechet(d)
-        pix = kf.pixel_freespace(P, Q, 0.2, res=256)
+        pix = oracles.pixel_freespace(P, Q, 0.2, res=256)
         assert pix.weak_ok()
 
     def test_hausdorff_diagonal(self):
@@ -205,8 +206,8 @@ class TestClassicDecisions:
     def test_hausdorff_vs_sampled(self, rng):
         for _ in range(20):
             P, Q = random_pair(rng, 5)
-            value = kf.sampled_hausdorff(P, Q, 400)
-            band = kf.sampled_hausdorff_bound(P, Q, 400) + 1e-8
+            value = oracles.sampled_hausdorff(P, Q, 400)
+            band = oracles.sampled_hausdorff_bound(P, Q, 400) + 1e-8
             assert kf.decide_hausdorff(kf.build_diagram(P, Q, value + band))
             low = value - band
             if low > 0:

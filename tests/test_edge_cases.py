@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
+from kfrechet import oracles
 from conftest import random_pair
 
 
@@ -105,7 +106,7 @@ class TestStrongDecisionOracle:
         while checked < 25:
             P, Q = random_pair(rng, 4)
             eps = float(rng.uniform(0.3, 1.2))
-            margin = kf.pixel_margin(P, Q, res)
+            margin = oracles.pixel_margin(P, Q, res)
             if eps - margin <= 0:
                 continue
             below = kf.decide_strong_frechet(kf.build_diagram(P, Q, eps - margin))
@@ -113,7 +114,7 @@ class TestStrongDecisionOracle:
             if below != above:
                 continue  # too close to the decision threshold for the raster
             got = kf.decide_strong_frechet(kf.build_diagram(P, Q, eps))
-            oracle = _pixel_monotone_reachable(kf.pixel_freespace(P, Q, eps, res=res))
+            oracle = _pixel_monotone_reachable(oracles.pixel_freespace(P, Q, eps, res=res))
             assert got == oracle, (P.vertices, Q.vertices, eps)
             checked += 1
             trues += got

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
+from kfrechet import oracles
 from conftest import random_pair
 
 UNIT_P = ((0.0, 0.0), (1.0, 0.0))
@@ -283,7 +284,7 @@ class TestBuildDiagram:
         Q = kf.PolyCurve(verts[::-1])
         eps = 0.12
         d = kf.build_diagram(P, Q, eps)
-        pix = kf.pixel_freespace(P, Q, eps, res=512)
+        pix = oracles.pixel_freespace(P, Q, eps, res=512)
         assert len(d.components) == 3
         assert pix.component_count == 3
         # projections agree within one pixel per axis
@@ -305,7 +306,7 @@ class TestBuildDiagram:
             if not raster_stable(P, Q, eps, 256):
                 continue  # a topology change hides inside the raster band
             d = kf.build_diagram(P, Q, eps)
-            pix = kf.pixel_freespace(P, Q, eps, res=256)
+            pix = oracles.pixel_freespace(P, Q, eps, res=256)
             assert pix.component_count == len(d.components)
             checked += 1
         assert checked >= 10

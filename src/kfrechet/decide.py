@@ -10,6 +10,7 @@ matching, from the same diagram.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -58,6 +59,17 @@ class Preprocessed:
     necessary: Selection
     kept: tuple
     dropped: tuple
+
+
+def _budget(k, least: int = 0) -> int:
+    """``k`` as a Python int; a non-integer (NaN, inf, 1.5) or ``k < least`` raises."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
+    if k < least:
+        raise ValueError(f"k must be >= {least}, got {k}")
+    return k
 
 
 def _check_ids(diagram: FreeSpaceDiagram, selection: Selection) -> None:
@@ -137,8 +149,7 @@ def decide_bruteforce(diagram: FreeSpaceDiagram, k: int, use_preprocess: bool = 
     order; the first covering selection is returned.
     """
     tol = resolve_tol(tol)
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _budget(k)
     comps = diagram.components
     if not covers_both(diagram, Selection(c.id for c in comps), tol):
         return None
@@ -181,10 +192,13 @@ def fpt_feasible_selections(diagram: FreeSpaceDiagram, axis: str, k: int,
     selections (as sorted id tuples) plus the raw feasible-path count.
     """
     tol = resolve_tol(tol)
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _budget(k)
     axis_len = float(diagram.n if axis == "p" else diagram.m)
-    intervals = _axis_intervals(diagram, axis)
+    return _axis_selections(_axis_intervals(diagram, axis), axis_len, k, tol)
+
+
+def _axis_selections(intervals, axis_len: float, k: int, tol: float) -> tuple[list, int]:
+    """:func:`fpt_feasible_selections` on a list of (id, lo, hi) projections."""
     found: set = set()
     paths = 0
 
@@ -204,6 +218,25 @@ def fpt_feasible_selections(diagram: FreeSpaceDiagram, axis: str, k: int,
     return sorted(found), paths
 
 
+def _joint_covers(intervals_p, intervals_q, n: int, m: int, k: int, tol: float):
+    """Unions of at most k ids of a p-axis and a q-axis selection of the
+    search tree, as sorted id tuples, in the order the pairs are tried.
+
+    ``intervals_p``/``intervals_q`` are (id, lo, hi) projections on axes of
+    length n and m. Every union covers both axes.
+    """
+    sels_p, _ = _axis_selections(intervals_p, float(n), k, tol)
+    if not sels_p:
+        return
+    sels_q, _ = _axis_selections(intervals_q, float(m), k, tol)
+    for sp in sels_p:
+        set_p = set(sp)
+        for sq in sels_q:
+            union = set_p.union(sq)
+            if len(union) <= k:
+                yield tuple(sorted(union))
+
+
 def decide_fpt(diagram: FreeSpaceDiagram, k: int, tol: float | None = None) -> Selection | None:
     """Bounded-search-tree decision for budget k.
 
@@ -213,21 +246,9 @@ def decide_fpt(diagram: FreeSpaceDiagram, k: int, tol: float | None = None) -> S
     results are deterministic.
     """
     tol = resolve_tol(tol)
-    sels_p, _ = fpt_feasible_selections(diagram, "p", k, tol)
-    if not sels_p:
-        return None
-    sels_q, _ = fpt_feasible_selections(diagram, "q", k, tol)
-    if not sels_q:
-        return None
-    best = None
-    for sp in sels_p:
-        set_p = set(sp)
-        for sq in sels_q:
-            union = set_p.union(sq)
-            if len(union) <= k:
-                candidate = tuple(sorted(union))
-                if best is None or candidate < best:
-                    best = candidate
+    k = _budget(k)
+    best = min(_joint_covers(_axis_intervals(diagram, "p"), _axis_intervals(diagram, "q"),
+                             diagram.n, diagram.m, k, tol), default=None)
     return None if best is None else Selection(best)
 
 
@@ -330,6 +351,8 @@ def decide_strong_frechet(diagram: FreeSpaceDiagram, tol: float | None = None) -
         if i == n - 1 and bottom_in[0] <= bottom_in[1] and bottom_in[1] >= 1.0 - tol:
             # top-right corner reached through the top edge of the last cell
             return True
+        if next_left.count(empty) == m and (i + 1 == n or reach_bottom[i + 1] is empty):
+            return False  # nothing reachable enters the remaining columns
         reach_left = next_left
     top_right = reach_left[m - 1]
     return top_right[0] <= top_right[1] and top_right[1] >= 1.0 - tol

@@ -12,6 +12,9 @@ The geometry is computed for the whole grid at once and kept as arrays
 (:class:`FreeSpaceGrid`): free intervals of the (n+1)×m vertical and
 n×(m+1) horizontal cell edges and the n×m cell projections on each axis.
 :meth:`FreeSpaceDiagram.cell` builds a :class:`CellFreeSpace` from them.
+The part that does not depend on eps (every dot product and strip term)
+is prepared once per curve pair, so a search over eps re-solves only the
+eps terms of the same kernels.
 
 Connectivity uses the closed-set convention: two adjacent cells sharing
 only a single free boundary point belong to the same component.
@@ -19,6 +22,7 @@ only a single free boundary point belong to the same component.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -135,11 +139,6 @@ def _interval(pair) -> Interval:
     return EMPTY if lo > hi else Interval(lo, hi)
 
 
-def _pairs(lo, hi, empty):
-    """Stack (lo, hi) along a last axis, with ``(inf, -inf)`` where empty."""
-    return np.stack((np.where(empty, _INF, lo), np.where(empty, -_INF, hi)), axis=-1)
-
-
 def _dot(x, y):
     """Dot products of 2-vectors on the last axis. A batched matmul rounds
     exactly like the scalar ``x @ y`` (a BLAS dot); ``x0*y0 + x1*y1`` does
@@ -147,18 +146,31 @@ def _dot(x, y):
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _disk_slice(w, d, eps: float, tol: float):
-    """Parameters u in [0, 1] with ``|w + u*d| <= eps``, as (lo, hi) pairs.
+def _empty_where(empty, lo, hi):
+    """(lo, hi) arrays with ``(inf, -inf)`` where empty."""
+    return np.where(empty, _INF, lo), np.where(empty, -_INF, hi)
+
+
+def _disk_terms(w, d):
+    """The eps-free terms of ``|w + u*d|² <= eps²``: d·d, -d·w, (d·w)² and w·w.
 
     ``w`` is the edge start minus the fixed point, ``d`` the edge direction.
+    """
+    qb = _dot(d, w)
+    return _dot(d, d), -qb, qb * qb, _dot(w, w)
+
+
+def _disk_slice(qa, neg_qb, qb2, ww, eps: float, tol: float):
+    """Parameters u in [0, 1] with ``|w + u*d| <= eps``, from :func:`_disk_terms`.
+
     A discriminant within ``-tol..0`` is clamped to zero so tangencies survive.
     """
-    qa, qb, qc = _dot(d, d), _dot(d, w), _dot(w, w) - eps * eps
-    disc = qb * qb - qa * qc
+    disc = qb2 - qa * (ww - eps * eps)
     root = np.sqrt(np.where(disc < 0.0, 0.0, disc))
-    lo = (-qb - root) / qa
-    hi = (-qb + root) / qa
-    return _pairs(np.maximum(lo, 0.0), np.minimum(hi, 1.0), (disc < -tol) | (hi < 0.0) | (lo > 1.0))
+    lo = (neg_qb - root) / qa
+    hi = (neg_qb + root) / qa
+    return _empty_where((disc < -tol) | (hi < 0.0) | (lo > 1.0),
+                        np.maximum(lo, 0.0), np.minimum(hi, 1.0))
 
 
 def _linear_slice(alpha, beta, lo: float, hi: float):
@@ -172,44 +184,74 @@ def _linear_slice(alpha, beta, lo: float, hi: float):
             np.where(flat, np.where(inside, _INF, -_INF), np.maximum(u0, u1)))
 
 
-def _strip_slice(w0, d, e, eps: float):
-    """Parameters u in [0, 1] where ``w0 + u*d`` lies in the strip of half-width
-    eps over segment [0, e]: its eps-capsule without the endpoint disks."""
+def _strip_terms(w0, d, e):
+    """The eps-free terms of the strip slice of ``w0 + u*d`` over segment [0, e]:
+    the u-range whose foot falls inside the segment, and the signed distance
+    ``gamma + delta*u`` from the segment's line."""
     den = _dot(e, e)
     foot_lo, foot_hi = _linear_slice(_dot(w0, e) / den, _dot(d, e) / den, 0.0, 1.0)
     norm_e = np.sqrt(den)
     gamma = (e[..., 0] * w0[..., 1] - e[..., 1] * w0[..., 0]) / norm_e
     delta = (e[..., 0] * d[..., 1] - e[..., 1] * d[..., 0]) / norm_e
+    return foot_lo, foot_hi, gamma, delta
+
+
+def _strip_slice(foot_lo, foot_hi, gamma, delta, eps: float):
+    """Parameters u in [0, 1] where the point lies in the strip of half-width
+    eps over the segment: its eps-capsule without the endpoint disks."""
     perp_lo, perp_hi = _linear_slice(gamma, delta, -eps, eps)
     lo = np.maximum(np.maximum(foot_lo, perp_lo), 0.0)
     hi = np.minimum(np.minimum(foot_hi, perp_hi), 1.0)
-    return _pairs(lo, hi, lo > hi)
+    return _empty_where(lo > hi, lo, hi)
 
 
 def _hull(*pieces):
-    """Smallest interval holding every (..., 2) piece; an empty piece adds nothing."""
-    stacked = np.stack(pieces)
-    return np.stack((stacked[..., 0].min(axis=0), stacked[..., 1].max(axis=0)), axis=-1)
+    """Smallest interval holding every (lo, hi) piece; an empty piece adds nothing."""
+    los, his = zip(*pieces)
+    return functools.reduce(np.minimum, los), functools.reduce(np.maximum, his)
 
 
-def _grid(pv: np.ndarray, qv: np.ndarray, eps: float, tol: float) -> FreeSpaceGrid:
-    """All edge intervals and cell projections for vertex arrays pv, qv."""
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise ValueError(f"eps must be a finite number >= 0, got {eps}")
-    w = pv[:, None, :] - qv[None, :, :]  # P-vertex i minus Q-vertex j
-    dp, dq = np.diff(pv, axis=0)[:, None], np.diff(qv, axis=0)[None]
-    vert = _disk_slice(-w[:, :-1], dq, eps, tol)
-    horiz = _disk_slice(w[:-1], dp, eps, tol)
-    no_v, no_h = vert[..., 0] > vert[..., 1], horiz[..., 0] > horiz[..., 1]
-    # A cell's projection on an axis is the union of its strip piece and its
-    # two edge intervals along the axis (the endpoint-disk pieces), which is
-    # an interval as distance to a segment is convex along a line. It must
-    # also hold 0 or 1 where an edge across the axis is free.
-    s_proj = _hull(_strip_slice(w[:-1, :-1], dp, dq, eps), horiz[:, :-1], horiz[:, 1:],
-                   _pairs(0.0, 0.0, no_v[:-1]), _pairs(1.0, 1.0, no_v[1:]))
-    t_proj = _hull(_strip_slice(-w[:-1, :-1], dq, dp, eps), vert[:-1], vert[1:],
-                   _pairs(0.0, 0.0, no_h[:, :-1]), _pairs(1.0, 1.0, no_h[:, 1:]))
-    return FreeSpaceGrid(vert=vert, horiz=horiz, s_proj=s_proj, t_proj=t_proj)
+class _PairGeometry:
+    """The part of the free space grid of one curve pair that does not depend
+    on eps: every dot product of the endpoint-disk quadratics and the strip
+    terms of both capsule slices. :meth:`solve` adds only the eps work, so a
+    search over eps prepares the pair once."""
+
+    def __init__(self, pv: np.ndarray, qv: np.ndarray) -> None:
+        self.n, self.m = len(pv) - 1, len(qv) - 1
+        w = pv[:, None, :] - qv[None, :, :]  # P-vertex i minus Q-vertex j
+        dp, dq = np.diff(pv, axis=0)[:, None], np.diff(qv, axis=0)[None]
+        self.vert = _disk_terms(-w[:, :-1], dq)
+        self.horiz = _disk_terms(w[:-1], dp)
+        self.s_strip = _strip_terms(w[:-1, :-1], dp, dq)
+        self.t_strip = _strip_terms(-w[:-1, :-1], dq, dp)
+
+    def solve(self, eps: float, tol: float):
+        """(lo, hi) arrays of the edge intervals and cell projections at eps.
+
+        Returns ``(vert, horiz, s_proj, t_proj)`` laid out as the fields of
+        :class:`FreeSpaceGrid`, each as a (lo, hi) pair of arrays.
+        """
+        if not (math.isfinite(eps) and eps >= 0.0):
+            raise ValueError(f"eps must be a finite number >= 0, got {eps}")
+        v_lo, v_hi = vert = _disk_slice(*self.vert, eps, tol)
+        h_lo, h_hi = horiz = _disk_slice(*self.horiz, eps, tol)
+        no_v, no_h = v_lo > v_hi, h_lo > h_hi
+        # A cell's projection on an axis is the union of its strip piece and its
+        # two edge intervals along the axis (the endpoint-disk pieces), which is
+        # an interval as distance to a segment is convex along a line. It must
+        # also hold 0 or 1 where an edge across the axis is free.
+        s_proj = _hull(_strip_slice(*self.s_strip, eps), (h_lo[:, :-1], h_hi[:, :-1]),
+                       (h_lo[:, 1:], h_hi[:, 1:]),
+                       _empty_where(no_v[:-1], 0.0, 0.0), _empty_where(no_v[1:], 1.0, 1.0))
+        t_proj = _hull(_strip_slice(*self.t_strip, eps), (v_lo[:-1], v_hi[:-1]), (v_lo[1:], v_hi[1:]),
+                       _empty_where(no_h[:, :-1], 0.0, 0.0), _empty_where(no_h[:, 1:], 1.0, 1.0))
+        return vert, horiz, s_proj, t_proj
+
+
+def _as_grid(arrays) -> FreeSpaceGrid:
+    """A :class:`FreeSpaceGrid` from the (lo, hi) pairs of :meth:`_PairGeometry.solve`."""
+    return FreeSpaceGrid(*(np.stack(pair, axis=-1) for pair in arrays))
 
 
 def _segment_cell(seg_p, seg_q, eps: float, tol: float | None) -> CellFreeSpace:
@@ -217,7 +259,7 @@ def _segment_cell(seg_p, seg_q, eps: float, tol: float | None) -> CellFreeSpace:
     P, Q = PolyCurve(seg_p), PolyCurve(seg_q)
     if P.n != 1 or Q.n != 1:
         raise ValueError("a segment needs exactly two endpoints")
-    return _grid(P.vertices, Q.vertices, eps, resolve_tol(tol)).cell(0, 0)
+    return _as_grid(_PairGeometry(P.vertices, Q.vertices).solve(eps, resolve_tol(tol))).cell(0, 0)
 
 
 def cell_edge_interval(seg_p, seg_q, eps: float, edge: str, tol: float | None = None) -> Interval:
@@ -261,6 +303,39 @@ def _component_roots(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return root
 
 
+def _components(arrays):
+    """Connected components of the solved grid arrays of :meth:`_PairGeometry.solve`.
+
+    Returns the occupied cells (row-major index i*m + j), each one's
+    component label, and the component projections as the arrays
+    ``(p_lo, p_hi, q_lo, q_hi)`` in global parameters. Components are
+    numbered in the order of their first cell.
+    """
+    vert, horiz, s_proj, t_proj = arrays
+    n, m = s_proj[0].shape
+    # cells join across the free shared edges only; every other cell stays alone
+    index = np.arange(n * m).reshape(n, m)
+    join_i = vert[0][1:-1] <= vert[1][1:-1]
+    join_j = horiz[0][:, 1:-1] <= horiz[1][:, 1:-1]
+    root = _component_roots(n * m, np.concatenate((index[:-1][join_i], index[:, :-1][join_j])),
+                            np.concatenate((index[1:][join_i], index[:, 1:][join_j])))
+    occupied = index[s_proj[0] <= s_proj[1]]
+    roots = occupied[root[occupied] == occupied]  # each component's first cell
+    number = np.empty(n * m, dtype=int)
+    number[roots] = np.arange(len(roots))
+    label = number[root[occupied]]
+
+    # hull of the member cells' projections, shifted to global parameters
+    ii, jj = np.divmod(occupied, m)
+    ends = []
+    for proj, offset in ((s_proj, ii), (t_proj, jj)):
+        for side, reduce, start in ((proj[0], np.minimum, _INF), (proj[1], np.maximum, -_INF)):
+            out = np.full(len(roots), start)
+            reduce.at(out, label, side.ravel()[occupied] + offset)
+            ends.append(out)
+    return occupied, label, ends
+
+
 def build_diagram(P: PolyCurve, Q: PolyCurve, eps: float,
                   tol: float | None = None) -> FreeSpaceDiagram:
     """Compute the full free space diagram of P and Q at distance eps.
@@ -273,29 +348,10 @@ def build_diagram(P: PolyCurve, Q: PolyCurve, eps: float,
     """
     tol = resolve_tol(tol)
     n, m = P.n, Q.n
-    grid = _grid(P.vertices, Q.vertices, eps, tol)
-
-    # cells join across the free shared edges only; every other cell stays alone
-    index = np.arange(n * m).reshape(n, m)
-    join_i = grid.vert[1:-1, :, 0] <= grid.vert[1:-1, :, 1]
-    join_j = grid.horiz[:, 1:-1, 0] <= grid.horiz[:, 1:-1, 1]
-    root = _component_roots(n * m, np.concatenate((index[:-1][join_i], index[:, :-1][join_j])),
-                            np.concatenate((index[1:][join_i], index[:, 1:][join_j])))
-    occupied = index[grid.s_proj[..., 0] <= grid.s_proj[..., 1]]
-    roots = occupied[root[occupied] == occupied]  # each component's first cell
-    number = np.empty(n * m, dtype=int)
-    number[roots] = np.arange(len(roots))
-    label = number[root[occupied]]
-
-    # hull of the member cells' projections, shifted to global parameters
+    arrays = _PairGeometry(P.vertices, Q.vertices).solve(eps, tol)
+    occupied, label, ends = _components(arrays)
     ii, jj = np.divmod(occupied, m)
-    ends = []
-    for proj, offset in ((grid.s_proj, ii), (grid.t_proj, jj)):
-        for side, reduce, start in ((0, np.minimum, _INF), (1, np.maximum, -_INF)):
-            out = np.full(len(roots), start)
-            reduce.at(out, label, proj[..., side].ravel()[occupied] + offset)
-            ends.append(out)
-    members = [[] for _ in roots]
+    members = [[] for _ in ends[0]]
     for c, i, j in zip(label.tolist(), ii.tolist(), jj.tolist()):
         members[c].append((i, j))
 
@@ -305,7 +361,7 @@ def build_diagram(P: PolyCurve, Q: PolyCurve, eps: float,
                   touches=BoundaryTouch(left=plo <= tol, right=phi >= n - tol,
                                         bottom=qlo <= tol, top=qhi >= m - tol))
         for c, (plo, phi, qlo, qhi) in enumerate(zip(*(e.tolist() for e in ends))))
-    return FreeSpaceDiagram(epsilon=eps, n=n, m=m, cells=grid, components=components,
+    return FreeSpaceDiagram(epsilon=eps, n=n, m=m, cells=_as_grid(arrays), components=components,
                             z=_stab_number(ends, n, m, tol))
 
 

@@ -2,7 +2,11 @@
 
 Minimise the number of covering components at fixed eps, or the distance
 eps at a fixed component budget k. Both lean on monotonicity: a positive
-decision stays positive when k or eps grows.
+decision stays positive when k or eps grows. The eps search decides
+eps = 0 on a built diagram, then prepares the eps-independent geometry of
+the pair once; each further probe solves only the eps terms, labels the
+components and runs the search-tree decider on their projections, without
+building a :class:`FreeSpaceDiagram`.
 """
 
 from __future__ import annotations
@@ -13,9 +17,10 @@ import math
 import numpy as np
 
 from .approx import axis_projections, greedy_axis_cover
+from .config import resolve_tol
 from .curves import Interval, PolyCurve, point_segment_distance, segment_distance
-from .decide import decide_fpt
-from .freespace import FreeSpaceDiagram, build_diagram
+from .decide import _budget, _joint_covers, decide_fpt
+from .freespace import FreeSpaceDiagram, _components, _PairGeometry, build_diagram
 
 
 def minimize_k(diagram: FreeSpaceDiagram, method: str = "exact",
@@ -82,27 +87,44 @@ def distance_candidates(P: PolyCurve, Q: PolyCurve) -> list[float]:
     return sorted(values)
 
 
+def _cover_exists(geometry: _PairGeometry, eps: float, k: int, tol: float) -> bool:
+    """``decide_fpt(build_diagram(P, Q, eps, tol), k, tol) is not None`` for the
+    prepared pair, from the component projections alone."""
+    p_lo, p_hi, q_lo, q_hi = (e.tolist() for e in _components(geometry.solve(eps, tol))[2])
+    ids = range(len(p_lo))
+    covers = _joint_covers(list(zip(ids, p_lo, p_hi)), list(zip(ids, q_lo, q_hi)),
+                           geometry.n, geometry.m, k, tol)
+    return next(covers, None) is not None
+
+
 def minimize_epsilon(P: PolyCurve, Q: PolyCurve, k: int, tol: float = 1e-6,
                      method: str = "bisect") -> float:
     """Smallest eps (within ``tol``) whose diagram admits a k-cover.
 
     "bisect" runs a monotone binary search on eps over [0, max vertex
-    distance], building a fresh diagram per probe. "candidates" instead
-    bisects the sorted :func:`distance_candidates` list and returns an
-    exact member of it; that grid is heuristic, see there.
+    distance]. "candidates" instead bisects the sorted
+    :func:`distance_candidates` list and returns an exact member of it;
+    that grid is heuristic, see there. Either way a probe at eps decides
+    exactly what ``decide_fpt(build_diagram(P, Q, eps), k) is not None``
+    decides; every probe after eps = 0 reuses geometry computed once for
+    the pair.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _budget(k, least=1)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be a finite number > 0, got {tol}")
     if method not in ("bisect", "candidates"):
         raise ValueError(f'method must be "bisect" or "candidates", got {method!r}')
+    # eps = 0 is decided on a built diagram, so that per-layer tracing, which
+    # wraps only public functions, still sees one build and one decision per
+    # search; the probes of the search proper re-solve the prepared pair
+    if decide_fpt(build_diagram(P, Q, 0.0), k) is not None:
+        return 0.0
+    geometry = _PairGeometry(P.vertices, Q.vertices)
+    cmp_tol = resolve_tol(None)
 
     def feasible(eps: float) -> bool:
-        return decide_fpt(build_diagram(P, Q, eps), k) is not None
+        return _cover_exists(geometry, eps, k, cmp_tol)
 
-    if feasible(0.0):
-        return 0.0
     if method == "candidates":
         cands = distance_candidates(P, Q)
         lo, hi = 0, len(cands) - 1

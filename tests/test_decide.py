@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import kfrechet as kf
@@ -183,6 +184,35 @@ class TestFpt:
             sels, count = kf.fpt_feasible_selections(d, "p", k)
             assert all(len(s) <= k for s in sels)
             assert count >= len(sels)
+
+
+NOT_INTEGERS = [float("nan"), float("inf"), -float("inf"), 1.5, 2.0, "2", None]
+
+
+class TestBudget:
+    """k must be an integer: NaN or inf never meets the search's depth bound."""
+
+    @pytest.mark.parametrize("k", NOT_INTEGERS)
+    def test_decide_fpt_rejects(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            kf.decide_fpt(diagonal_diagram(), k)
+
+    @pytest.mark.parametrize("k", NOT_INTEGERS)
+    def test_fpt_feasible_selections_rejects(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            kf.fpt_feasible_selections(diagonal_diagram(), "p", k)
+
+    @pytest.mark.parametrize("k", NOT_INTEGERS)
+    def test_decide_bruteforce_rejects(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            kf.decide_bruteforce(diagonal_diagram(), k)
+
+    @pytest.mark.parametrize("k", [np.int64(2), np.int32(2), np.uint8(2), True])
+    def test_numpy_and_bool_integers_accepted(self, k):
+        d = six_component_diagram()
+        assert kf.decide_fpt(d, k) == kf.decide_fpt(d, int(k))
+        assert kf.fpt_feasible_selections(d, "q", k) == kf.fpt_feasible_selections(d, "q", int(k))
+        assert kf.decide_bruteforce(d, k) == kf.decide_bruteforce(d, int(k))
 
 
 class TestClassicDecisions:

@@ -8,6 +8,11 @@ with one fix: a free bottom/top edge now puts 0/1 into the cell's
 t-projection, as a free left/right edge always put 0/1 into its
 s-projection. ``build_diagram`` must equal it exactly, cell by cell
 (every float compares equal; only the sign of a zero may differ).
+
+The eps search is checked the same way: a pair prepared once must give
+the reference grid at every eps, each probe must decide as
+``decide_fpt(build_diagram(...))``, and ``minimize_epsilon`` must return
+the float of the build-per-probe loop kept here as its reference.
 """
 
 import math
@@ -16,7 +21,8 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
-from kfrechet.freespace import FreeSpaceGrid
+from kfrechet.freespace import FreeSpaceGrid, _as_grid, _PairGeometry
+from kfrechet.optimize import _cover_exists
 
 from conftest import random_curve
 
@@ -297,7 +303,23 @@ def seeded_cases():
     return cases
 
 
-CASES = seeded_cases()
+def blocked_cases():
+    """Pairs where monotone reachability dies before the last column: one
+    vertex of P, in the middle or the last one (so the top-right corner is
+    not free), moved farther than eps from all of Q."""
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for k in range(80):
+        P, Q = piece_pair(rng, int(rng.integers(4, 11)), int(rng.integers(1, 5)))
+        reach = kf.pairwise_vertex_max(P, Q)
+        verts = P.vertices.copy()
+        verts[P.n if k % 2 else int(rng.integers(1, P.n)), 1] += 3.0 * reach
+        cases.append((kf.PolyCurve(verts), Q, float(rng.uniform(0.2, 1.0) * reach)))
+    return cases
+
+
+BLOCKED = blocked_cases()
+CASES = seeded_cases() + BLOCKED
 
 
 def test_case_mix():
@@ -318,6 +340,10 @@ def test_build_diagram_equals_reference(chunk):
             assert all(type(x) is bool for x in vars(c.touches).values())
         assert kf.decide_strong_frechet(d) == reference_strong_frechet(ref_cells, d.n, d.m)
         assert kf.compute_z(d) == d.z
+
+
+def test_blocked_cases_have_no_strong_matching():
+    assert not any(kf.decide_strong_frechet(kf.build_diagram(*c)) for c in BLOCKED)
 
 
 def test_no_component_with_one_empty_projection():
@@ -344,3 +370,72 @@ def test_sweep_z_matches_pair_count_on_stubs():
                                       touches=kf.BoundaryTouch(False, False, False, False)))
         stub = kf.FreeSpaceDiagram(epsilon=1.0, n=n, m=m, cells=(), components=tuple(comps), z=0)
         assert kf.compute_z(stub, TOL) == stab_number(comps, n, m, TOL)
+
+
+# ------------------------------------------------------ prepared curve pair
+
+def reference_minimize_epsilon(P, Q, k, tol, method="bisect"):
+    """The eps search with a fresh diagram and ``decide_fpt`` per probe."""
+    def feasible(eps):
+        return kf.decide_fpt(kf.build_diagram(P, Q, eps), k) is not None
+
+    if feasible(0.0):
+        return 0.0
+    if method == "candidates":
+        cands = kf.distance_candidates(P, Q)
+        lo, hi = 0, len(cands) - 1
+        if not feasible(cands[hi]):
+            raise ValueError("candidate grid missed a feasible eps")
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if feasible(cands[mid]):
+                hi = mid
+            else:
+                lo = mid
+        return cands[hi]
+    lo, hi = 0.0, kf.pairwise_vertex_max(P, Q)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_prepared_pair_equals_reference_at_every_eps(chunk):
+    # one prepared pair serves eps random, at and just off the distance candidates
+    rng = np.random.default_rng(chunk)
+    for P, Q, _ in CASES[chunk::20]:
+        geometry = _PairGeometry(P.vertices, Q.vertices)
+        for mode in MODES:
+            eps = eps_for(rng, P, Q, mode)
+            ref, _ = reference_diagram(P, Q, eps)
+            assert _as_grid(geometry.solve(eps, TOL)) == ref.cells
+            for k in (1, 2, 3, 4):
+                expected = kf.decide_fpt(kf.build_diagram(P, Q, eps, TOL), k, TOL) is not None
+                assert _cover_exists(geometry, eps, k, TOL) == expected
+
+
+def _search(P, Q, k, tol, method, search):
+    try:
+        return search(P, Q, k, tol=tol, method=method)
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("method", ["bisect", "candidates"])
+def test_minimize_epsilon_equals_reference_loop(method):
+    rng = np.random.default_rng(4)
+    pairs = [piece_pair(rng, int(rng.integers(6, 13)), int(rng.integers(1, 5))) for _ in range(8)]
+    pairs += [(random_curve(rng, int(rng.integers(2, 6))), random_curve(rng, int(rng.integers(2, 6))))
+              for _ in range(8)]
+    pairs.append((pairs[0][0], pairs[0][0]))  # identical curves: feasible at eps 0
+    for P, Q in pairs:
+        for k in (1, 2, 3, 4):
+            for tol in (1e-3, 1e-7):
+                got = _search(P, Q, k, tol, method, kf.minimize_epsilon)
+                assert got == _search(P, Q, k, tol, method, reference_minimize_epsilon)

@@ -78,6 +78,29 @@ class TestMinimizeEpsilon:
         with pytest.raises(ValueError):
             kf.minimize_epsilon(P, Q, 1, tol=1e-4, method="magic")
 
+    @pytest.mark.parametrize("k", [float("nan"), float("inf"), 1.5, 2.0, "2", None])
+    def test_non_integer_k_rejected(self, k):
+        # with k=nan the search used to return the upper end of the bisection
+        P = kf.PolyCurve([(0, 0), (1, 0), (2, 0), (3, 0)])
+        Q = kf.PolyCurve([(0, 0.1), (1, 0.1), (2, 0.1), (3, 0.1)])
+        with pytest.raises(ValueError, match="k must be an integer"):
+            kf.minimize_epsilon(P, Q, k, tol=1e-3)
+
+    def test_numpy_integer_k_accepted(self, rng):
+        P, Q = random_pair(rng, 4)
+        assert kf.minimize_epsilon(P, Q, np.int64(2), tol=1e-4) == kf.minimize_epsilon(P, Q, 2, tol=1e-4)
+
+    def test_returned_eps_is_tight(self, rng):
+        # feasible at the result, infeasible two tolerances below it
+        tol = 1e-4
+        for _ in range(8):
+            P, Q = random_pair(rng, 5)
+            for k in (1, 2, 3):
+                eps = kf.minimize_epsilon(P, Q, k, tol=tol)
+                assert kf.decide_fpt(kf.build_diagram(P, Q, eps), k) is not None
+                if eps - 2 * tol >= 0.0:
+                    assert kf.decide_fpt(kf.build_diagram(P, Q, eps - 2 * tol), k) is None
+
     def test_matches_grid_scan(self, rng):
         for _ in range(6):
             P, Q = random_pair(rng, 4)

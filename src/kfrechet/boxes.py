@@ -16,10 +16,13 @@ Literals are signed integers: +v / -v for variable v in 1..n.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .config import resolve_tol
 from .curves import Interval, interval_union_covers
+
+_INF = math.inf
 
 
 class FormulaError(ValueError):
@@ -60,10 +63,12 @@ class LabeledBox:
     label: int
 
     def __post_init__(self):
-        if self.w < 1.0:
-            raise ValueError(f"box width must be >= 1, got {self.w}")
-        if self.x <= 0.0 or self.y <= 0.0:
-            raise ValueError("box coordinates must be positive")
+        # a comparison with NaN is False, so NaN fails these checks too
+        if not (1.0 <= self.w < _INF and 0.0 < self.x < _INF and 0.0 < self.y < _INF):
+            if not 1.0 <= self.w < _INF:
+                raise ValueError(f"box width must be a finite number >= 1, got {self.w}")
+            raise ValueError("box coordinates must be finite and positive, "
+                             f"got ({self.x}, {self.y})")
 
     @property
     def x_interval(self) -> Interval:
@@ -82,6 +87,10 @@ class BoxInstance:
     y_max: float
     k: int
     boxes: tuple
+
+    def __post_init__(self):
+        if not (-_INF < self.x_max < _INF and -_INF < self.y_max < _INF):
+            raise ValueError(f"box bounds must be finite, got ({self.x_max}, {self.y_max})")
 
 
 def normalize_formula(formula: CnfFormula) -> CnfFormula:
@@ -221,22 +230,26 @@ def _solve_rowwise(instance: BoxInstance):
     n_cols = int(instance.x_max) - 1
     if n_rows < 1 or n_cols < 1:
         return None
+    if n_rows > len(boxes):  # some unit row holds no box
+        return None
 
+    # Columns are the pieces of the bottom edge between consecutive box ends:
+    # a box covers a piece whole or not at all, so covering every piece covers
+    # the edge, with at most 2*boxes + 1 columns whatever the bound.
+    lefts = [int(b.x) for b in boxes]
+    rights = [int(b.x + b.w) for b in boxes]
+    column = {cut: k for k, cut in enumerate(sorted({1, n_cols + 1, *lefts, *rights}))}
     rows = [[] for _ in range(n_rows)]
-    col_masks = []
     for idx, b in enumerate(boxes):
         rows[int(b.y) - 1].append(idx)
-        mask = 0
-        for c in range(int(b.x), int(b.x + b.w)):
-            mask |= 1 << (c - 1)
-        col_masks.append(mask)
+    col_masks = [(1 << column[hi]) - (1 << column[lo]) for lo, hi in zip(lefts, rights)]
     if any(not opts for opts in rows):
         return None
     if instance.k < n_rows:
         return None
     budget = instance.k - n_rows
 
-    target = (1 << n_cols) - 1
+    target = (1 << (len(column) - 1)) - 1
     if target & ~_or_all(col_masks):
         return None
 

@@ -6,7 +6,11 @@ decision stays positive when k or eps grows. The eps search decides
 eps = 0 on a built diagram, then prepares the eps-independent geometry of
 the pair once; each further probe solves only the eps terms, labels the
 components and runs the search-tree decider on their projections, without
-building a :class:`FreeSpaceDiagram`.
+building a :class:`FreeSpaceDiagram`. Free space only grows with eps (in
+floating point too, see :mod:`kfrechet.freespace`), so each probe starts
+its union-find from the components found at the largest eps found
+infeasible so far and adds only the joins free at its own eps; the labels
+and projections, hence the returned eps, are those of a cold probe.
 """
 
 from __future__ import annotations
@@ -87,10 +91,12 @@ def distance_candidates(P: PolyCurve, Q: PolyCurve) -> list[float]:
     return sorted(values)
 
 
-def _cover_exists(geometry: _PairGeometry, eps: float, k: int, tol: float) -> bool:
+def _cover_exists(geometry: _PairGeometry, eps: float, k: int, tol: float,
+                  forest: np.ndarray | None = None) -> bool:
     """``decide_fpt(build_diagram(P, Q, eps, tol), k, tol) is not None`` for the
-    prepared pair, from the component projections alone."""
-    p_lo, p_hi, q_lo, q_hi = (e.tolist() for e in _components(geometry.solve(eps, tol))[2])
+    prepared pair, from the component projections alone. ``forest`` warm-starts
+    the component labelling as in :func:`~kfrechet.freespace._components`."""
+    p_lo, p_hi, q_lo, q_hi = _components(geometry.solve(eps, tol), forest)[2].tolist()
     ids = range(len(p_lo))
     covers = _joint_covers(list(zip(ids, p_lo, p_hi)), list(zip(ids, q_lo, q_hi)),
                            geometry.n, geometry.m, k, tol)
@@ -107,7 +113,7 @@ def minimize_epsilon(P: PolyCurve, Q: PolyCurve, k: int, tol: float = 1e-6,
     that grid is heuristic, see there. Either way a probe at eps decides
     exactly what ``decide_fpt(build_diagram(P, Q, eps), k) is not None``
     decides; every probe after eps = 0 reuses geometry computed once for
-    the pair.
+    the pair and the components of the largest eps found infeasible.
     """
     k = _budget(k, least=1)
     if not (math.isfinite(tol) and tol > 0.0):
@@ -121,9 +127,17 @@ def minimize_epsilon(P: PolyCurve, Q: PolyCurve, k: int, tol: float = 1e-6,
         return 0.0
     geometry = _PairGeometry(P.vertices, Q.vertices)
     cmp_tol = resolve_tol(None)
+    # Free space only grows with eps, so the cells joined at the largest eps
+    # found infeasible so far stay joined at every later (larger) probe.
+    forest = np.arange(geometry.n * geometry.m)
 
     def feasible(eps: float) -> bool:
-        return _cover_exists(geometry, eps, k, cmp_tol)
+        nonlocal forest
+        roots = forest.copy()
+        if _cover_exists(geometry, eps, k, cmp_tol, roots):
+            return True
+        forest = roots
+        return False
 
     if method == "candidates":
         cands = distance_candidates(P, Q)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,72 @@ def random_formula(rng, n_vars, n_clauses, max_size=3):
         signs = rng.choice([-1, 1], size=size)
         clauses.append(tuple(int(v * s) for v, s in zip(lits, signs)))
     return formula(n_vars, *clauses)
+
+
+def reference_rowwise(instance):
+    """The row-wise solver with one bit per unit column of the bottom edge,
+    as it was before columns were cut at the box ends; kept as the
+    reference the compressed columns must reproduce selection for selection."""
+    boxes = instance.boxes
+    n_rows = int(instance.y_max) - 1
+    n_cols = int(instance.x_max) - 1
+    if n_rows < 1 or n_cols < 1:
+        return None
+    rows = [[] for _ in range(n_rows)]
+    col_masks = []
+    for idx, b in enumerate(boxes):
+        rows[int(b.y) - 1].append(idx)
+        mask = 0
+        for c in range(int(b.x), int(b.x + b.w)):
+            mask |= 1 << (c - 1)
+        col_masks.append(mask)
+    if any(not opts for opts in rows) or instance.k < n_rows:
+        return None
+    budget = instance.k - n_rows
+    target = (1 << n_cols) - 1
+    union = 0
+    for mask in col_masks:
+        union |= mask
+    if target & ~union:
+        return None
+    suffix = [0] * (n_rows + 1)
+    for r in range(n_rows - 1, -1, -1):
+        suffix[r] = suffix[r + 1]
+        for i in rows[r]:
+            suffix[r] |= col_masks[i]
+    chosen = []
+
+    def patch_gaps(covered):
+        missing = target & ~covered
+        if not missing:
+            return tuple(sorted(chosen))
+        if budget == 0:
+            return None
+        taken = set(chosen)
+        pool = [i for i in range(len(boxes)) if i not in taken and col_masks[i] & missing]
+        for r in range(1, budget + 1):
+            for extra in itertools.combinations(pool, r):
+                mask = covered
+                for i in extra:
+                    mask |= col_masks[i]
+                if not (target & ~mask):
+                    return tuple(sorted((*chosen, *extra)))
+        return None
+
+    def descend(r, covered):
+        if r == n_rows:
+            return patch_gaps(covered)
+        if budget == 0 and (target & ~covered) & ~suffix[r]:
+            return None
+        for idx in rows[r]:
+            chosen.append(idx)
+            result = descend(r + 1, covered | col_masks[idx])
+            if result is not None:
+                return result
+            chosen.pop()
+        return None
+
+    return descend(0, 0)
 
 
 class TestFormula:
@@ -151,6 +218,36 @@ class TestSolver:
         tight = kf.BoxInstance(3.0, 2.0, 1, boxes)
         assert kf.solve_box_bruteforce(tight) is None
 
+    def test_selections_equal_the_unit_column_solver(self):
+        # 4-variable formulas of 3..6 clauses as in the sat-boxes benchmark, at
+        # the gadget budget and one below; one-variable ones also with spare
+        # budget, which patches bottom gaps (larger gadgets take too long then)
+        rng = np.random.default_rng(2026)
+        found = 0
+        for _ in range(150):
+            f = kf.normalize_formula(random_formula(rng, 4, int(rng.integers(3, 7))))
+            base = kf.build_box_instance(f)
+            for k in (base.k, base.k - 1):
+                inst = kf.BoxInstance(base.x_max, base.y_max, k, base.boxes)
+                got = _solve_rowwise(inst)
+                assert got == reference_rowwise(inst)
+                found += got is not None
+        assert found > 50
+        for _ in range(40):
+            base = kf.build_box_instance(kf.normalize_formula(random_formula(rng, 1, 2)))
+            for k in range(base.k - 1, base.k + 3):
+                inst = kf.BoxInstance(base.x_max, base.y_max, k, base.boxes[:-1])
+                assert _solve_rowwise(inst) == reference_rowwise(inst)
+
+    def test_huge_integer_bounds_answer_at_once(self):
+        # one column per box end, not per unit of the bound
+        boxes = (kf.LabeledBox(1, 1, 1e9 - 1, 1), kf.LabeledBox(1, 2, 1e9 - 1, -1))
+        assert kf.solve_box_bruteforce(kf.BoxInstance(1e9, 3.0, 2, boxes)) == (0, 1)
+        short = (kf.LabeledBox(1, 1, 5, 1), kf.LabeledBox(1, 2, 5, -1))
+        assert kf.solve_box_bruteforce(kf.BoxInstance(1e9, 3.0, 2, short)) is None
+        # more unit rows than boxes: some row is empty, no rows are listed
+        assert kf.solve_box_bruteforce(kf.BoxInstance(1e9, 1e9, 2, boxes)) is None
+
     def test_non_integral_fallback(self):
         boxes = (
             kf.LabeledBox(1.0, 1.5, 2.0, 1),
@@ -251,6 +348,18 @@ class TestIo:
         assert set(obj) == {"bound", "k", "boxes"}
         assert obj["bound"] == [5.0, 5.0]
         assert all(set(b) == {"x", "y", "w", "label"} for b in obj["boxes"])
+
+    @pytest.mark.parametrize("field, value", [("x", math.nan), ("y", math.nan), ("w", math.nan),
+                                              ("x", math.inf), ("y", math.inf), ("w", math.inf)])
+    def test_non_finite_box_rejected(self, field, value):
+        values = {"x": 1.0, "y": 1.0, "w": 1.0, **{field: value}}
+        with pytest.raises(ValueError):
+            kf.LabeledBox(values["x"], values["y"], values["w"], 1)
+
+    @pytest.mark.parametrize("bound", [(math.nan, 3.0), (3.0, math.inf), (-math.inf, 3.0)])
+    def test_non_finite_bound_rejected(self, bound):
+        with pytest.raises(ValueError):
+            kf.BoxInstance(*bound, 1, (kf.LabeledBox(1, 1, 1, 1),))
 
     def test_box_json_malformed(self):
         with pytest.raises(ValueError):

@@ -130,6 +130,17 @@ class TestMinimize:
         assert code == 1
         assert report["k"] is None
 
+    def test_minimize_k_out_of_float_range(self, capsys, tmp_path):
+        # parallel segments 1e200 apart: their squared distance overflows
+        p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+        p.write_text("0 0\n1 0\n")
+        q.write_text("0 1e200\n1 1e200\n")
+        code, report, err = run_cli(capsys, "minimize-k", "--p", str(p), "--q", str(q),
+                                    "--eps", "1e201")
+        assert code == 2
+        assert report is None
+        assert "out of range" in err
+
     def test_minimize_eps(self, capsys, curve_files):
         p, q = curve_files
         code, report, _ = run_cli(capsys, "minimize-eps", "--p", p, "--q", q,
@@ -235,6 +246,17 @@ class TestBoxCommands:
         code, _, err = run_cli(capsys, "boxgen", "--cnf", str(cnf),
                                "--out", str(tmp_path / "x.json"))
         assert code == 2 and "bad clause line" in err
+
+    @pytest.mark.parametrize("bad", ['"x": NaN', '"w": Infinity', '"y": NaN'])
+    def test_boxsolve_non_finite_box(self, capsys, tmp_path, bad):
+        box = {"x": "1", "y": "1", "w": "1"}
+        key = bad.split(":")[0].strip('"')
+        fields = ", ".join(bad if k == key else f'"{k}": {v}' for k, v in box.items())
+        path = tmp_path / "nan.json"
+        path.write_text('{"bound": [3, 3], "k": 2, "boxes": [{%s, "label": 1}]}' % fields)
+        code, report, err = run_cli(capsys, "boxsolve", "--in", str(path))
+        assert code == 2 and report is None
+        assert "finite" in err
 
     def test_boxsolve_bad_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

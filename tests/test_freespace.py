@@ -146,6 +146,31 @@ class TestBuildDiagram:
         with pytest.raises(ValueError, match="eps"):
             kf.cell_axis_projection(UNIT_P, UNIT_Q, eps, "p")
 
+    def test_squared_length_underflow_rejected(self):
+        # d·d of a 1e-170 segment underflows to 0: every edge would read as empty
+        # (0 components, Hausdorff false) although the curves are identical
+        P = kf.PolyCurve([(0.0, 0.0), (1e-170, 0.0)])
+        with pytest.raises(ValueError, match="out of range"):
+            kf.build_diagram(P, P, 1.0)
+        with pytest.raises(ValueError, match="out of range"):
+            kf.cell_edge_interval(P.vertices, P.vertices, 1.0, "left")
+
+    def test_squared_distance_overflow_rejected(self):
+        # w·w of two segments 1e200 apart overflows: every edge would read as empty
+        P = kf.PolyCurve(UNIT_P)
+        Q = kf.PolyCurve([(0.0, 1e200), (1.0, 1e200)])
+        with pytest.raises(ValueError, match="out of range"):
+            kf.build_diagram(P, Q, 1e201)
+        with pytest.raises(ValueError, match="out of range"):
+            kf.minimize_epsilon(P, Q, 1, tol=1e-3)
+
+    def test_range_check_keeps_extreme_but_representable_pairs(self):
+        for scale in (1e-70, 1e70):
+            P = kf.PolyCurve(np.array(UNIT_P) * scale)
+            Q = kf.PolyCurve(np.array(UNIT_Q) * scale)
+            d = kf.build_diagram(P, Q, scale)
+            assert len(d.components) == 1 and kf.decide_weak_frechet(d)
+
     def test_free_top_edge_puts_top_into_t_projection(self):
         # the only free point of cell (1, 2) is a tangency on its top edge;
         # the component must then project onto t = 3 and touch the top

@@ -12,7 +12,9 @@ s-projection. ``build_diagram`` must equal it exactly, cell by cell
 The eps search is checked the same way: a pair prepared once must give
 the reference grid at every eps, each probe must decide as
 ``decide_fpt(build_diagram(...))``, and ``minimize_epsilon`` must return
-the float of the build-per-probe loop kept here as its reference.
+the float of the build-per-probe loop kept here as its reference. Its
+warm start rests on free space only growing with eps in floating point:
+that, and a warm-started labelling equal to a cold one, are checked too.
 """
 
 import math
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
-from kfrechet.freespace import FreeSpaceGrid, _as_grid, _PairGeometry
+from kfrechet.freespace import FreeSpaceGrid, _as_grid, _components, _PairGeometry
 from kfrechet.optimize import _cover_exists
 
 from conftest import random_curve
@@ -439,3 +441,67 @@ def test_minimize_epsilon_equals_reference_loop(method):
             for tol in (1e-3, 1e-7):
                 got = _search(P, Q, k, tol, method, kf.minimize_epsilon)
                 assert got == _search(P, Q, k, tol, method, reference_minimize_epsilon)
+
+
+# ------------------------------------------------------------- warm start
+
+def _grows(small, large):
+    """Every free edge and every nonempty cell projection of the solve
+    ``small`` lies inside its counterpart in ``large``. The rows hold lo and
+    -hi, empty as (inf, inf), so containment is ``<=`` on both rows."""
+    return (not (large.empty & ~small.empty).any()
+            and (large.edges <= small.edges).all() and (large.proj <= small.proj).all())
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_free_space_grows_with_eps_in_floating_point(chunk):
+    rng = np.random.default_rng(50 + chunk)
+    for P, Q, _ in CASES[chunk::8]:
+        geometry = _PairGeometry(P.vertices, Q.vertices)
+        cands = [c for c in kf.distance_candidates(P, Q) if c > 0.0]
+        c = cands[int(rng.integers(len(cands)))]
+        reach = kf.pairwise_vertex_max(P, Q)
+        for eps in (float(rng.uniform(0.0, reach)), c, max(0.0, c - 1e-9), c + 1e-9):
+            small = geometry.solve(eps, TOL)
+            above = float(np.nextafter(eps, math.inf))
+            for larger in (above, eps + float(rng.uniform(0.0, reach))):
+                assert _grows(small, geometry.solve(larger, TOL)), (eps, larger)
+
+
+def _warm_probe_matches_cold(geometry, start_eps, eps):
+    """Whether labelling at eps from the forest found at start_eps gives the
+    cold labelling: the same cells, labels, component ends and roots."""
+    forest, cold = np.arange(geometry.n * geometry.m), np.arange(geometry.n * geometry.m)
+    _components(geometry.solve(start_eps, TOL), forest)
+    got = _components(geometry.solve(eps, TOL), forest)
+    want = _components(geometry.solve(eps, TOL), cold)
+    return all(np.array_equal(a, b) for a, b in zip(got, want)) and np.array_equal(forest, cold)
+
+
+def _probe_eps(rng, eps):
+    """eps and a smaller eps: 0, the float just below, or a random one."""
+    smaller = rng.choice([0.0, float(np.nextafter(eps, 0.0)), float(rng.uniform(0.0, eps))])
+    return float(smaller), eps
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_warm_started_probe_equals_cold_probe(chunk):
+    rng = np.random.default_rng(60 + chunk)
+    for P, Q, eps in CASES[chunk::4]:
+        geometry = _PairGeometry(P.vertices, Q.vertices)
+        assert _warm_probe_matches_cold(geometry, *_probe_eps(rng, eps))
+
+
+def test_warm_start_from_a_larger_eps_is_caught():
+    # the check above must notice a forest of a larger eps: its cells are
+    # joined where the probed eps leaves them apart
+    rng = np.random.default_rng(70)
+    caught = 0
+    for P, Q, eps in CASES[::4]:
+        geometry = _PairGeometry(P.vertices, Q.vertices)
+        smaller, eps = _probe_eps(rng, eps)
+        try:
+            caught += not _warm_probe_matches_cold(geometry, eps, smaller)
+        except IndexError:  # a root among the empty cells
+            caught += 1
+    assert caught >= 100

@@ -284,13 +284,49 @@ def _solve_rowwise(instance: BoxInstance):
             return None
         for idx in rows[r]:
             chosen.append(idx)
-            result = descend(r + 1, covered | col_masks[idx])
+            result = search(r + 1, covered | col_masks[idx])
             if result is not None:
                 return result
             chosen.pop()
         return None
 
-    return descend(0, 0)
+    search = descend
+    if budget == 0:
+        return search(0, 0)
+    # With spare budget the test above does not apply. Instead a state (row,
+    # covered) fails when the columns no later row can cover need more boxes
+    # than the budget; and states found to fail are remembered. Failing
+    # depends on covered alone: a chosen box's mask lies inside covered, so
+    # it never enters patch_gaps' pool.
+    failed: set = set()
+    farthest = [0] * (len(column) - 1)  # per column, the covering box reaching farthest right
+    for mask in col_masks:
+        for c in range((mask & -mask).bit_length() - 1, mask.bit_length()):
+            if mask.bit_length() > farthest[c].bit_length():
+                farthest[c] = mask
+
+    def over_budget(missing: int) -> bool:
+        """Whether covering ``missing`` takes more than ``budget`` boxes. Box
+        masks are runs of columns, so covering the lowest missing column by
+        the box reaching farthest right, again and again, takes fewest."""
+        for _ in range(budget):
+            if not missing:
+                return False
+            missing &= ~farthest[(missing & -missing).bit_length() - 1]
+        return missing != 0
+
+    def remembered(r: int, covered: int):
+        if (r, covered) in failed:
+            return None
+        if r < n_rows and over_budget(target & ~covered & ~suffix[r]):
+            return None
+        result = descend(r, covered)
+        if result is None:
+            failed.add((r, covered))
+        return result
+
+    search = remembered
+    return search(0, 0)
 
 
 def _or_all(masks) -> int:

@@ -285,12 +285,12 @@ def decide_strong_frechet(diagram: FreeSpaceDiagram, tol: float | None = None) -
     """
     tol = resolve_tol(tol)
     n, m = diagram.n, diagram.m
-    # Edge intervals as lo and hi lists (empty where lo > hi): v_*[i][j] on
-    # the left edge of cell (i, j), the right edge of cell (i-1, j);
-    # h_*[i][j] on the bottom edge of cell (i, j).
+    # Edge intervals as lo and hi lists (empty where lo > hi), converted one
+    # column at a time as the sweep reaches it: reachability usually dies in
+    # the first columns. vert[i] holds the left edges of the cells (i, j),
+    # the right edges of the cells (i-1, j); horiz[i] the bottom and top
+    # edges of the cells (i, j).
     grid = diagram.cells
-    v_lo, v_hi = grid.vert[..., 0].tolist(), grid.vert[..., 1].tolist()
-    h_lo, h_hi = grid.horiz[..., 0].tolist(), grid.horiz[..., 1].tolist()
     empty = (1.0, -1.0)
 
     def clip_from(edge_lo: float, edge_hi: float, lo: float):
@@ -303,31 +303,33 @@ def decide_strong_frechet(diagram: FreeSpaceDiagram, tol: float | None = None) -
         return edge_lo <= edge_hi and edge_lo <= tol
 
     # reach_left[j] for the current column i: reachable part of the left
-    # edge of cell (i, j); reach_bottom[i][j] handled column by column.
+    # edge of cell (i, j); reach_bottom[i] that of the bottom edge of cell
+    # (i, 0), the only bottom edges reached from outside a column.
     reach_left = [empty] * m
-    if opens(v_lo[0][0], v_hi[0][0]):
-        reach_left[0] = (v_lo[0][0], v_hi[0][0])
+    v_lo, v_hi = grid.vert[0].T.tolist()
+    if opens(v_lo[0], v_hi[0]):
+        reach_left[0] = (v_lo[0], v_hi[0])
         for j in range(1, m):
             below = reach_left[j - 1]
-            if (below[0] <= below[1] and below[1] >= 1.0 - tol
-                    and opens(v_lo[0][j], v_hi[0][j])):
-                reach_left[j] = (v_lo[0][j], v_hi[0][j])
+            if below[0] <= below[1] and below[1] >= 1.0 - tol and opens(v_lo[j], v_hi[j]):
+                reach_left[j] = (v_lo[j], v_hi[j])
             else:
                 break
 
     reach_bottom = [empty] * n
-    if opens(h_lo[0][0], h_hi[0][0]):
-        reach_bottom[0] = (h_lo[0][0], h_hi[0][0])
+    h_lo, h_hi = grid.horiz[:, 0].T.tolist()
+    if opens(h_lo[0], h_hi[0]):
+        reach_bottom[0] = (h_lo[0], h_hi[0])
         for i in range(1, n):
             left_of = reach_bottom[i - 1]
-            if (left_of[0] <= left_of[1] and left_of[1] >= 1.0 - tol
-                    and opens(h_lo[i][0], h_hi[i][0])):
-                reach_bottom[i] = (h_lo[i][0], h_hi[i][0])
+            if left_of[0] <= left_of[1] and left_of[1] >= 1.0 - tol and opens(h_lo[i], h_hi[i]):
+                reach_bottom[i] = (h_lo[i], h_hi[i])
             else:
                 break
 
     for i in range(n):
-        right_lo, right_hi, top_lo, top_hi = v_lo[i + 1], v_hi[i + 1], h_lo[i], h_hi[i]
+        right_lo, right_hi = grid.vert[i + 1].T.tolist()
+        top_lo, top_hi = grid.horiz[i].T.tolist()
         next_left = [empty] * m
         bottom_in = reach_bottom[i]
         for j in range(m):

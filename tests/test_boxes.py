@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -220,8 +221,10 @@ class TestSolver:
 
     def test_selections_equal_the_unit_column_solver(self):
         # 4-variable formulas of 3..6 clauses as in the sat-boxes benchmark, at
-        # the gadget budget and one below; one-variable ones also with spare
-        # budget, which patches bottom gaps (larger gadgets take too long then)
+        # the gadget budget and one below; with spare budget 1-2, which patches
+        # bottom gaps, a valid selection whenever the gadget budget has one (the
+        # reference takes seconds there); 1- and 3-variable ones also with
+        # spare budget, against the reference
         rng = np.random.default_rng(2026)
         found = 0
         for _ in range(150):
@@ -232,12 +235,49 @@ class TestSolver:
                 got = _solve_rowwise(inst)
                 assert got == reference_rowwise(inst)
                 found += got is not None
+            at_gadget = _solve_rowwise(base)
+            for k in (base.k + 1, base.k + 2):
+                got = _solve_rowwise(kf.BoxInstance(base.x_max, base.y_max, k, base.boxes))
+                assert (got is None) <= (at_gadget is None)
+                assert got is None or (len(got) <= k and kf.covers_boundaries(base, got))
         assert found > 50
         for _ in range(40):
             base = kf.build_box_instance(kf.normalize_formula(random_formula(rng, 1, 2)))
             for k in range(base.k - 1, base.k + 3):
                 inst = kf.BoxInstance(base.x_max, base.y_max, k, base.boxes[:-1])
                 assert _solve_rowwise(inst) == reference_rowwise(inst)
+        spare = 0
+        for _ in range(30):
+            f = kf.normalize_formula(random_formula(rng, 3, int(rng.integers(3, 5))))
+            base = kf.build_box_instance(f)
+            for k in (base.k + 1, base.k + 2):
+                for boxes in (base.boxes, base.boxes[:-1]):
+                    inst = kf.BoxInstance(base.x_max, base.y_max, k, boxes)
+                    got = _solve_rowwise(inst)
+                    assert got == reference_rowwise(inst)
+                    spare += got is not None and len(got) > base.k
+        assert spare > 0  # some selections spend the spare budget
+
+    def test_spare_budget_answers_at_once(self):
+        # the first 4-variable formula drawn above (25 unit rows) at one more
+        # than the gadget budget: every choice of one box per row used to be
+        # walked, for more than 8 s
+        rng = np.random.default_rng(2026)
+        base = kf.build_box_instance(
+            kf.normalize_formula(random_formula(rng, 4, int(rng.integers(3, 7)))))
+        assert base.y_max - 1 == 25
+        inst = kf.BoxInstance(base.x_max, base.y_max, base.k + 1, base.boxes)
+        start = time.perf_counter()
+        got = kf.solve_box_bruteforce(inst)
+        assert time.perf_counter() - start < 1.0
+        assert got is not None and kf.covers_boundaries(inst, got)
+        # six rows of one-column boxes over all eight columns: no column is
+        # out of reach of the later rows, so only remembering failed states
+        # stops the walk; seven boxes cannot cover eight columns
+        boxes = tuple(kf.LabeledBox(c, y, 1, 1) for y in range(1, 7) for c in range(1, 9))
+        start = time.perf_counter()
+        assert kf.solve_box_bruteforce(kf.BoxInstance(9.0, 7.0, 7, boxes)) is None
+        assert time.perf_counter() - start < 1.0
 
     def test_huge_integer_bounds_answer_at_once(self):
         # one column per box end, not per unit of the bound

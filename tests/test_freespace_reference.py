@@ -15,16 +15,22 @@ the reference grid at every eps, each probe must decide as
 the float of the build-per-probe loop kept here as its reference. Its
 warm start rests on free space only growing with eps in floating point:
 that, and a warm-started labelling equal to a cold one, are checked too.
+Its predicted-bracket search rests on the decision being monotone in eps:
+that is checked on an eps grid through the critical values, and a wrong
+prediction must still give the reference float. The distance candidates
+must equal the per-pair scalar loop kept here as their reference.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import kfrechet as kf
+from kfrechet import optimize
 from kfrechet.freespace import FreeSpaceGrid, _as_grid, _components, _PairGeometry
-from kfrechet.optimize import _cover_exists
+from kfrechet.optimize import _bisect, _cover_exists
 
 from conftest import random_curve
 
@@ -441,6 +447,134 @@ def test_minimize_epsilon_equals_reference_loop(method):
             for tol in (1e-3, 1e-7):
                 got = _search(P, Q, k, tol, method, kf.minimize_epsilon)
                 assert got == _search(P, Q, k, tol, method, reference_minimize_epsilon)
+
+
+def reference_distance_candidates(P, Q):
+    """The candidate grid from one scalar call per vertex or segment pair."""
+    values = {0.0}
+    for u in P.vertices:
+        for v in Q.vertices:
+            values.add(float(np.linalg.norm(u - v)))
+    for u in P.vertices:
+        for j in range(Q.n):
+            values.add(kf.point_segment_distance(u, *Q.segment(j)))
+    for v in Q.vertices:
+        for i in range(P.n):
+            values.add(kf.point_segment_distance(v, *P.segment(i)))
+    for i, j in itertools.product(range(P.n), range(Q.n)):
+        values.add(kf.segment_distance(*P.segment(i), *Q.segment(j)))
+    return sorted(values)
+
+
+def test_distance_candidates_equal_reference():
+    repeated = 0
+    for P, Q, _ in CASES:
+        got = kf.distance_candidates(P, Q)
+        assert [x.hex() for x in got] == [x.hex() for x in reference_distance_candidates(P, Q)]
+        assert all(type(x) is float for x in got)
+        repeated += any(len(np.unique(C.vertices, axis=0)) < len(C.vertices) for C in (P, Q))
+    assert repeated >= 50  # curves that revisit a vertex
+
+
+@pytest.mark.parametrize("chunk", range(2))
+def test_decisions_are_monotone_in_eps(chunk):
+    # the predicted-bracket search infers outcomes from this: feasible at eps
+    # stays feasible at every larger eps, also through the critical values
+    rng = np.random.default_rng(80 + chunk)
+    for P, Q, _ in CASES[chunk::20]:
+        geometry = _PairGeometry(P.vertices, Q.vertices)
+        cands = np.array([c for c in kf.distance_candidates(P, Q) if c > 0.0])
+        picked = rng.choice(cands, size=min(6, len(cands)), replace=False)
+        grid = sorted({*rng.uniform(0.0, kf.pairwise_vertex_max(P, Q), size=8).tolist(),
+                       *picked.tolist(), *(picked + 1e-9).tolist(), *(picked - 1e-9).tolist()})
+        for k in (1, 2, 3, 4):
+            outcomes = [_cover_exists(geometry, eps, k, TOL) for eps in grid if eps >= 0.0]
+            assert outcomes == sorted(outcomes), (P, Q, k)
+
+
+def _search_pairs(seed, count):
+    rng = np.random.default_rng(seed)
+    pairs = [piece_pair(rng, int(rng.integers(6, 13)), int(rng.integers(1, 5))) for _ in range(count)]
+    pairs += [(random_curve(rng, int(rng.integers(2, 6))), random_curve(rng, int(rng.integers(2, 6))))
+              for _ in range(count)]
+    return pairs
+
+
+def _count_probes(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return _cover_exists(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "_cover_exists", counted)
+    return calls
+
+
+def test_wrong_predictions_give_the_same_float(monkeypatch):
+    rng = np.random.default_rng(5)
+    for P, Q in _search_pairs(5, 4):
+        top = kf.pairwise_vertex_max(P, Q)
+        for k in (1, 2, 3, 4):
+            for tol in (1e-4, 1e-7):
+                want = reference_minimize_epsilon(P, Q, k, tol)
+                for guess in (0.0, top, float(rng.uniform(0.0, top)), want + 1e-3,
+                              max(0.0, want - 1e-3)):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(optimize, "_vertex_bound", lambda *_, g=guess: g)
+                        assert kf.minimize_epsilon(P, Q, k, tol=tol) == want, (k, tol, guess)
+
+
+def test_vertex_bound_answer_takes_two_probes(monkeypatch):
+    # parallel unit segments one apart: every vertex is 1 from the other
+    # curve, and the answer is the first bisection point at or above 1
+    P, Q = kf.PolyCurve([(0, 0), (1, 0)]), kf.PolyCurve([(0, 1), (1, 1)])
+    calls = _count_probes(monkeypatch)
+    eps = kf.minimize_epsilon(P, Q, 1, tol=1e-5)
+    assert eps == reference_minimize_epsilon(P, Q, 1, 1e-5)
+    assert len(calls) == 2
+
+
+def _plain_probes(P, Q, tol, eps):
+    """Probes of plain bisection ending at eps: one per point of its path."""
+    path = []
+    _bisect(0.0, kf.pairwise_vertex_max(P, Q), tol, lambda x: path.append(x) or x >= eps)
+    return len(path)
+
+
+def test_probes_at_most_plain_bisection_plus_three(monkeypatch):
+    calls = _count_probes(monkeypatch)
+    searches = [(P, Q, k, tol) for P, Q in _search_pairs(6, 6)
+                for k in (1, 2, 3, 4) for tol in (1e-3, 1e-4, 1e-7)]
+    searches += [(P, Q, k, 1e-4) for P, Q, _ in CASES[::40] for k in (1, 2, 3)]
+    saved = 0
+    for P, Q, k, tol in searches:
+        calls.clear()
+        eps = kf.minimize_epsilon(P, Q, k, tol=tol)
+        if eps > 0.0:
+            plain = _plain_probes(P, Q, tol, eps)
+            assert len(calls) <= plain + 3, (P, Q, k, tol)
+            saved += plain - len(calls)
+    assert saved > 0
+
+
+def test_predicted_bracket_hits_and_misses_at_benchmark_tol():
+    # the eps-search benchmark's setting: tol 1e-4, k = 2..4, piece pairs;
+    # the vertex bound predicts some answers and misses others, and either
+    # way the float is the reference's
+    rng = np.random.default_rng(7)
+    hits = misses = 0
+    for _ in range(10):
+        P, Q = piece_pair(rng, int(rng.integers(8, 13)), int(rng.integers(1, 7)))
+        top = kf.pairwise_vertex_max(P, Q)
+        bound = optimize._vertex_bound(*optimize._vertex_segment_distances(P, Q))
+        for k in (2, 3, 4):
+            eps = kf.minimize_epsilon(P, Q, k, tol=1e-4)
+            assert eps == reference_minimize_epsilon(P, Q, k, 1e-4)
+            hit = _bisect(0.0, top, 1e-4, bound.__le__)[1] == eps
+            hits += hit
+            misses += not hit
+    assert hits and misses
 
 
 # ------------------------------------------------------------- warm start

@@ -23,9 +23,10 @@ Q = kf.PolyCurve([(2, 0.08), (2.5, 0.68), (3, 0.08), (1, 0.08), (0.5, 0.68), (0,
 
 def describe(diagram):
     print(f"  eps = {diagram.epsilon:.2f}: {len(diagram.components)} component(s), z = {diagram.z}")
+    n, m, tol = diagram.n, diagram.m, kf.default_tol()
     for c in diagram.components:
-        touch = "".join(ch for ch, on in zip("LRBT", (c.touches.left, c.touches.right,
-                                                      c.touches.bottom, c.touches.top)) if on)
+        sides = (c.proj_p.lo <= tol, c.proj_p.hi >= n - tol, c.proj_q.lo <= tol, c.proj_q.hi >= m - tol)
+        touch = "".join(ch for ch, on in zip("LRBT", sides) if on)
         print(f"    #{c.id}: cells={len(c.cells):2d}  "
               f"P-span [{c.proj_p.lo:.3f}, {c.proj_p.hi:.3f}]  "
               f"Q-span [{c.proj_q.lo:.3f}, {c.proj_q.hi:.3f}]  touches={touch or '-'}")
@@ -43,11 +44,10 @@ def main():
     print("\nper-cell views at eps = 0.5 (first column of the grid):")
     d = kf.build_diagram(P, Q, 0.5)
     for j in range(min(d.m, 4)):
-        cell = d.cell(0, j)
-        if cell.interior_nonempty:
-            print(f"  cell (0,{j}): free, s-proj [{cell.s_projection.lo:.2f}, "
-                  f"{cell.s_projection.hi:.2f}], t-proj [{cell.t_projection.lo:.2f}, "
-                  f"{cell.t_projection.hi:.2f}]")
+        (s_lo, s_hi), (t_lo, t_hi) = d.cells.s_proj[0, j], d.cells.t_proj[0, j]
+        if s_lo <= s_hi:
+            print(f"  cell (0,{j}): free, s-proj [{s_lo:.2f}, {s_hi:.2f}], "
+                  f"t-proj [{t_lo:.2f}, {t_hi:.2f}]")
         else:
             print(f"  cell (0,{j}): blocked")
 

@@ -19,7 +19,7 @@ def exhaustive_opt(d):
     ids = [c.id for c in d.components]
     for size in range(len(ids) + 1):
         for combo in itertools.combinations(ids, size):
-            if kf.covers_both(d, kf.Selection(combo)):
+            if kf.covers_both(d, combo):
                 return size
     return None
 
@@ -71,15 +71,12 @@ def main():
     # greedy falls for a decoy on each axis and misses the shared pair.
     # whether curves can realize such a diagram is an open question.
     print("\nhand-built interval family hitting the factor-2 bound:")
-    pi = kf.ProjectedInterval
-    iv = kf.Interval
-    p_axis = [pi(0, "p", iv(0.0, 0.6)), pi(1, "p", iv(0.4, 1.0)),
-              pi(2, "p", iv(0.0, 0.61)), pi(3, "p", iv(0.0, 0.05))]
-    q_axis = [pi(0, "q", iv(0.5, 1.0)), pi(1, "q", iv(0.0, 0.55)),
-              pi(2, "q", iv(0.0, 0.05)), pi(3, "q", iv(0.0, 0.56))]
-    s_p = kf.greedy_axis_cover(p_axis, iv(0.0, 1.0))
-    s_q = kf.greedy_axis_cover(q_axis, iv(0.0, 1.0))
-    union = kf.Selection((*s_p, *s_q))
+    # (component id, lo, hi) per axis
+    p_axis = [(0, 0.0, 0.6), (1, 0.4, 1.0), (2, 0.0, 0.61), (3, 0.0, 0.05)]
+    q_axis = [(0, 0.5, 1.0), (1, 0.0, 0.55), (2, 0.0, 0.05), (3, 0.0, 0.56)]
+    s_p = kf.greedy_axis_cover(p_axis, kf.Interval(0.0, 1.0))
+    s_q = kf.greedy_axis_cover(q_axis, kf.Interval(0.0, 1.0))
+    union = {*s_p, *s_q}
     print(f"  greedy P-axis: {list(s_p)}, greedy Q-axis: {list(s_q)}, "
           f"union size {len(union)}")
     print("  components 0 and 1 alone cover both axes: OPT = 2, ratio = "

@@ -1,63 +1,46 @@
 """Greedy interval covers and the factor-2 approximation of the budget k.
 
-Each axis is covered greedily on its own (which is optimal per axis);
+Each axis is covered greedily on its own (which is optimal per axis),
+from the (id, lo, hi) projections of :func:`kfrechet.decide._axis_intervals`;
 the union of the two covers is at worst twice the size of an optimal
 joint selection, since the optimum must cover each axis too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Sequence
 
 from .config import resolve_tol
 from .curves import Interval
-from .decide import Selection
+from .decide import _axis_intervals
 from .freespace import FreeSpaceDiagram
 
 
-@dataclass(frozen=True)
-class ProjectedInterval:
-    """A component's projection onto one axis ("p" or "q")."""
-
-    component_id: int
-    axis: str
-    interval: Interval
-
-
-def axis_projections(diagram: FreeSpaceDiagram, axis: str) -> list[ProjectedInterval]:
-    """Projection intervals of every component onto one axis, by id."""
-    if axis == "p":
-        return [ProjectedInterval(c.id, "p", c.proj_p) for c in diagram.components]
-    if axis == "q":
-        return [ProjectedInterval(c.id, "q", c.proj_q) for c in diagram.components]
-    raise ValueError(f'axis must be "p" or "q", got {axis!r}')
-
-
-def greedy_axis_cover(intervals: Sequence[ProjectedInterval], target: Interval,
-                      tol: float | None = None) -> Selection | None:
-    """Minimum-cardinality cover of ``target`` by the given intervals.
+def greedy_axis_cover(intervals: Sequence[tuple[int, float, float]], target: Interval,
+                      tol: float | None = None) -> tuple | None:
+    """Minimum-cardinality cover of ``target`` by (id, lo, hi) intervals.
 
     Left-to-right sweep: among the intervals starting at or before the
     current frontier, take the one reaching farthest right (ties go to
-    the smaller component id). Returns None when the frontier gets stuck
-    before the target's right end.
+    the smaller id). Returns the sorted ids of the cover, or None when the
+    frontier gets stuck before the target's right end. An interval with
+    ``lo > hi`` is empty; a nonempty one must have finite ends, as an
+    :class:`~kfrechet.curves.Interval` must, or ``ValueError`` is raised.
     """
     tol = resolve_tol(tol)
-    axes = {pi.axis for pi in intervals}
-    if len(axes) > 1:
-        raise ValueError(f"intervals span multiple axes: {sorted(axes)}")
+    pool = []
+    for cid, lo, hi in intervals:
+        if not lo > hi:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"interval endpoints must be finite, got [{lo}, {hi}]")
+            pool.append((lo, hi, cid))
     if target.is_empty:
-        return Selection(())
+        return ()
     if target.length == 0.0:
-        holders = sorted(pi.component_id for pi in intervals
-                         if pi.interval.contains(target.lo))
-        return Selection(holders[:1]) if holders else None
-    pool = sorted(
-        ((pi.interval.lo, pi.interval.hi, pi.component_id) for pi in intervals
-         if not pi.interval.is_empty),
-        key=lambda t: (t[0], t[2]),
-    )
+        holders = sorted(cid for lo, hi, cid in pool if lo <= target.lo <= hi)
+        return tuple(holders[:1]) if holders else None
+    pool.sort(key=lambda t: (t[0], t[2]))
     chosen: list[int] = []
     frontier = target.lo
     idx = 0
@@ -73,22 +56,26 @@ def greedy_axis_cover(intervals: Sequence[ProjectedInterval], target: Interval,
             return None
         chosen.append(best_id)
         frontier = best_hi
-    return Selection(chosen)
+    return tuple(sorted(chosen))
 
 
-def approximate_k(diagram: FreeSpaceDiagram, tol: float | None = None) -> Selection | None:
+def _axis_covers(diagram: FreeSpaceDiagram, tol: float | None) -> tuple[tuple, tuple] | None:
+    """The greedy covers of the p and the q axis, or None if either fails."""
+    tol = resolve_tol(tol)
+    cover_p = greedy_axis_cover(_axis_intervals(diagram, "p"), Interval(0.0, float(diagram.n)), tol)
+    if cover_p is None:
+        return None
+    cover_q = greedy_axis_cover(_axis_intervals(diagram, "q"), Interval(0.0, float(diagram.m)), tol)
+    if cover_q is None:
+        return None
+    return cover_p, cover_q
+
+
+def approximate_k(diagram: FreeSpaceDiagram, tol: float | None = None) -> tuple | None:
     """Covering selection at most twice the optimal size, or None.
 
     None exactly when one axis cannot be covered at all, i.e. the
     Hausdorff test fails. Components picked on both axes count once.
     """
-    tol = resolve_tol(tol)
-    cover_p = greedy_axis_cover(axis_projections(diagram, "p"),
-                                Interval(0.0, float(diagram.n)), tol)
-    if cover_p is None:
-        return None
-    cover_q = greedy_axis_cover(axis_projections(diagram, "q"),
-                                Interval(0.0, float(diagram.m)), tol)
-    if cover_q is None:
-        return None
-    return Selection((*cover_p, *cover_q))
+    covers = _axis_covers(diagram, tol)
+    return None if covers is None else tuple(sorted({*covers[0], *covers[1]}))

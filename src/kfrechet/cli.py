@@ -18,8 +18,8 @@ from .boxes import (FormulaError, box_instance_from_json, box_instance_to_json,
                     build_box_instance, normalize_formula, parse_dimacs,
                     solve_box_bruteforce)
 from .curves import CurveError, PolyCurve, parse_curve, parse_curve_json
-from .decide import (Selection, decide_bruteforce, decide_fpt, decide_hausdorff,
-                     decide_strong_frechet, decide_weak_frechet)
+from .decide import (_weak_witness, decide_bruteforce, decide_fpt, decide_hausdorff,
+                     decide_strong_frechet)
 from .freespace import build_diagram
 from .optimize import minimize_epsilon, minimize_k
 from .svg import render_diagram_svg
@@ -42,7 +42,7 @@ def _load_curve(path: str) -> PolyCurve:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _selection_list(selection: Selection | None):
+def _selection_list(selection: tuple | None):
     return None if selection is None else list(selection)
 
 
@@ -58,7 +58,7 @@ def _cmd_decide(args) -> tuple[bool, dict]:
     P = _load_curve(args.p)
     Q = _load_curve(args.q)
     diagram = build_diagram(P, Q, args.eps)
-    selection: Selection | None = None
+    selection: tuple | None = None
     if args.algo == "brute":
         selection = decide_bruteforce(diagram, _require_k(args))
         answer = selection is not None
@@ -70,14 +70,14 @@ def _cmd_decide(args) -> tuple[bool, dict]:
         selection = approximate_k(diagram)
         answer = selection is not None and len(selection) <= k
     elif args.algo == "weak":
-        answer = decide_weak_frechet(diagram)
+        witness = _weak_witness(diagram)
+        answer = witness is not None
         if answer:
-            witness = next(c.id for c in diagram.components if c.touches.all_four)
-            selection = Selection([witness])
+            selection = (witness,)
     elif args.algo == "hausdorff":
         answer = decide_hausdorff(diagram)
         if answer:
-            selection = Selection(c.id for c in diagram.components)
+            selection = tuple(range(len(diagram.components)))
     else:  # frechet
         answer = decide_strong_frechet(diagram)
     report = {
@@ -138,7 +138,7 @@ def _cmd_svg(args) -> tuple[bool, dict]:
         for cid in ids:
             if not 0 <= cid < len(diagram.components):
                 raise CliError(f"--select: unknown component id {cid}")
-        selected = Selection(ids)
+        selected = ids
     text = render_diagram_svg(diagram, P, Q, selected=selected)
     try:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -27,14 +27,15 @@ class Interval:
     """Closed interval ``[lo, hi]``; ``EMPTY`` is the canonical empty value.
 
     A degenerate interval (``lo == hi``) is a single point. Construction
-    with ``lo > hi`` is only used for the empty sentinel.
+    with ``lo > hi`` is only used for the empty sentinel. Any other interval
+    needs finite ends; a NaN end raises ``ValueError`` too.
     """
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        if self.lo <= self.hi and not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+        if not self.lo > self.hi and not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
 
     @property

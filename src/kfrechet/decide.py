@@ -5,6 +5,13 @@ space jointly project onto the whole of both parameter axes? Besides the
 two exact deciders (subset brute force and a bounded-search-tree method)
 this module derives the classic decisions, Hausdorff / weak / strong
 matching, from the same diagram.
+
+A selection is a sorted, duplicate-free tuple of component ids. The
+deciders read each axis as (id, lo, hi) triples from :func:`_axis_intervals`,
+the one per-axis shape that the greedy covers of :mod:`kfrechet.approx`
+and the eps search of :mod:`kfrechet.optimize` read too. Only the strong
+decision needs the cell geometry; the others need only the component
+projections.
 """
 
 from __future__ import annotations
@@ -16,34 +23,7 @@ from typing import Iterable
 
 from .config import resolve_tol
 from .curves import Interval, interval_union_covers
-from .freespace import FreeSpaceDiagram
-
-
-class Selection:
-    """Sorted, duplicate-free set of component ids."""
-
-    __slots__ = ("ids",)
-
-    def __init__(self, ids: Iterable[int]):
-        self.ids = tuple(sorted({int(i) for i in ids}))
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __iter__(self):
-        return iter(self.ids)
-
-    def __contains__(self, item) -> bool:
-        return item in self.ids
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Selection) and self.ids == other.ids
-
-    def __hash__(self):
-        return hash(self.ids)
-
-    def __repr__(self) -> str:
-        return f"Selection({list(self.ids)!r})"
+from .freespace import FreeSpaceDiagram, FreeSpaceGrid
 
 
 @dataclass(frozen=True)
@@ -56,7 +36,7 @@ class Preprocessed:
     projection bounding box fits inside another component's box.
     """
 
-    necessary: Selection
+    necessary: tuple
     kept: tuple
     dropped: tuple
 
@@ -72,19 +52,15 @@ def _budget(k, least: int = 0) -> int:
     return k
 
 
-def _check_ids(diagram: FreeSpaceDiagram, selection: Selection) -> None:
-    count = len(diagram.components)
-    for cid in selection:
-        if not 0 <= cid < count:
-            raise KeyError(f"unknown component id {cid}")
-
-
-def covers_both(diagram: FreeSpaceDiagram, selection: Selection,
+def covers_both(diagram: FreeSpaceDiagram, selection: Iterable[int],
                 tol: float | None = None) -> bool:
-    """Whether the selected components project onto all of both axes."""
+    """Whether the components with the selected ids project onto all of both axes."""
     tol = resolve_tol(tol)
-    _check_ids(diagram, selection)
-    comps = [diagram.components[cid] for cid in selection]
+    comps = []
+    for cid in selection:
+        if not 0 <= cid < len(diagram.components):
+            raise KeyError(f"unknown component id {cid}")
+        comps.append(diagram.components[cid])
     return (
         interval_union_covers([c.proj_p for c in comps], Interval(0.0, float(diagram.n)), tol)
         and interval_union_covers([c.proj_q for c in comps], Interval(0.0, float(diagram.m)), tol)
@@ -137,11 +113,11 @@ def preprocess(diagram: FreeSpaceDiagram, tol: float | None = None) -> Preproces
                 dropped.append(b.id)
                 break
     kept = tuple(c.id for c in comps if c.id not in set(dropped))
-    return Preprocessed(necessary=Selection(necessary), kept=kept, dropped=tuple(dropped))
+    return Preprocessed(necessary=tuple(sorted(necessary)), kept=kept, dropped=tuple(dropped))
 
 
 def decide_bruteforce(diagram: FreeSpaceDiagram, k: int, use_preprocess: bool = True,
-                      tol: float | None = None) -> Selection | None:
+                      tol: float | None = None) -> tuple | None:
     """Search all selections of size <= k for one covering both axes.
 
     The necessary components are seeded into every candidate and the
@@ -150,27 +126,27 @@ def decide_bruteforce(diagram: FreeSpaceDiagram, k: int, use_preprocess: bool = 
     """
     tol = resolve_tol(tol)
     k = _budget(k)
-    comps = diagram.components
-    if not covers_both(diagram, Selection(c.id for c in comps), tol):
+    if not decide_hausdorff(diagram, tol):
         return None
     if use_preprocess:
         pre = preprocess(diagram, tol)
         base = pre.necessary
         pool = [cid for cid in pre.kept if cid not in base]
     else:
-        base = Selection(())
-        pool = [c.id for c in comps]
+        base = ()
+        pool = range(len(diagram.components))
     if len(base) > k:
         return None
     for extra_count in range(k - len(base) + 1):
         for extra in itertools.combinations(pool, extra_count):
-            candidate = Selection((*base, *extra))
+            candidate = tuple(sorted((*base, *extra)))
             if covers_both(diagram, candidate, tol):
                 return candidate
     return None
 
 
-def _axis_intervals(diagram: FreeSpaceDiagram, axis: str):
+def _axis_intervals(diagram: FreeSpaceDiagram, axis: str) -> list:
+    """The (id, lo, hi) projections of every component onto axis "p" or "q", by id."""
     if axis == "p":
         return [(c.id, c.proj_p.lo, c.proj_p.hi) for c in diagram.components]
     if axis == "q":
@@ -237,7 +213,7 @@ def _joint_covers(intervals_p, intervals_q, n: int, m: int, k: int, tol: float):
                 yield tuple(sorted(union))
 
 
-def decide_fpt(diagram: FreeSpaceDiagram, k: int, tol: float | None = None) -> Selection | None:
+def decide_fpt(diagram: FreeSpaceDiagram, k: int, tol: float | None = None) -> tuple | None:
     """Bounded-search-tree decision for budget k.
 
     Feasible per-axis selections are enumerated independently, then every
@@ -247,9 +223,17 @@ def decide_fpt(diagram: FreeSpaceDiagram, k: int, tol: float | None = None) -> S
     """
     tol = resolve_tol(tol)
     k = _budget(k)
-    best = min(_joint_covers(_axis_intervals(diagram, "p"), _axis_intervals(diagram, "q"),
+    return min(_joint_covers(_axis_intervals(diagram, "p"), _axis_intervals(diagram, "q"),
                              diagram.n, diagram.m, k, tol), default=None)
-    return None if best is None else Selection(best)
+
+
+def _weak_witness(diagram: FreeSpaceDiagram, tol: float | None = None) -> int | None:
+    """Id of the first component touching all four diagram boundaries, or None."""
+    tol = resolve_tol(tol)
+    n, m = float(diagram.n), float(diagram.m)
+    return next((c.id for c in diagram.components
+                 if c.proj_p.lo <= tol and c.proj_p.hi >= n - tol
+                 and c.proj_q.lo <= tol and c.proj_q.hi >= m - tol), None)
 
 
 def decide_weak_frechet(diagram: FreeSpaceDiagram, tol: float | None = None) -> bool:
@@ -257,23 +241,12 @@ def decide_weak_frechet(diagram: FreeSpaceDiagram, tol: float | None = None) -> 
 
     Equivalently: some component touches all four diagram boundaries.
     """
-    tol = resolve_tol(tol)
-    n, m = float(diagram.n), float(diagram.m)
-    return any(
-        c.proj_p.lo <= tol and c.proj_p.hi >= n - tol
-        and c.proj_q.lo <= tol and c.proj_q.hi >= m - tol
-        for c in diagram.components
-    )
+    return _weak_witness(diagram, tol) is not None
 
 
 def decide_hausdorff(diagram: FreeSpaceDiagram, tol: float | None = None) -> bool:
     """True when the union of all components covers both axes."""
-    tol = resolve_tol(tol)
-    comps = diagram.components
-    return (
-        interval_union_covers([c.proj_p for c in comps], Interval(0.0, float(diagram.n)), tol)
-        and interval_union_covers([c.proj_q for c in comps], Interval(0.0, float(diagram.m)), tol)
-    )
+    return covers_both(diagram, range(len(diagram.components)), tol)
 
 
 def decide_strong_frechet(diagram: FreeSpaceDiagram, tol: float | None = None) -> bool:
@@ -283,6 +256,10 @@ def decide_strong_frechet(diagram: FreeSpaceDiagram, tol: float | None = None) -
     the free space is convex, so from an entry point every exit point
     above/right of it is reachable by a monotone segment.
     """
+    grid = diagram.cells
+    if not isinstance(grid, FreeSpaceGrid):
+        raise ValueError("decide_strong_frechet needs the cell geometry of the diagram; "
+                         "this one holds component projections only")
     tol = resolve_tol(tol)
     n, m = diagram.n, diagram.m
     # Edge intervals as lo and hi lists (empty where lo > hi), converted one
@@ -290,7 +267,6 @@ def decide_strong_frechet(diagram: FreeSpaceDiagram, tol: float | None = None) -
     # the first columns. vert[i] holds the left edges of the cells (i, j),
     # the right edges of the cells (i-1, j); horiz[i] the bottom and top
     # edges of the cells (i, j).
-    grid = diagram.cells
     empty = (1.0, -1.0)
 
     def clip_from(edge_lo: float, edge_hi: float, lo: float):

@@ -18,8 +18,9 @@ and a union-find over the free joins; a search over eps re-solves only
 that. :func:`build_diagram` and the per-cell functions reshape the solved
 rows into a :class:`FreeSpaceGrid`: free intervals of the (n+1)×m
 vertical and n×(m+1) horizontal cell edges and the n×m cell projections
-on each axis. :meth:`FreeSpaceDiagram.cell` builds a
-:class:`CellFreeSpace` from them.
+on each axis. A :class:`Component` holds its id, its cells and its two
+projection intervals, nothing more; which diagram boundaries it touches
+follows from the projections.
 
 Every edge test is built from monotone IEEE operations (``eps*eps``, a
 subtraction, a multiplication by ``d·d > 0``, a square root and a
@@ -47,40 +48,6 @@ _INF = math.inf
 
 
 @dataclass(frozen=True)
-class CellFreeSpace:
-    """Free space of one segment pair, restricted to the unit square.
-
-    Edge intervals are in local edge coordinates in [0, 1]:
-    ``left``/``right`` along Q at the cell's left/right vertex of P,
-    ``bottom``/``top`` along P at the bottom/top vertex of Q.
-    ``s_projection``/``t_projection`` are the axis extents of the whole
-    free region of the cell (not only of its edges).
-    """
-
-    i: int
-    j: int
-    left: Interval
-    right: Interval
-    bottom: Interval
-    top: Interval
-    interior_nonempty: bool
-    s_projection: Interval
-    t_projection: Interval
-
-
-@dataclass(frozen=True)
-class BoundaryTouch:
-    left: bool
-    right: bool
-    bottom: bool
-    top: bool
-
-    @property
-    def all_four(self) -> bool:
-        return self.left and self.right and self.bottom and self.top
-
-
-@dataclass(frozen=True)
 class Component:
     """One connected region of free space.
 
@@ -92,7 +59,6 @@ class Component:
     cells: frozenset
     proj_p: Interval
     proj_q: Interval
-    touches: BoundaryTouch
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,17 +83,6 @@ class FreeSpaceGrid:
     def __hash__(self) -> int:
         return hash(tuple((a + 0.0).tobytes() for a in vars(self).values()))  # -0.0 == 0.0
 
-    def cell(self, i: int, j: int) -> CellFreeSpace:
-        n, m = self.s_proj.shape[:2]
-        if not (0 <= i < n and 0 <= j < m):
-            raise IndexError(f"cell ({i}, {j}) outside the {n}x{m} grid")
-        s_projection = _interval(self.s_proj[i, j])
-        return CellFreeSpace(
-            i=i, j=j, left=_interval(self.vert[i, j]), right=_interval(self.vert[i + 1, j]),
-            bottom=_interval(self.horiz[i, j]), top=_interval(self.horiz[i, j + 1]),
-            interior_nonempty=not s_projection.is_empty,
-            s_projection=s_projection, t_projection=_interval(self.t_proj[i, j]))
-
 
 @dataclass(frozen=True)
 class FreeSpaceDiagram:
@@ -137,13 +92,6 @@ class FreeSpaceDiagram:
     cells: FreeSpaceGrid | tuple  # () for diagrams made from projections alone
     components: tuple  # tuple of Component, ids equal to positions
     z: int  # max number of components met by any axis-aligned line
-
-    def cell(self, i: int, j: int) -> CellFreeSpace:
-        """Per-cell view, built on demand from the grid arrays."""
-        return self.cells.cell(i, j)
-
-    def component_count(self) -> int:
-        return len(self.components)
 
 
 def _interval(pair) -> Interval:
@@ -339,12 +287,12 @@ def _as_grid(solved: _Solved) -> FreeSpaceGrid:
                          s_proj=proj[:nm].reshape(n, m, 2), t_proj=proj[nm:].reshape(n, m, 2))
 
 
-def _segment_cell(seg_p, seg_q, eps: float, tol: float | None) -> CellFreeSpace:
-    """The cell of one segment pair, from the grid kernels on a 1×1 grid."""
+def _segment_grid(seg_p, seg_q, eps: float, tol: float | None) -> FreeSpaceGrid:
+    """The 1×1 grid of one segment pair, from the grid kernels."""
     P, Q = PolyCurve(seg_p), PolyCurve(seg_q)
     if P.n != 1 or Q.n != 1:
         raise ValueError("a segment needs exactly two endpoints")
-    return _as_grid(_PairGeometry(P.vertices, Q.vertices).solve(eps, resolve_tol(tol))).cell(0, 0)
+    return _as_grid(_PairGeometry(P.vertices, Q.vertices).solve(eps, resolve_tol(tol)))
 
 
 def cell_edge_interval(seg_p, seg_q, eps: float, edge: str, tol: float | None = None) -> Interval:
@@ -356,7 +304,9 @@ def cell_edge_interval(seg_p, seg_q, eps: float, edge: str, tol: float | None = 
     """
     if edge not in ("left", "right", "bottom", "top"):
         raise ValueError(f"edge must be left, right, bottom or top, got {edge!r}")
-    return getattr(_segment_cell(seg_p, seg_q, eps, tol), edge)
+    grid = _segment_grid(seg_p, seg_q, eps, tol)
+    return _interval({"left": grid.vert[0, 0], "right": grid.vert[1, 0],
+                      "bottom": grid.horiz[0, 0], "top": grid.horiz[0, 1]}[edge])
 
 
 def cell_axis_projection(seg_p, seg_q, eps: float, axis: str = "p",
@@ -368,8 +318,8 @@ def cell_axis_projection(seg_p, seg_q, eps: float, axis: str = "p",
     """
     if axis not in ("p", "q"):
         raise ValueError(f'axis must be "p" or "q", got {axis!r}')
-    cell = _segment_cell(seg_p, seg_q, eps, tol)
-    return cell.s_projection if axis == "p" else cell.t_projection
+    grid = _segment_grid(seg_p, seg_q, eps, tol)
+    return _interval((grid.s_proj if axis == "p" else grid.t_proj)[0, 0])
 
 
 def _merge(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -454,9 +404,7 @@ def build_diagram(P: PolyCurve, Q: PolyCurve, eps: float,
 
     components = tuple(
         Component(id=c, cells=frozenset(members[c]),
-                  proj_p=_interval((plo, phi)), proj_q=_interval((qlo, qhi)),
-                  touches=BoundaryTouch(left=plo <= tol, right=phi >= n - tol,
-                                        bottom=qlo <= tol, top=qhi >= m - tol))
+                  proj_p=_interval((plo, phi)), proj_q=_interval((qlo, qhi)))
         for c, (plo, phi, qlo, qhi) in enumerate(zip(*ends.tolist())))
     return FreeSpaceDiagram(epsilon=eps, n=n, m=m, cells=_as_grid(solved), components=components,
                             z=_stab_number(ends, n, m, tol))
@@ -478,13 +426,3 @@ def _stab_number(ends, n: int, m: int, tol: float) -> int:
             best = max(best, int(count.max()))
     return best
 
-
-def compute_z(diagram: FreeSpaceDiagram, tol: float | None = None) -> int:
-    """Maximum number of components hit by any horizontal or vertical line.
-
-    Only projection endpoints (and a tolerance to either side) are tried:
-    the count changes only there."""
-    tol = resolve_tol(tol)
-    ends = np.array([(c.proj_p.lo, c.proj_p.hi, c.proj_q.lo, c.proj_q.hi)
-                     for c in diagram.components], dtype=float).reshape(-1, 4)
-    return _stab_number(ends.T, diagram.n, diagram.m, tol)

@@ -32,9 +32,9 @@ import math
 
 import numpy as np
 
-from .approx import axis_projections, greedy_axis_cover
+from .approx import _axis_covers
 from .config import resolve_tol
-from .curves import Interval, PolyCurve
+from .curves import PolyCurve
 from .decide import _budget, _joint_covers, decide_fpt
 from .freespace import FreeSpaceDiagram, _components, _dot, _PairGeometry, build_diagram
 
@@ -50,14 +50,10 @@ def minimize_k(diagram: FreeSpaceDiagram, method: str = "exact",
     """
     if method not in ("exact", "approx"):
         raise ValueError(f'method must be "exact" or "approx", got {method!r}')
-    cover_p = greedy_axis_cover(axis_projections(diagram, "p"),
-                                Interval(0.0, float(diagram.n)), tol)
-    if cover_p is None:
+    covers = _axis_covers(diagram, tol)
+    if covers is None:
         return None
-    cover_q = greedy_axis_cover(axis_projections(diagram, "q"),
-                                Interval(0.0, float(diagram.m)), tol)
-    if cover_q is None:
-        return None
+    cover_p, cover_q = covers
     union = len({*cover_p, *cover_q})
     if method == "approx":
         return union

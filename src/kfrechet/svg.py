@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+from typing import Iterable
 
 import numpy as np
 
-from .decide import Selection
 from .freespace import FreeSpaceDiagram
 
 CANVAS = 1000.0
@@ -142,12 +142,13 @@ def cell_region_shape(seg_p, seg_q, eps: float, samples: int = 48):
 
 
 def render_diagram_svg(diagram: FreeSpaceDiagram, P=None, Q=None,
-                       selected: Selection | None = None) -> str:
+                       selected: Iterable[int] | None = None) -> str:
     """Render the diagram to an SVG document string.
 
     ``P``/``Q`` are the source curves; they are required to draw the free
     regions (cell geometry is not stored in the diagram). Without them
-    only grid, projections metadata and axes are emitted.
+    only grid, projections metadata and axes are emitted. ``selected``
+    holds the ids of the components to outline.
     """
     n, m = diagram.n, diagram.m
     scale = min((CANVAS - MARGIN_LEFT - MARGIN_RIGHT) / n,

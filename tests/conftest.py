@@ -9,6 +9,7 @@ import pytest
 
 import kfrechet as kf
 from kfrechet import oracles
+from kfrechet.freespace import _stab_number
 
 
 @pytest.fixture
@@ -86,13 +87,18 @@ def raster_stable(P, Q, eps: float, res: int) -> bool:
     return _components_bijective(lo, mid) and _components_bijective(mid, hi)
 
 
-def _touches(proj_p, proj_q, n, m, tol=1e-9):
-    return kf.BoundaryTouch(
-        left=proj_p.lo <= tol,
-        right=proj_p.hi >= n - tol,
-        bottom=proj_q.lo <= tol,
-        top=proj_q.hi >= m - tol,
-    )
+def touched_sides(comp, n: int, m: int, tol: float = 1e-9) -> str:
+    """The diagram boundaries a component's projections reach, as letters of "LRBT"."""
+    flags = (comp.proj_p.lo <= tol, comp.proj_p.hi >= n - tol,
+             comp.proj_q.lo <= tol, comp.proj_q.hi >= m - tol)
+    return "".join(side for side, on in zip("LRBT", flags) if on)
+
+
+def sweep_z(components, n: int, m: int, tol: float | None = None) -> int:
+    """The diagram's stabbing number ``z``, by its own sweep, from component projections."""
+    ends = np.array([(c.proj_p.lo, c.proj_p.hi, c.proj_q.lo, c.proj_q.hi) for c in components],
+                    dtype=float).reshape(-1, 4)
+    return _stab_number(ends.T, n, m, kf.default_tol() if tol is None else tol)
 
 
 def stub_diagram(n: int, m: int, projections) -> kf.FreeSpaceDiagram:
@@ -101,18 +107,12 @@ def stub_diagram(n: int, m: int, projections) -> kf.FreeSpaceDiagram:
     ``projections`` is a list of ((plo, phi), (qlo, qhi)) pairs. Only
     usable with operations that work off component projections.
     """
-    comps = []
-    for idx, ((plo, phi), (qlo, qhi)) in enumerate(projections):
-        proj_p = kf.Interval(float(plo), float(phi))
-        proj_q = kf.Interval(float(qlo), float(qhi))
-        comps.append(kf.Component(
-            id=idx, cells=frozenset(), proj_p=proj_p, proj_q=proj_q,
-            touches=_touches(proj_p, proj_q, n, m),
-        ))
-    diagram = kf.FreeSpaceDiagram(epsilon=1.0, n=n, m=m, cells=(),
-                                  components=tuple(comps), z=0)
-    return kf.FreeSpaceDiagram(epsilon=1.0, n=n, m=m, cells=(),
-                               components=tuple(comps), z=kf.compute_z(diagram))
+    comps = tuple(
+        kf.Component(id=idx, cells=frozenset(), proj_p=kf.Interval(float(plo), float(phi)),
+                     proj_q=kf.Interval(float(qlo), float(qhi)))
+        for idx, ((plo, phi), (qlo, qhi)) in enumerate(projections))
+    return kf.FreeSpaceDiagram(epsilon=1.0, n=n, m=m, cells=(), components=comps,
+                               z=sweep_z(comps, n, m))
 
 
 def exhaustive_min_selection_size(diagram, cap: int | None = None):
@@ -121,7 +121,7 @@ def exhaustive_min_selection_size(diagram, cap: int | None = None):
     top = len(ids) if cap is None else min(cap, len(ids))
     for size in range(top + 1):
         for combo in itertools.combinations(ids, size):
-            if kf.covers_both(diagram, kf.Selection(combo)):
+            if kf.covers_both(diagram, combo):
                 return size
     return None
 
@@ -131,8 +131,8 @@ def exhaustive_decide(diagram, k: int):
     ids = [c.id for c in diagram.components]
     for size in range(min(k, len(ids)) + 1):
         for combo in itertools.combinations(ids, size):
-            if kf.covers_both(diagram, kf.Selection(combo)):
-                return kf.Selection(combo)
+            if kf.covers_both(diagram, combo):
+                return combo
     return None
 
 

@@ -116,10 +116,9 @@ def test_criterion_4_greedy_optimality():
         count = int(rng.integers(1, 13))
         los = rng.uniform(-0.1, 1.0, size=count)
         widths = rng.uniform(0.0, 0.7, size=count)
-        intervals = [kf.ProjectedInterval(i, "p", kf.Interval(float(lo), float(lo + w)))
-                     for i, (lo, w) in enumerate(zip(los, widths))]
+        intervals = [(i, float(lo), float(lo + w)) for i, (lo, w) in enumerate(zip(los, widths))]
         greedy = kf.greedy_axis_cover(intervals, kf.Interval(0.0, 1.0))
-        opt = oracles.exhaustive_min_cover([(pi.interval.lo, pi.interval.hi) for pi in intervals],
+        opt = oracles.exhaustive_min_cover([(lo, hi) for _, lo, hi in intervals],
                                            (0.0, 1.0), gap_tol=TOL)
         if opt is None:
             assert greedy is None, trial

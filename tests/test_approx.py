@@ -1,25 +1,28 @@
+import math
+
 import pytest
 
 import kfrechet as kf
 from kfrechet import oracles
+from kfrechet.decide import _axis_intervals
 from conftest import exhaustive_min_selection_size, random_pair
 
 
-def proj(idx, lo, hi, axis="p"):
-    return kf.ProjectedInterval(idx, axis, kf.Interval(lo, hi))
+def proj(idx, lo, hi):
+    return (idx, lo, hi)
 
 
 class TestGreedyAxisCover:
     def test_two_interval_optimum(self):
         intervals = [proj(0, 0.0, 0.5), proj(1, 0.4, 1.0), proj(2, 0.0, 0.3), proj(3, 0.25, 0.8)]
         sel = kf.greedy_axis_cover(intervals, kf.Interval(0.0, 1.0))
-        assert sel == kf.Selection([0, 1])
+        assert sel == (0, 1)
         # brute-force minimum cover is also 2
         spans = [(0, 0.5), (0.4, 1), (0, 0.3), (0.25, 0.8)]
         assert oracles.exhaustive_min_cover(spans, (0, 1)) == 2
 
     def test_single_interval(self):
-        assert kf.greedy_axis_cover([proj(0, 0.0, 1.0)], kf.Interval(0.0, 1.0)) == kf.Selection([0])
+        assert kf.greedy_axis_cover([proj(0, 0.0, 1.0)], kf.Interval(0.0, 1.0)) == (0,)
 
     def test_gap_returns_none(self):
         intervals = [proj(0, 0.0, 0.4), proj(1, 0.6, 1.0)]
@@ -27,15 +30,19 @@ class TestGreedyAxisCover:
 
     def test_tie_breaks_to_smaller_id(self):
         intervals = [proj(5, 0.0, 1.0), proj(2, 0.0, 1.0)]
-        assert kf.greedy_axis_cover(intervals, kf.Interval(0.0, 1.0)) == kf.Selection([2])
+        assert kf.greedy_axis_cover(intervals, kf.Interval(0.0, 1.0)) == (2,)
 
-    def test_mixed_axes_rejected(self):
-        with pytest.raises(ValueError):
-            kf.greedy_axis_cover([proj(0, 0, 1, "p"), proj(1, 0, 1, "q")], kf.Interval(0, 1))
+    def test_non_finite_end_rejected(self):
+        for lo, hi in ((0.0, math.inf), (math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                kf.greedy_axis_cover([proj(0, 0.0, 1.0), proj(1, lo, hi)], kf.Interval(0.0, 1.0))
+        # an empty interval (lo > hi) is skipped, as kf.EMPTY is
+        empty = proj(1, math.inf, -math.inf)
+        assert kf.greedy_axis_cover([proj(0, 0.0, 1.0), empty], kf.Interval(0.0, 1.0)) == (0,)
 
     def test_tangent_chain_is_covering(self):
         intervals = [proj(0, 0.0, 0.5), proj(1, 0.5, 1.0)]
-        assert kf.greedy_axis_cover(intervals, kf.Interval(0.0, 1.0)) == kf.Selection([0, 1])
+        assert kf.greedy_axis_cover(intervals, kf.Interval(0.0, 1.0)) == (0, 1)
 
     def test_optimal_size_on_random_inputs(self, rng):
         for _ in range(1000):
@@ -46,7 +53,7 @@ class TestGreedyAxisCover:
                          for i, (lo, w) in enumerate(zip(los, widths))]
             sel = kf.greedy_axis_cover(intervals, kf.Interval(0.0, 1.0))
             opt = oracles.exhaustive_min_cover(
-                [(pi.interval.lo, pi.interval.hi) for pi in intervals], (0.0, 1.0),
+                [(lo, hi) for _, lo, hi in intervals], (0.0, 1.0),
                 gap_tol=kf.default_tol())
             if opt is None:
                 assert sel is None
@@ -60,7 +67,7 @@ class TestApproximateK:
         P = kf.PolyCurve([(0, 0), (1, 0)])
         Q = kf.PolyCurve([(0, 1), (1, 1)])
         d = kf.build_diagram(P, Q, 1.0)
-        assert kf.approximate_k(d) == kf.Selection([0])
+        assert kf.approximate_k(d) == (0,)
 
     def test_empty_free_space(self):
         P = kf.PolyCurve([(0, 0), (1, 0)])
@@ -82,10 +89,8 @@ class TestApproximateK:
             assert kf.covers_both(d, sel)
             assert opt is not None
             assert len(sel) <= 2 * opt
-            cover_p = kf.greedy_axis_cover(kf.axis_projections(d, "p"),
-                                           kf.Interval(0.0, float(d.n)))
-            cover_q = kf.greedy_axis_cover(kf.axis_projections(d, "q"),
-                                           kf.Interval(0.0, float(d.m)))
+            cover_p = kf.greedy_axis_cover(_axis_intervals(d, "p"), kf.Interval(0.0, float(d.n)))
+            cover_q = kf.greedy_axis_cover(_axis_intervals(d, "q"), kf.Interval(0.0, float(d.m)))
             assert max(len(cover_p), len(cover_q)) <= len(sel)
             assert len(sel) <= len(cover_p) + len(cover_q)
             assert opt >= max(len(cover_p), len(cover_q))

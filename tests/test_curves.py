@@ -105,8 +105,9 @@ class TestInterval:
         assert kf.EMPTY.length == 0.0
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            kf.Interval(0.0, math.inf)
+        for lo, hi in ((0.0, math.inf), (math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)):
+            with pytest.raises(ValueError):
+                kf.Interval(lo, hi)
 
     def test_hull_and_shift(self):
         a = kf.Interval(0.0, 1.0)

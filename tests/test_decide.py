@@ -18,45 +18,33 @@ def six_component_diagram():
     return kf.build_diagram(kf.PolyCurve(pv), kf.PolyCurve(qv), eps)
 
 
-class TestSelection:
-    def test_normalises(self):
-        s = kf.Selection([3, 1, 3, 2])
-        assert s.ids == (1, 2, 3)
-        assert len(s) == 3
-        assert 2 in s
-
-    def test_equality_and_hash(self):
-        assert kf.Selection([1, 2]) == kf.Selection((2, 1))
-        assert hash(kf.Selection([1, 2])) == hash(kf.Selection([2, 1]))
-
-
 class TestCoversBoth:
     def test_diagonal(self):
         d = diagonal_diagram()
-        assert kf.covers_both(d, kf.Selection([0]))
+        assert kf.covers_both(d, (0,))
 
     def test_empty_selection(self):
         d = diagonal_diagram()
-        assert not kf.covers_both(d, kf.Selection([]))
+        assert not kf.covers_both(d, ())
 
     def test_unknown_id(self):
         d = diagonal_diagram()
         with pytest.raises(KeyError):
-            kf.covers_both(d, kf.Selection([5]))
+            kf.covers_both(d, (5,))
 
     def test_two_half_covers_combine(self):
         # each component covers one axis fully and half of the other
         d = stub_diagram(1, 1, [((0.0, 1.0), (0.0, 0.5)), ((0.2, 0.6), (0.0, 1.0))])
-        assert not kf.covers_both(d, kf.Selection([0]))
-        assert not kf.covers_both(d, kf.Selection([1]))
-        assert kf.covers_both(d, kf.Selection([0, 1]))
+        assert not kf.covers_both(d, (0,))
+        assert not kf.covers_both(d, (1,))
+        assert kf.covers_both(d, (0, 1))
 
 
 class TestPreprocess:
     def test_single_component_is_necessary(self):
         d = diagonal_diagram()
         pre = kf.preprocess(d)
-        assert pre.necessary == kf.Selection([0])
+        assert pre.necessary == (0,)
         assert pre.kept == (0,)
         assert pre.dropped == ()
 
@@ -110,7 +98,7 @@ class TestPreprocess:
             ids = [c.id for c in d.components]
             for size in range(len(ids) + 1):
                 for combo in itertools.combinations(ids, size):
-                    if kf.covers_both(d, kf.Selection(combo)):
+                    if kf.covers_both(d, combo):
                         assert set(pre.necessary) <= set(combo)
                         seen += 1
         assert seen > 0
@@ -119,7 +107,7 @@ class TestPreprocess:
 class TestBruteforce:
     def test_diagonal_k1(self):
         d = diagonal_diagram()
-        assert kf.decide_bruteforce(d, 1) == kf.Selection([0])
+        assert kf.decide_bruteforce(d, 1) == (0,)
 
     def test_no_cover_at_any_k(self):
         d = diagonal_diagram(0.5)  # empty free space
@@ -131,7 +119,7 @@ class TestBruteforce:
         assert len(d.components) == 6
         assert kf.decide_bruteforce(d, 1) is None
         sel = kf.decide_bruteforce(d, 2)
-        assert sel == kf.Selection([0, 4])  # deterministic first-found
+        assert sel == (0, 4)  # deterministic first-found
         assert kf.covers_both(d, sel)
         # independent exhaustive-subset oracle
         assert exhaustive_min_selection_size(d) == 2
@@ -144,7 +132,7 @@ class TestBruteforce:
 class TestFpt:
     def test_diagonal_k1(self):
         d = diagonal_diagram()
-        assert kf.decide_fpt(d, 1) == kf.Selection([0])
+        assert kf.decide_fpt(d, 1) == (0,)
 
     def test_k0_is_none(self):
         assert kf.decide_fpt(diagonal_diagram(), 0) is None
@@ -252,6 +240,12 @@ class TestClassicDecisions:
     def test_strong_diagonal_threshold(self):
         assert kf.decide_strong_frechet(diagonal_diagram(1.0))
         assert not kf.decide_strong_frechet(diagonal_diagram(0.99))
+
+    def test_strong_needs_cell_geometry(self):
+        d = stub_diagram(1, 1, [((0.0, 1.0), (0.0, 1.0))])
+        assert kf.decide_weak_frechet(d)  # the projections alone answer the others
+        with pytest.raises(ValueError, match="cell geometry"):
+            kf.decide_strong_frechet(d)
 
 
 class TestStructuralProperties:

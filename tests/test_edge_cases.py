@@ -36,7 +36,7 @@ class TestDegenerateGeometry:
         Q = kf.PolyCurve([(x + 0.05, y) for x, y in verts])
         d = kf.build_diagram(P, Q, 0.2)
         assert kf.decide_weak_frechet(d)
-        assert kf.covers_both(d, kf.Selection(c.id for c in d.components))
+        assert kf.covers_both(d, tuple(c.id for c in d.components))
 
     def test_very_short_segment(self):
         P = kf.PolyCurve([(0, 0), (1e-8, 0)])

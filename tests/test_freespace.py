@@ -6,7 +6,7 @@ import pytest
 
 import kfrechet as kf
 from kfrechet import oracles
-from conftest import random_pair
+from conftest import random_pair, touched_sides
 
 UNIT_P = ((0.0, 0.0), (1.0, 0.0))
 UNIT_Q = ((0.0, 1.0), (1.0, 1.0))  # parallel, at distance 1
@@ -122,7 +122,7 @@ class TestBuildDiagram:
         assert c.proj_p.hi == pytest.approx(1.0, abs=1e-9)
         assert c.proj_q.lo == pytest.approx(0.0, abs=1e-9)
         assert c.proj_q.hi == pytest.approx(1.0, abs=1e-9)
-        assert c.touches.all_four
+        assert touched_sides(c, d.n, d.m) == "LRBT"
         assert d.z == 1
 
     def test_empty_at_small_eps(self):
@@ -184,10 +184,11 @@ class TestBuildDiagram:
                           [0.750392191327833, 0.19055724815811337]])
         d = kf.build_diagram(P, Q, 0.20785064927471805)
         (comp,) = [c for c in d.components if c.cells == {(1, 2)}]
-        assert not d.cell(1, 2).top.is_empty
+        top_lo, top_hi = d.cells.horiz[1, 3]  # the top edge of cell (1, 2)
+        assert top_lo <= top_hi
         assert comp.proj_p.lo == comp.proj_p.hi == pytest.approx(1.1802, abs=1e-4)
         assert comp.proj_q == kf.Interval(3.0, 3.0)
-        assert comp.touches.top
+        assert "T" in touched_sides(comp, d.n, d.m)
 
     def test_interior_only_component(self):
         # crossing X: free space at small eps hugs the crossing point and
@@ -197,14 +198,14 @@ class TestBuildDiagram:
         d = kf.build_diagram(P, Q, 0.3)
         assert len(d.components) == 1
         c = d.components[0]
-        cell = d.cell(0, 0)
-        assert cell.left.is_empty and cell.right.is_empty
-        assert cell.bottom.is_empty and cell.top.is_empty
-        assert cell.interior_nonempty
+        grid = d.cells
+        for lo, hi in (grid.vert[0, 0], grid.vert[1, 0], grid.horiz[0, 0], grid.horiz[0, 1]):
+            assert lo > hi  # left, right, bottom and top edge all empty
+        assert grid.s_proj[0, 0, 0] <= grid.s_proj[0, 0, 1]  # the interior is not
         half = 0.3 * math.sqrt(2) / 4.0
         assert c.proj_p.lo == pytest.approx(0.5 - half, abs=1e-9)
         assert c.proj_p.hi == pytest.approx(0.5 + half, abs=1e-9)
-        assert not (c.touches.left or c.touches.right or c.touches.bottom or c.touches.top)
+        assert touched_sides(c, d.n, d.m) == ""
 
     def test_single_point_tangency_joins_cells(self):
         # collinear two-segment P below a one-segment Q: at eps equal to
@@ -214,10 +215,10 @@ class TestBuildDiagram:
         Q = kf.PolyCurve([(0, 1), (2, 1)])
         d = kf.build_diagram(P, Q, 1.0)
         assert d.n == 2 and d.m == 1
-        shared = d.cell(0, 0).right
-        assert not shared.is_empty
-        assert shared.lo == pytest.approx(0.5, abs=1e-9)
-        assert shared.hi == pytest.approx(0.5, abs=1e-9)
+        shared_lo, shared_hi = d.cells.vert[1, 0]  # right edge of cell (0, 0)
+        assert shared_lo <= shared_hi
+        assert shared_lo == pytest.approx(0.5, abs=1e-9)
+        assert shared_hi == pytest.approx(0.5, abs=1e-9)
         assert len(d.components) == 1
         assert d.components[0].cells == {(0, 0), (1, 0)}
 
@@ -230,7 +231,8 @@ class TestBuildDiagram:
                 seen.update(comp.cells)
             for i in range(d.n):
                 for j in range(d.m):
-                    expected = 1 if d.cell(i, j).interior_nonempty else 0
+                    s_lo, s_hi = d.cells.s_proj[i, j]
+                    expected = 1 if s_lo <= s_hi else 0
                     assert seen[(i, j)] == expected
 
     def test_projection_endpoints_attained_by_member_cells(self, rng):
@@ -240,11 +242,11 @@ class TestBuildDiagram:
             for comp in d.components:
                 plos, phis, qlos, qhis = [], [], [], []
                 for (i, j) in comp.cells:
-                    cell = d.cell(i, j)
-                    plos.append(cell.s_projection.lo + i)
-                    phis.append(cell.s_projection.hi + i)
-                    qlos.append(cell.t_projection.lo + j)
-                    qhis.append(cell.t_projection.hi + j)
+                    (s_lo, s_hi), (t_lo, t_hi) = d.cells.s_proj[i, j], d.cells.t_proj[i, j]
+                    plos.append(s_lo + i)
+                    phis.append(s_hi + i)
+                    qlos.append(t_lo + j)
+                    qhis.append(t_hi + j)
                 assert comp.proj_p.lo == pytest.approx(min(plos), abs=1e-12)
                 assert comp.proj_p.hi == pytest.approx(max(phis), abs=1e-12)
                 assert comp.proj_q.lo == pytest.approx(min(qlos), abs=1e-12)
@@ -345,7 +347,7 @@ class TestComputeZ:
     def test_overlapping_projections(self):
         from conftest import stub_diagram
         d = stub_diagram(1, 1, [((0.0, 0.5), (0.0, 0.4)), ((0.4, 1.0), (0.6, 1.0))])
-        assert kf.compute_z(d) == 2
+        assert d.z == 2
 
     def test_matches_dense_stabbing(self, rng):
         for _ in range(12):

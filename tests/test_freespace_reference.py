@@ -23,6 +23,7 @@ must equal the per-pair scalar loop kept here as their reference.
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from kfrechet import optimize
 from kfrechet.freespace import FreeSpaceGrid, _as_grid, _components, _PairGeometry
 from kfrechet.optimize import _bisect, _cover_exists
 
-from conftest import random_curve
+from conftest import random_curve, sweep_z
 
 TOL = 1e-9
 
@@ -103,8 +104,20 @@ def stab_number(components, n, m, tol):
     return best
 
 
+class RefCell(NamedTuple):
+    """Free space of one cell as the scalar reference computes it, in local [0, 1]."""
+
+    left: kf.Interval
+    right: kf.Interval
+    bottom: kf.Interval
+    top: kf.Interval
+    interior_nonempty: bool
+    s_projection: kf.Interval
+    t_projection: kf.Interval
+
+
 def reference_diagram(P, Q, eps, tol=TOL):
-    """Scalar builder; returns (diagram, cells as nested tuples of CellFreeSpace)."""
+    """Scalar builder; returns (diagram, cells as nested tuples of RefCell)."""
     n, m = P.n, Q.n
     pseg = [P.segment(i) for i in range(n)]
     qseg = [Q.segment(j) for j in range(m)]
@@ -134,8 +147,8 @@ def reference_diagram(P, Q, eps, tol=TOL):
             if not right.is_empty:
                 s_proj = s_proj.hull(point1)
                 t_proj = t_proj.hull(right)
-            column.append(kf.CellFreeSpace(
-                i=i, j=j, left=left, right=right, bottom=bottom, top=top,
+            column.append(RefCell(
+                left=left, right=right, bottom=bottom, top=top,
                 interior_nonempty=not s_proj.is_empty,
                 s_projection=s_proj, t_projection=t_proj))
         cells.append(tuple(column))
@@ -170,9 +183,7 @@ def reference_diagram(P, Q, eps, tol=TOL):
             proj_p = proj_p.hull(cells[i][j].s_projection.shift(float(i)))
             proj_q = proj_q.hull(cells[i][j].t_projection.shift(float(j)))
         components.append(kf.Component(
-            id=len(components), cells=frozenset(groups[root]), proj_p=proj_p, proj_q=proj_q,
-            touches=kf.BoundaryTouch(left=proj_p.lo <= tol, right=proj_p.hi >= n - tol,
-                                     bottom=proj_q.lo <= tol, top=proj_q.hi >= m - tol)))
+            id=len(components), cells=frozenset(groups[root]), proj_p=proj_p, proj_q=proj_q))
 
     def pairs(rows):
         return np.array([[(iv.lo, iv.hi) for iv in row] for row in rows], dtype=float)
@@ -341,13 +352,11 @@ def test_build_diagram_equals_reference(chunk):
         d = kf.build_diagram(P, Q, eps)
         ref, ref_cells = reference_diagram(P, Q, eps)
         assert d == ref and hash(d) == hash(ref)
-        assert all(d.cell(i, j) == ref_cells[i][j] for i in range(d.n) for j in range(d.m))
         for c in d.components:
             ends = (c.proj_p.lo, c.proj_p.hi, c.proj_q.lo, c.proj_q.hi)
             assert all(type(x) is float for x in ends)
-            assert all(type(x) is bool for x in vars(c.touches).values())
         assert kf.decide_strong_frechet(d) == reference_strong_frechet(ref_cells, d.n, d.m)
-        assert kf.compute_z(d) == d.z
+        assert sweep_z(d.components, d.n, d.m, TOL) == d.z
 
 
 def test_blocked_cases_have_no_strong_matching():
@@ -374,10 +383,8 @@ def test_sweep_z_matches_pair_count_on_stubs():
                 # endpoints on a coarse grid so ties and tolerance-close ends occur
                 lo, hi = sorted(np.round(rng.uniform(0, length, size=2), 1).tolist())
                 proj.append(kf.Interval(lo, hi + float(rng.choice([0.0, 0.5e-9, 2e-9]))))
-            comps.append(kf.Component(id=idx, cells=frozenset(), proj_p=proj[0], proj_q=proj[1],
-                                      touches=kf.BoundaryTouch(False, False, False, False)))
-        stub = kf.FreeSpaceDiagram(epsilon=1.0, n=n, m=m, cells=(), components=tuple(comps), z=0)
-        assert kf.compute_z(stub, TOL) == stab_number(comps, n, m, TOL)
+            comps.append(kf.Component(id=idx, cells=frozenset(), proj_p=proj[0], proj_q=proj[1]))
+        assert sweep_z(comps, n, m, TOL) == stab_number(comps, n, m, TOL)
 
 
 # ------------------------------------------------------ prepared curve pair

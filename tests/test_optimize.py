@@ -3,7 +3,7 @@ import pytest
 
 import kfrechet as kf
 from kfrechet import oracles
-from conftest import exhaustive_min_selection_size, random_pair
+from conftest import exhaustive_min_selection_size, random_pair, touched_sides
 
 
 def diagonal_pair():
@@ -161,7 +161,7 @@ class TestHelpers:
         # whole diagram free at that eps
         d = kf.build_diagram(P, Q, kf.pairwise_vertex_max(P, Q))
         assert len(d.components) == 1
-        assert d.components[0].touches.all_four
+        assert touched_sides(d.components[0], d.n, d.m) == "LRBT"
 
     def test_distance_candidates_contains_key_values(self):
         P, Q = kf.PolyCurve([(0, 0), (1, 0)]), kf.PolyCurve([(0, 1), (1, 1)])

@@ -49,7 +49,7 @@ class TestRenderDiagram:
         pv, qv, eps = SIX_COMPONENT_PAIR
         P, Q = kf.PolyCurve(pv), kf.PolyCurve(qv)
         d = kf.build_diagram(P, Q, eps)
-        svg = kf.render_diagram_svg(d, P, Q, selected=kf.Selection([0, 4]))
+        svg = kf.render_diagram_svg(d, P, Q, selected=(0, 4))
         assert svg.count('class="component selected"') == 2
         assert metadata(svg)["selected"] == [0, 4]
 

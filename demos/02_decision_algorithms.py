@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Exact deciders side by side: subset brute force vs bounded search trees.
+"""The exact search-tree decider, checked against the subset brute force.
 
-Uses a fixed 6-component instance. Both algorithms must agree on every
-budget k; the search-tree route also exposes its per-axis feasible
-selections, which is a good way to see why a budget fails.
-Preprocessing (necessary / redundant components) is shown first since
-both deciders can exploit it.
+Uses a fixed 6-component instance. The library's decider is the bounded
+search tree; the brute force of ``kfrechet.oracles`` is its test oracle,
+and both must agree on every budget k. The search-tree route also exposes
+its per-axis feasible selections, which is a good way to see why a budget
+fails. The oracle's preprocessing (necessary / redundant components) is
+shown first.
 """
 
 import kfrechet as kf
+from kfrechet import oracles
 
 P = kf.PolyCurve([[0.74, 0.052], [0.98, 0.241], [0.999, 0.091],
                   [0.274, 0.705], [0.114, 0.044], [0.899, 0.929]])
@@ -21,12 +23,12 @@ def main():
     d = kf.build_diagram(P, Q, EPS)
     print(f"diagram: {d.n}x{d.m} cells, {len(d.components)} components, z = {d.z}\n")
 
-    pre = kf.preprocess(d)
+    pre = oracles.preprocess(d)
     print(f"preprocessing: necessary={list(pre.necessary)} "
           f"kept={list(pre.kept)} dropped={list(pre.dropped)}\n")
 
     for k in (1, 2, 3):
-        brute = kf.decide_bruteforce(d, k)
+        brute = oracles.decide_bruteforce(d, k)
         fpt = kf.decide_fpt(d, k)
         assert (brute is None) == (fpt is None)
         print(f"k = {k}: brute-force -> {brute}, search-tree -> {fpt}")

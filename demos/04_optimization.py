@@ -19,7 +19,8 @@ def main():
     for eps in (0.8, 0.45, 0.3):
         d = kf.build_diagram(P, Q, eps)
         exact = kf.minimize_k(d)
-        approx = kf.minimize_k(d, method="approx")
+        greedy = kf.approximate_k(d)
+        approx = None if greedy is None else len(greedy)
         print(f"  eps = {eps:4}: exact min k = {exact}, greedy upper bound = {approx}")
 
     print("\nbest eps at fixed piece budget (tol 1e-5):")
@@ -31,11 +32,12 @@ def main():
 
     print(f"\nsampled Hausdorff distance (the k -> infinity limit): "
           f"{sampled_hausdorff(P, Q, 4000):.5f}")
-    cand = kf.minimize_epsilon(P, Q, 2, tol=1e-5, method="candidates")
-    print(f"candidate-grid variant at k = 2: {cand:.5f} vs bisect {values[2]:.5f}")
-    print("  (the grid holds pairwise vertex/segment distances only; here the true")
-    print("   optimum is a coverage-seam event between two components, which the")
-    print("   grid provably cannot see -- that is why the grid mode is heuristic)")
+    nearest = min(kf.distance_candidates(P, Q), key=lambda c: abs(c - values[2]))
+    print(f"nearest vertex/segment distance to eps* at k = 2: {nearest:.5f}, "
+          f"{abs(nearest - values[2]):.5f} away")
+    print("  (the optimum here is a coverage-seam event between two components, not a")
+    print("   pairwise vertex/segment distance, so a search over those distances alone")
+    print("   would miss it)")
 
 
 if __name__ == "__main__":

@@ -18,8 +18,7 @@ from .boxes import (FormulaError, box_instance_from_json, box_instance_to_json,
                     build_box_instance, normalize_formula, parse_dimacs,
                     solve_box_bruteforce)
 from .curves import CurveError, PolyCurve, parse_curve, parse_curve_json
-from .decide import (_weak_witness, decide_bruteforce, decide_fpt, decide_hausdorff,
-                     decide_strong_frechet)
+from .decide import _weak_witness, decide_fpt, decide_hausdorff, decide_strong_frechet
 from .freespace import build_diagram
 from .optimize import minimize_epsilon, minimize_k
 from .svg import render_diagram_svg
@@ -59,10 +58,7 @@ def _cmd_decide(args) -> tuple[bool, dict]:
     Q = _load_curve(args.q)
     diagram = build_diagram(P, Q, args.eps)
     selection: tuple | None = None
-    if args.algo == "brute":
-        selection = decide_bruteforce(diagram, _require_k(args))
-        answer = selection is not None
-    elif args.algo == "fpt":
+    if args.algo == "fpt":
         selection = decide_fpt(diagram, _require_k(args))
         answer = selection is not None
     elif args.algo == "approx":
@@ -93,10 +89,12 @@ def _cmd_minimize_k(args) -> tuple[bool, dict]:
     P = _load_curve(args.p)
     Q = _load_curve(args.q)
     diagram = build_diagram(P, Q, args.eps)
-    best = minimize_k(diagram, method=args.method)
-    witness = None
-    if best is not None:
-        witness = approximate_k(diagram) if args.method == "approx" else decide_fpt(diagram, best)
+    if args.method == "approx":
+        witness = approximate_k(diagram)
+        best = None if witness is None else len(witness)
+    else:
+        best = minimize_k(diagram)
+        witness = None if best is None else decide_fpt(diagram, best)
     report = {
         "answer": best is not None,
         "k": best,
@@ -113,7 +111,7 @@ def _cmd_minimize_eps(args) -> tuple[bool, dict]:
     Q = _load_curve(args.q)
     if args.k < 1:
         raise CliError("--k must be >= 1")
-    eps = minimize_epsilon(P, Q, args.k, args.tol, method=args.method)
+    eps = minimize_epsilon(P, Q, args.k, args.tol)
     witness = decide_fpt(build_diagram(P, Q, eps), args.k)
     report = {
         "answer": True,
@@ -132,14 +130,13 @@ def _cmd_svg(args) -> tuple[bool, dict]:
     selected = None
     if args.select:
         try:
-            ids = [int(t) for t in args.select.split(",") if t.strip() != ""]
+            selected = [int(t) for t in args.select.split(",") if t.strip() != ""]
         except ValueError as exc:
             raise CliError(f"bad --select list: {args.select!r}") from exc
-        for cid in ids:
-            if not 0 <= cid < len(diagram.components):
-                raise CliError(f"--select: unknown component id {cid}")
-        selected = ids
-    text = render_diagram_svg(diagram, P, Q, selected=selected)
+    try:
+        text = render_diagram_svg(diagram, P, Q, selected=selected)
+    except KeyError as exc:
+        raise CliError(f"--select: {exc.args[0]}") from exc
     try:
         Path(args.out).write_text(text, encoding="utf-8")
     except OSError as exc:
@@ -216,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--algo", default="fpt",
-                   choices=["brute", "fpt", "approx", "weak", "hausdorff", "frechet"])
+                   choices=["fpt", "approx", "weak", "hausdorff", "frechet"])
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("minimize-k", help="smallest covering budget at fixed eps")
@@ -229,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_curves(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--method", default="bisect", choices=["bisect", "candidates"])
     p.set_defaults(func=_cmd_minimize_eps)
 
     p = sub.add_parser("freespace-svg", help="render the free space diagram to SVG")

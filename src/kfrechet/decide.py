@@ -1,13 +1,15 @@
 """Decision procedures over a built free space diagram.
 
 The central question: can at most k connected components of the free
-space jointly project onto the whole of both parameter axes? Besides the
-two exact deciders (subset brute force and a bounded-search-tree method)
-this module derives the classic decisions, Hausdorff / weak / strong
-matching, from the same diagram.
+space jointly project onto the whole of both parameter axes? This module
+answers it with one exact decider, the bounded-search-tree method of
+:func:`decide_fpt`, and derives the classic decisions, Hausdorff / weak /
+strong matching, from the same diagram. The subset brute force that
+checks :func:`decide_fpt` lives in :mod:`kfrechet.oracles`; the factor-2
+greedy is :func:`kfrechet.approx.approximate_k`.
 
 A selection is a sorted, duplicate-free tuple of component ids. The
-deciders read each axis as (id, lo, hi) triples from :func:`_axis_intervals`,
+decider reads each axis as (id, lo, hi) triples from :func:`_axis_intervals`,
 the one per-axis shape that the greedy covers of :mod:`kfrechet.approx`
 and the eps search of :mod:`kfrechet.optimize` read too. Only the strong
 decision needs the cell geometry; the others need only the component
@@ -16,29 +18,12 @@ projections.
 
 from __future__ import annotations
 
-import itertools
 import operator
-from dataclasses import dataclass
 from typing import Iterable
 
 from .config import resolve_tol
 from .curves import Interval, interval_union_covers
-from .freespace import FreeSpaceDiagram, FreeSpaceGrid
-
-
-@dataclass(frozen=True)
-class Preprocessed:
-    """Result of :func:`preprocess`.
-
-    ``necessary``: components that are the sole coverer of some open
-    sub-interval of an axis; every covering selection contains them.
-    ``kept``: ids that survive redundancy pruning. ``dropped``: ids whose
-    projection bounding box fits inside another component's box.
-    """
-
-    necessary: tuple
-    kept: tuple
-    dropped: tuple
+from .freespace import FreeSpaceDiagram, FreeSpaceGrid, _picked
 
 
 def _budget(k, least: int = 0) -> int:
@@ -56,93 +41,11 @@ def covers_both(diagram: FreeSpaceDiagram, selection: Iterable[int],
                 tol: float | None = None) -> bool:
     """Whether the components with the selected ids project onto all of both axes."""
     tol = resolve_tol(tol)
-    comps = []
-    for cid in selection:
-        if not 0 <= cid < len(diagram.components):
-            raise KeyError(f"unknown component id {cid}")
-        comps.append(diagram.components[cid])
+    comps = _picked(diagram, selection)
     return (
         interval_union_covers([c.proj_p for c in comps], Interval(0.0, float(diagram.n)), tol)
         and interval_union_covers([c.proj_q for c in comps], Interval(0.0, float(diagram.m)), tol)
     )
-
-
-def _sole_coverers(components, axis_len: float, proj, tol: float) -> set:
-    """Ids covering some open sub-interval of the axis on their own."""
-    events = [0.0, axis_len]
-    for c in components:
-        iv = proj(c)
-        events.append(min(max(iv.lo, 0.0), axis_len))
-        events.append(min(max(iv.hi, 0.0), axis_len))
-    events.sort()
-    marks = [events[0]]
-    for e in events[1:]:
-        if e - marks[-1] > tol:
-            marks.append(e)
-    found = set()
-    for a, b in zip(marks, marks[1:]):
-        mid = 0.5 * (a + b)
-        covering = [c.id for c in components if proj(c).lo <= mid <= proj(c).hi]
-        if len(covering) == 1:
-            found.add(covering[0])
-    return found
-
-
-def preprocess(diagram: FreeSpaceDiagram, tol: float | None = None) -> Preprocessed:
-    """Identify necessary components and prune redundant ones.
-
-    A component is redundant when its proj_p x proj_q bounding box is
-    contained in a single other component's box (ties on identical boxes
-    keep the smaller id, so mutually-contained components are never both
-    dropped). Necessary and redundant sets are disjoint.
-    """
-    tol = resolve_tol(tol)
-    comps = diagram.components
-    necessary = _sole_coverers(comps, float(diagram.n), lambda c: c.proj_p, tol)
-    necessary |= _sole_coverers(comps, float(diagram.m), lambda c: c.proj_q, tol)
-
-    dropped = []
-    for b in comps:
-        for a in comps:
-            if a.id == b.id:
-                continue
-            if a.proj_p.contains_interval(b.proj_p) and a.proj_q.contains_interval(b.proj_q):
-                same_box = a.proj_p == b.proj_p and a.proj_q == b.proj_q
-                if same_box and a.id > b.id:
-                    continue
-                dropped.append(b.id)
-                break
-    kept = tuple(c.id for c in comps if c.id not in set(dropped))
-    return Preprocessed(necessary=tuple(sorted(necessary)), kept=kept, dropped=tuple(dropped))
-
-
-def decide_bruteforce(diagram: FreeSpaceDiagram, k: int, use_preprocess: bool = True,
-                      tol: float | None = None) -> tuple | None:
-    """Search all selections of size <= k for one covering both axes.
-
-    The necessary components are seeded into every candidate and the
-    remaining slots run through the non-redundant ids in lexicographic
-    order; the first covering selection is returned.
-    """
-    tol = resolve_tol(tol)
-    k = _budget(k)
-    if not decide_hausdorff(diagram, tol):
-        return None
-    if use_preprocess:
-        pre = preprocess(diagram, tol)
-        base = pre.necessary
-        pool = [cid for cid in pre.kept if cid not in base]
-    else:
-        base = ()
-        pool = range(len(diagram.components))
-    if len(base) > k:
-        return None
-    for extra_count in range(k - len(base) + 1):
-        for extra in itertools.combinations(pool, extra_count):
-            candidate = tuple(sorted((*base, *extra)))
-            if covers_both(diagram, candidate, tol):
-                return candidate
-    return None
 
 
 def _axis_intervals(diagram: FreeSpaceDiagram, axis: str) -> list:
@@ -166,6 +69,12 @@ def fpt_feasible_selections(diagram: FreeSpaceDiagram, axis: str, k: int,
     tree is walked depth-first as a path enumeration and its nodes are
     never materialised. Returns the duplicate-free sorted list of
     selections (as sorted id tuples) plus the raw feasible-path count.
+
+    The children of a node all meet the axis-parallel line just past its
+    frontier, so a node has at most ``diagram.z`` children and the tree
+    at most z^k paths. ``diagram.z`` is at most the paper's z (see
+    :class:`~kfrechet.freespace.FreeSpaceDiagram`), so this is the
+    paper's FPT bound in k and z.
     """
     tol = resolve_tol(tol)
     k = _budget(k)

@@ -86,12 +86,30 @@ class FreeSpaceGrid:
 
 @dataclass(frozen=True)
 class FreeSpaceDiagram:
+    """The free space of two curves at ``epsilon``, its components and ``z``.
+
+    ``z``, the most component projections met by one axis-parallel line,
+    is at most the paper's z (the most segments of one curve within eps of
+    a point on the other): each component met at P(s) holds a cell whose
+    Q segment is within eps of P(s), and likewise on Q.
+    """
+
     epsilon: float
     n: int
     m: int
     cells: FreeSpaceGrid | tuple  # () for diagrams made from projections alone
     components: tuple  # tuple of Component, ids equal to positions
     z: int  # max number of components met by any axis-aligned line
+
+
+def _picked(diagram: FreeSpaceDiagram, ids) -> list:
+    """The components with the given ids, in order; an id not in the diagram raises KeyError."""
+    comps = []
+    for cid in ids:
+        if not 0 <= cid < len(diagram.components):
+            raise KeyError(f"unknown component id {cid}")
+        comps.append(diagram.components[cid])
+    return comps
 
 
 def _interval(pair) -> Interval:

@@ -39,24 +39,20 @@ from .decide import _budget, _joint_covers, decide_fpt
 from .freespace import FreeSpaceDiagram, _components, _dot, _PairGeometry, build_diagram
 
 
-def minimize_k(diagram: FreeSpaceDiagram, method: str = "exact",
-               tol: float | None = None) -> int | None:
+def minimize_k(diagram: FreeSpaceDiagram, tol: float | None = None) -> int | None:
     """Smallest covering budget k for this diagram, or None.
 
     None exactly when no selection of any size covers (Hausdorff fails).
-    "exact" scans k upward from the per-axis greedy lower bound using the
-    search-tree decider; "approx" just reports the greedy union size,
-    which is at most twice the optimum.
+    Scans k upward from the per-axis greedy lower bound using the
+    search-tree decider, up to the size of the greedy union of
+    :func:`~kfrechet.approx.approximate_k`, which covers and is at most
+    twice the optimum.
     """
-    if method not in ("exact", "approx"):
-        raise ValueError(f'method must be "exact" or "approx", got {method!r}')
     covers = _axis_covers(diagram, tol)
     if covers is None:
         return None
     cover_p, cover_q = covers
     union = len({*cover_p, *cover_q})
-    if method == "approx":
-        return union
     lower = max(len(cover_p), len(cover_q))
     for k in range(lower, union + 1):
         if decide_fpt(diagram, k, tol) is not None:
@@ -120,8 +116,8 @@ def distance_candidates(P: PolyCurve, Q: PolyCurve) -> list[float]:
     These are the eps values at which per-cell free space typically
     appears or reaches a cell edge. They are NOT proven to include every
     value where coverage feasibility changes (component projections can
-    start overlapping at other eps), so they serve as a heuristic
-    candidate grid only. Each value is the float that ``np.linalg.norm``,
+    start overlapping at other eps), so no search returns one of them as
+    its answer; they place test and demo eps near critical values. Each value is the float that ``np.linalg.norm``,
     :func:`~kfrechet.curves.point_segment_distance` or
     :func:`~kfrechet.curves.segment_distance` returns for the pair; a
     segment-segment distance is 0 (crossing segments) or the least of its
@@ -159,22 +155,18 @@ def _bisect(lo: float, hi: float, tol: float, feasible) -> tuple[float, float]:
     return lo, hi
 
 
-def minimize_epsilon(P: PolyCurve, Q: PolyCurve, k: int, tol: float = 1e-6,
-                     method: str = "bisect") -> float:
+def minimize_epsilon(P: PolyCurve, Q: PolyCurve, k: int, tol: float = 1e-6) -> float:
     """Smallest eps (within ``tol``) whose diagram admits a k-cover.
 
-    "bisect" runs a monotone binary search on eps over [0, max vertex
-    distance] and returns the upper end once the two ends are within
-    ``tol``. "candidates" instead bisects the sorted
-    :func:`distance_candidates` list and returns an exact member of it;
-    that grid is heuristic, see there. Either way a probe at eps decides
-    exactly what ``decide_fpt(build_diagram(P, Q, eps), k) is not None``
-    decides, comparing interval ends with ``resolve_tol(None)``
+    A monotone binary search on eps over [0, max vertex distance] that
+    returns the upper end once the two ends are within ``tol``. A probe at
+    eps decides exactly what ``decide_fpt(build_diagram(P, Q, eps), k) is
+    not None`` decides, comparing interval ends with ``resolve_tol(None)``
     (``KFRECHET_TOL`` or 1e-9); ``tol`` is only the search width. Every
     probe after eps = 0 reuses geometry computed once for the pair and the
     components of the largest eps found infeasible.
 
-    "bisect" follows the plain bisection's path but probes only outcomes
+    The search follows the plain bisection's path but probes only outcomes
     not yet implied: the decision is monotone in eps, so an eps at or
     below one found infeasible is infeasible, and one at or above one
     found feasible is feasible. It predicts where feasibility starts: if
@@ -199,8 +191,6 @@ def minimize_epsilon(P: PolyCurve, Q: PolyCurve, k: int, tol: float = 1e-6,
     k = _budget(k, least=1)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be a finite number > 0, got {tol}")
-    if method not in ("bisect", "candidates"):
-        raise ValueError(f'method must be "bisect" or "candidates", got {method!r}')
     # eps = 0 is decided on a built diagram, so that per-layer tracing, which
     # wraps only public functions, still sees one build and one decision per
     # search; the probes of the search proper re-solve the prepared pair
@@ -212,7 +202,9 @@ def minimize_epsilon(P: PolyCurve, Q: PolyCurve, k: int, tol: float = 1e-6,
     # found infeasible so far stay joined at every later probe, which lies
     # above it.
     forest = np.arange(geometry.n * geometry.m)
-    infeasible_at, feasible_at = 0.0, math.inf
+    # every point of the bisection path lies below top, so none needs top decided
+    top = pairwise_vertex_max(P, Q)
+    infeasible_at, feasible_at = 0.0, top
 
     def feasible(eps: float) -> bool:
         nonlocal forest, infeasible_at, feasible_at
@@ -227,21 +219,6 @@ def minimize_epsilon(P: PolyCurve, Q: PolyCurve, k: int, tol: float = 1e-6,
         forest, infeasible_at = roots, eps
         return False
 
-    if method == "candidates":
-        cands = distance_candidates(P, Q)
-        lo, hi = 0, len(cands) - 1
-        if not feasible(cands[hi]):
-            raise ValueError("candidate grid missed a feasible eps")
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if feasible(cands[mid]):
-                hi = mid
-            else:
-                lo = mid
-        return cands[hi]
-
-    # every point of the bisection path lies below top, so none needs top decided
-    top = feasible_at = pairwise_vertex_max(P, Q)
     p_to_q, q_to_p = _vertex_segment_distances(P, Q)
     # The prior (see above): atoms[0] is the vertex bound, of mass 3, and the
     # atoms[t] for t >= 1 the larger vertex-segment distances, of mass 2 in

@@ -2,7 +2,8 @@
 
 Slow, independent reference implementations used to validate the
 geometric code paths: a pixel-grid free space, an exhaustive minimum
-interval cover, and a sampled Hausdorff distance. They ship with the
+interval cover, a sampled Hausdorff distance, and the subset brute force
+that checks :func:`~kfrechet.decide.decide_fpt`. They ship with the
 library so the validation experiments are reproducible, but nothing in
 the production modules depends on them.
 
@@ -21,7 +22,10 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial.distance import cdist
 
+from .config import resolve_tol
 from .curves import Interval, PolyCurve
+from .decide import _budget, covers_both, decide_hausdorff
+from .freespace import FreeSpaceDiagram
 
 
 @dataclass(frozen=True)
@@ -191,3 +195,96 @@ def sampled_hausdorff_bound(P: PolyCurve, Q: PolyCurve, samples: int) -> float:
     step_p = P.n / (samples - 1)
     step_q = Q.n / (samples - 1)
     return max(P.max_segment_length() * step_p, Q.max_segment_length() * step_q) / 2.0
+
+
+@dataclass(frozen=True)
+class Preprocessed:
+    """Result of :func:`preprocess`.
+
+    ``necessary``: components that are the sole coverer of some open
+    sub-interval of an axis; every covering selection contains them.
+    ``kept``: ids that survive redundancy pruning. ``dropped``: ids whose
+    projection bounding box fits inside another component's box.
+    """
+
+    necessary: tuple
+    kept: tuple
+    dropped: tuple
+
+
+def _sole_coverers(components, axis_len: float, proj, tol: float) -> set:
+    """Ids covering some open sub-interval of the axis on their own."""
+    events = [0.0, axis_len]
+    for c in components:
+        iv = proj(c)
+        events.append(min(max(iv.lo, 0.0), axis_len))
+        events.append(min(max(iv.hi, 0.0), axis_len))
+    events.sort()
+    marks = [events[0]]
+    for e in events[1:]:
+        if e - marks[-1] > tol:
+            marks.append(e)
+    found = set()
+    for a, b in zip(marks, marks[1:]):
+        mid = 0.5 * (a + b)
+        covering = [c.id for c in components if proj(c).lo <= mid <= proj(c).hi]
+        if len(covering) == 1:
+            found.add(covering[0])
+    return found
+
+
+def preprocess(diagram: FreeSpaceDiagram, tol: float | None = None) -> Preprocessed:
+    """Identify necessary components and prune redundant ones.
+
+    A component is redundant when its proj_p x proj_q bounding box is
+    contained in a single other component's box (ties on identical boxes
+    keep the smaller id, so mutually-contained components are never both
+    dropped). Necessary and redundant sets are disjoint.
+    """
+    tol = resolve_tol(tol)
+    comps = diagram.components
+    necessary = _sole_coverers(comps, float(diagram.n), lambda c: c.proj_p, tol)
+    necessary |= _sole_coverers(comps, float(diagram.m), lambda c: c.proj_q, tol)
+
+    dropped = []
+    for b in comps:
+        for a in comps:
+            if a.id == b.id:
+                continue
+            if a.proj_p.contains_interval(b.proj_p) and a.proj_q.contains_interval(b.proj_q):
+                same_box = a.proj_p == b.proj_p and a.proj_q == b.proj_q
+                if same_box and a.id > b.id:
+                    continue
+                dropped.append(b.id)
+                break
+    kept = tuple(c.id for c in comps if c.id not in set(dropped))
+    return Preprocessed(necessary=tuple(sorted(necessary)), kept=kept, dropped=tuple(dropped))
+
+
+def decide_bruteforce(diagram: FreeSpaceDiagram, k: int, use_preprocess: bool = True,
+                      tol: float | None = None) -> tuple | None:
+    """Search all selections of size <= k for one covering both axes.
+
+    The necessary components are seeded into every candidate and the
+    remaining slots run through the non-redundant ids in lexicographic
+    order; the first covering selection is returned.
+    """
+    tol = resolve_tol(tol)
+    k = _budget(k)
+    if not decide_hausdorff(diagram, tol):
+        return None
+    if use_preprocess:
+        pre = preprocess(diagram, tol)
+        base = pre.necessary
+        pool = [cid for cid in pre.kept if cid not in base]
+    else:
+        base = ()
+        pool = range(len(diagram.components))
+    if len(base) > k:
+        return None
+    for extra_count in range(k - len(base) + 1):
+        for extra in itertools.combinations(pool, extra_count):
+            candidate = tuple(sorted((*base, *extra)))
+            if covers_both(diagram, candidate, tol):
+                return candidate
+    return None

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .freespace import FreeSpaceDiagram
+from .freespace import FreeSpaceDiagram, _picked
 
 CANVAS = 1000.0
 MARGIN_LEFT = 70.0
@@ -148,7 +148,8 @@ def render_diagram_svg(diagram: FreeSpaceDiagram, P=None, Q=None,
     ``P``/``Q`` are the source curves; they are required to draw the free
     regions (cell geometry is not stored in the diagram). Without them
     only grid, projections metadata and axes are emitted. ``selected``
-    holds the ids of the components to outline.
+    holds the ids of the components to outline; an id the diagram does
+    not have raises ``KeyError``, as in :func:`~kfrechet.decide.covers_both`.
     """
     n, m = diagram.n, diagram.m
     scale = min((CANVAS - MARGIN_LEFT - MARGIN_RIGHT) / n,
@@ -159,7 +160,7 @@ def render_diagram_svg(diagram: FreeSpaceDiagram, P=None, Q=None,
     def to_px(s: float, t: float) -> tuple[float, float]:
         return (x0 + s * scale, y0 - t * scale)
 
-    selected_ids = set(selected) if selected is not None else set()
+    selected_ids = {c.id for c in _picked(diagram, () if selected is None else selected)}
     meta = {
         "components": len(diagram.components),
         "epsilon": diagram.epsilon,

@@ -99,7 +99,7 @@ def test_criterion_3_exact_agreement(small_instances):
     assert len(small_instances) >= 1000
     for P, Q, eps, d in small_instances:
         for k in (0, 1, 2, 3):
-            brute = kf.decide_bruteforce(d, k)
+            brute = oracles.decide_bruteforce(d, k)
             fpt = kf.decide_fpt(d, k)
             assert (brute is None) == (fpt is None), (P.vertices, Q.vertices, eps, k)
             if brute is not None:
@@ -149,11 +149,11 @@ def test_criterion_6_preprocessing_soundness(small_instances):
     t0 = time.time()
     necessary_checks = 0
     for P, Q, eps, d in small_instances:
-        pre = kf.preprocess(d)
+        pre = oracles.preprocess(d)
         assert not set(pre.necessary) & set(pre.dropped)
         for k in (1, 2, 3):
-            with_pre = kf.decide_bruteforce(d, k, use_preprocess=True)
-            without = kf.decide_bruteforce(d, k, use_preprocess=False)
+            with_pre = oracles.decide_bruteforce(d, k, use_preprocess=True)
+            without = oracles.decide_bruteforce(d, k, use_preprocess=False)
             assert (with_pre is None) == (without is None), (P.vertices, Q.vertices, eps, k)
             for sel in (with_pre, without):
                 if sel is not None:

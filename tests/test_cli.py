@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import kfrechet as kf
+from kfrechet import oracles
 from kfrechet.cli import main
 from kfrechet.config import resolve_tol
 from conftest import random_pair
@@ -53,7 +54,7 @@ class TestDecide:
 
     def test_all_algos_on_diagonal(self, capsys, curve_files):
         p, q = curve_files
-        for algo in ("brute", "fpt", "approx", "weak", "hausdorff", "frechet"):
+        for algo in ("fpt", "approx", "weak", "hausdorff", "frechet"):
             code, report, _ = run_cli(capsys, "decide", "--p", p, "--q", q,
                                       "--eps", "1.0", "--k", "1", "--algo", algo)
             assert code == 0, algo
@@ -62,10 +63,18 @@ class TestDecide:
     def test_missing_k_for_brute(self, capsys, curve_files):
         p, q = curve_files
         code, report, err = run_cli(capsys, "decide", "--p", p, "--q", q,
-                                    "--eps", "1.0", "--algo", "brute")
+                                    "--eps", "1.0", "--algo", "fpt")
         assert code == 2
         assert report is None
         assert "--k" in err
+
+    def test_brute_algo_removed(self, capsys, curve_files):
+        p, q = curve_files
+        with pytest.raises(SystemExit) as exit_info:
+            main(["decide", "--p", p, "--q", q, "--eps", "1.0", "--k", "1", "--algo", "brute"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--algo" in err and "invalid choice" in err and "brute" in err
 
     def test_negative_eps(self, capsys, curve_files):
         p, q = curve_files
@@ -108,12 +117,14 @@ class TestDecide:
             p.write_text(kf.serialize_curve(P))
             q.write_text(kf.serialize_curve(Q))
             eps = str(float(rng.uniform(0.2, 0.9)))
+            brute = [oracles.decide_bruteforce(kf.build_diagram(P, Q, float(eps)), k)
+                     for k in (1, 2)]
             for k in ("1", "2"):
                 args = ["--p", str(p), "--q", str(q), "--eps", eps, "--k", k]
-                code_b, rep_b, _ = run_cli(capsys, "decide", *args, "--algo", "brute")
                 code_f, rep_f, _ = run_cli(capsys, "decide", *args, "--algo", "fpt")
-                assert code_b == code_f
-                assert rep_b["answer"] == rep_f["answer"]
+                answer = brute[int(k) - 1] is not None
+                assert code_f == (0 if answer else 1)
+                assert rep_f["answer"] == answer
 
 
 class TestMinimize:
@@ -172,6 +183,13 @@ class TestMinimize:
         p, q = curve_files
         code, _, err = run_cli(capsys, "minimize-eps", "--p", p, "--q", q, "--k", "0")
         assert code == 2 and "--k" in err
+
+    def test_minimize_eps_method_removed(self, capsys, curve_files):
+        p, q = curve_files
+        with pytest.raises(SystemExit) as exit_info:
+            main(["minimize-eps", "--p", p, "--q", q, "--k", "1", "--method", "candidates"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --method candidates" in capsys.readouterr().err
 
 
 class TestSvgCommand:

@@ -43,20 +43,20 @@ class TestCoversBoth:
 class TestPreprocess:
     def test_single_component_is_necessary(self):
         d = diagonal_diagram()
-        pre = kf.preprocess(d)
+        pre = oracles.preprocess(d)
         assert pre.necessary == (0,)
         assert pre.kept == (0,)
         assert pre.dropped == ()
 
     def test_contained_box_pruned(self):
         d = stub_diagram(1, 1, [((0.0, 1.0), (0.0, 1.0)), ((0.2, 0.5), (0.3, 0.4))])
-        pre = kf.preprocess(d)
+        pre = oracles.preprocess(d)
         assert 1 in pre.dropped
         assert 0 in pre.kept
 
     def test_identical_boxes_keep_smaller_id(self):
         d = stub_diagram(1, 1, [((0.0, 0.6), (0.0, 0.6)), ((0.0, 0.6), (0.0, 0.6))])
-        pre = kf.preprocess(d)
+        pre = oracles.preprocess(d)
         assert pre.dropped == (1,)
         assert pre.kept == (0,)
         # neither uniquely covers anything
@@ -66,7 +66,7 @@ class TestPreprocess:
         for _ in range(30):
             P, Q = random_pair(rng, 5)
             d = kf.build_diagram(P, Q, float(rng.uniform(0.2, 0.9)))
-            pre = kf.preprocess(d)
+            pre = oracles.preprocess(d)
             assert not set(pre.necessary) & set(pre.dropped)
 
     def test_decisions_unchanged_by_preprocess(self, rng):
@@ -77,8 +77,8 @@ class TestPreprocess:
             if len(d.components) > 8:
                 continue
             for k in range(0, 4):
-                with_pre = kf.decide_bruteforce(d, k, use_preprocess=True)
-                without = kf.decide_bruteforce(d, k, use_preprocess=False)
+                with_pre = oracles.decide_bruteforce(d, k, use_preprocess=True)
+                without = oracles.decide_bruteforce(d, k, use_preprocess=False)
                 assert (with_pre is None) == (without is None)
                 if with_pre is not None:
                     assert kf.covers_both(d, with_pre)
@@ -94,7 +94,7 @@ class TestPreprocess:
             d = kf.build_diagram(P, Q, float(rng.uniform(0.3, 0.9)))
             if not (1 <= len(d.components) <= 7):
                 continue
-            pre = kf.preprocess(d)
+            pre = oracles.preprocess(d)
             ids = [c.id for c in d.components]
             for size in range(len(ids) + 1):
                 for combo in itertools.combinations(ids, size):
@@ -107,18 +107,18 @@ class TestPreprocess:
 class TestBruteforce:
     def test_diagonal_k1(self):
         d = diagonal_diagram()
-        assert kf.decide_bruteforce(d, 1) == (0,)
+        assert oracles.decide_bruteforce(d, 1) == (0,)
 
     def test_no_cover_at_any_k(self):
         d = diagonal_diagram(0.5)  # empty free space
         for k in range(4):
-            assert kf.decide_bruteforce(d, k) is None
+            assert oracles.decide_bruteforce(d, k) is None
 
     def test_six_component_fixture(self):
         d = six_component_diagram()
         assert len(d.components) == 6
-        assert kf.decide_bruteforce(d, 1) is None
-        sel = kf.decide_bruteforce(d, 2)
+        assert oracles.decide_bruteforce(d, 1) is None
+        sel = oracles.decide_bruteforce(d, 2)
         assert sel == (0, 4)  # deterministic first-found
         assert kf.covers_both(d, sel)
         # independent exhaustive-subset oracle
@@ -126,7 +126,7 @@ class TestBruteforce:
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
-            kf.decide_bruteforce(diagonal_diagram(), -1)
+            oracles.decide_bruteforce(diagonal_diagram(), -1)
 
 
 class TestFpt:
@@ -146,7 +146,7 @@ class TestFpt:
                 if len(d.components) > 10:
                     continue
                 for k in range(0, 4):
-                    brute = kf.decide_bruteforce(d, k)
+                    brute = oracles.decide_bruteforce(d, k)
                     fpt = kf.decide_fpt(d, k)
                     assert (brute is None) == (fpt is None), (P.vertices, Q.vertices, eps, k)
                     if fpt is not None:
@@ -193,14 +193,14 @@ class TestBudget:
     @pytest.mark.parametrize("k", NOT_INTEGERS)
     def test_decide_bruteforce_rejects(self, k):
         with pytest.raises(ValueError, match="k must be an integer"):
-            kf.decide_bruteforce(diagonal_diagram(), k)
+            oracles.decide_bruteforce(diagonal_diagram(), k)
 
     @pytest.mark.parametrize("k", [np.int64(2), np.int32(2), np.uint8(2), True])
     def test_numpy_and_bool_integers_accepted(self, k):
         d = six_component_diagram()
         assert kf.decide_fpt(d, k) == kf.decide_fpt(d, int(k))
         assert kf.fpt_feasible_selections(d, "q", k) == kf.fpt_feasible_selections(d, "q", int(k))
-        assert kf.decide_bruteforce(d, k) == kf.decide_bruteforce(d, int(k))
+        assert oracles.decide_bruteforce(d, k) == oracles.decide_bruteforce(d, int(k))
 
 
 class TestClassicDecisions:

@@ -389,25 +389,13 @@ def test_sweep_z_matches_pair_count_on_stubs():
 
 # ------------------------------------------------------ prepared curve pair
 
-def reference_minimize_epsilon(P, Q, k, tol, method="bisect"):
+def reference_minimize_epsilon(P, Q, k, tol):
     """The eps search with a fresh diagram and ``decide_fpt`` per probe."""
     def feasible(eps):
         return kf.decide_fpt(kf.build_diagram(P, Q, eps), k) is not None
 
     if feasible(0.0):
         return 0.0
-    if method == "candidates":
-        cands = kf.distance_candidates(P, Q)
-        lo, hi = 0, len(cands) - 1
-        if not feasible(cands[hi]):
-            raise ValueError("candidate grid missed a feasible eps")
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if feasible(cands[mid]):
-                hi = mid
-            else:
-                lo = mid
-        return cands[hi]
     lo, hi = 0.0, kf.pairwise_vertex_max(P, Q)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -435,15 +423,7 @@ def test_prepared_pair_equals_reference_at_every_eps(chunk):
                 assert _cover_exists(geometry, eps, k, TOL) == expected
 
 
-def _search(P, Q, k, tol, method, search):
-    try:
-        return search(P, Q, k, tol=tol, method=method)
-    except ValueError as err:
-        return str(err)
-
-
-@pytest.mark.parametrize("method", ["bisect", "candidates"])
-def test_minimize_epsilon_equals_reference_loop(method):
+def test_minimize_epsilon_equals_reference_loop():
     rng = np.random.default_rng(4)
     pairs = [piece_pair(rng, int(rng.integers(6, 13)), int(rng.integers(1, 5))) for _ in range(8)]
     pairs += [(random_curve(rng, int(rng.integers(2, 6))), random_curve(rng, int(rng.integers(2, 6))))
@@ -452,8 +432,8 @@ def test_minimize_epsilon_equals_reference_loop(method):
     for P, Q in pairs:
         for k in (1, 2, 3, 4):
             for tol in (1e-3, 1e-7):
-                got = _search(P, Q, k, tol, method, kf.minimize_epsilon)
-                assert got == _search(P, Q, k, tol, method, reference_minimize_epsilon)
+                got = kf.minimize_epsilon(P, Q, k, tol=tol)
+                assert got == reference_minimize_epsilon(P, Q, k, tol)
 
 
 def reference_distance_candidates(P, Q):

@@ -18,12 +18,7 @@ class TestMinimizeK:
     def test_empty_free_space(self):
         P, Q = diagonal_pair()
         assert kf.minimize_k(kf.build_diagram(P, Q, 0.5)) is None
-        assert kf.minimize_k(kf.build_diagram(P, Q, 0.5), method="approx") is None
-
-    def test_bad_method(self):
-        P, Q = diagonal_pair()
-        with pytest.raises(ValueError):
-            kf.minimize_k(kf.build_diagram(P, Q, 1.0), method="magic")
+        assert kf.approximate_k(kf.build_diagram(P, Q, 0.5)) is None
 
     def test_exact_matches_exhaustive_oracle(self, rng):
         checked = 0
@@ -35,11 +30,11 @@ class TestMinimizeK:
             exact = kf.minimize_k(d)
             oracle = exhaustive_min_selection_size(d)
             assert exact == oracle
-            approx = kf.minimize_k(d, method="approx")
+            approx = kf.approximate_k(d)
             if exact is None:
                 assert approx is None
             else:
-                assert exact <= approx <= 2 * exact
+                assert exact <= len(approx) <= 2 * exact
             checked += 1
         assert checked >= 15
 
@@ -62,10 +57,6 @@ class TestMinimizeEpsilon:
         assert kf.decide_fpt(kf.build_diagram(P, Q, eps), 1) is not None
         assert kf.decide_fpt(kf.build_diagram(P, Q, float(np.nextafter(eps, 0.0))), 1) is None
 
-    def test_candidates_mode_exact_value(self):
-        P, Q = diagonal_pair()
-        assert kf.minimize_epsilon(P, Q, 1, tol=1e-5, method="candidates") == pytest.approx(1.0, abs=1e-12)
-
     def test_validation(self):
         P, Q = diagonal_pair()
         with pytest.raises(ValueError):
@@ -75,8 +66,6 @@ class TestMinimizeEpsilon:
         for bad in ("nan", "inf"):
             with pytest.raises(ValueError):
                 kf.minimize_epsilon(P, Q, 1, tol=float(bad))
-        with pytest.raises(ValueError):
-            kf.minimize_epsilon(P, Q, 1, tol=1e-4, method="magic")
 
     @pytest.mark.parametrize("k", [float("nan"), float("inf"), 1.5, 2.0, "2", None])
     def test_non_integer_k_rejected(self, k):

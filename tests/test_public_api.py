@@ -1,28 +1,33 @@
 """The package's public names: exactly these, each importable."""
 
 import kfrechet as kf
+import kfrechet.decide
+from kfrechet import oracles
 
 PUBLIC = [
     "BoxInstance", "CnfFormula", "Component", "CurveError", "DEFAULT_TOL", "EMPTY",
     "FormulaError", "FreeSpaceDiagram", "Interval", "LabeledBox", "PolyCurve",
-    "Preprocessed", "approximate_k", "box_instance_from_json", "box_instance_to_json",
+    "approximate_k", "box_instance_from_json", "box_instance_to_json",
     "build_box_instance", "build_diagram", "cell_axis_projection", "cell_edge_interval",
-    "covers_both", "covers_boundaries", "decide_bruteforce", "decide_fpt",
-    "decide_hausdorff", "decide_strong_frechet", "decide_weak_frechet", "default_tol",
+    "covers_both", "covers_boundaries", "decide_fpt", "decide_hausdorff",
+    "decide_strong_frechet", "decide_weak_frechet", "default_tol",
     "distance_candidates", "fpt_feasible_selections", "greedy_axis_cover",
     "interval_union_covers", "minimize_epsilon", "minimize_k", "normalize_formula",
     "pairwise_vertex_max", "parse_curve", "parse_curve_json", "parse_dimacs",
-    "point_segment_distance", "preprocess", "render_diagram_svg", "sat_bruteforce",
+    "point_segment_distance", "render_diagram_svg", "sat_bruteforce",
     "segment_distance", "selection_from_assignment", "serialize_curve",
     "solve_box_bruteforce", "write_dimacs",
 ]
 
-# views and wrappers that only repackaged component data
-REMOVED = ["BoundaryTouch", "CellFreeSpace", "ProjectedInterval", "Selection",
-           "axis_projections", "compute_z"]
+# views and wrappers that only repackaged component data, and the
+# brute-force decider, which is a test oracle now (see ORACLES)
+REMOVED = ["BoundaryTouch", "CellFreeSpace", "Preprocessed", "ProjectedInterval",
+           "Selection", "axis_projections", "compute_z", "decide_bruteforce", "preprocess"]
+ORACLES = ["Preprocessed", "decide_bruteforce", "preprocess"]
 
 
 def test_all_is_the_sorted_public_list():
+    assert len(PUBLIC) == 44
     assert PUBLIC == sorted(set(PUBLIC))
     assert kf.__all__ == PUBLIC
 
@@ -42,3 +47,9 @@ def test_removed_names_are_gone():
     for name in REMOVED:
         assert not hasattr(kf, name), name
         assert name not in kf.__all__
+
+
+def test_brute_force_lives_in_oracles():
+    for name in ORACLES:
+        assert getattr(oracles, name).__module__ == "kfrechet.oracles", name
+        assert not hasattr(kfrechet.decide, name), name

@@ -2,6 +2,8 @@ import json
 import re
 import xml.etree.ElementTree as ET
 
+import pytest
+
 import kfrechet as kf
 from conftest import SIX_COMPONENT_PAIR
 
@@ -52,6 +54,15 @@ class TestRenderDiagram:
         svg = kf.render_diagram_svg(d, P, Q, selected=(0, 4))
         assert svg.count('class="component selected"') == 2
         assert metadata(svg)["selected"] == [0, 4]
+
+    def test_unknown_selected_id_rejected(self):
+        # as in covers_both; the metadata used to list ids the diagram lacks
+        P, Q = diagonal_pair()
+        d = kf.build_diagram(P, Q, 1.0)
+        for selected in ((99, -3), (0, 1), (-1,)):
+            with pytest.raises(KeyError, match="unknown component id"):
+                kf.render_diagram_svg(d, P, Q, selected=selected)
+        assert metadata(kf.render_diagram_svg(d, P, Q, selected=(0,)))["selected"] == [0]
 
     def test_axis_labels_present(self):
         P, Q = diagonal_pair()

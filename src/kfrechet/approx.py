@@ -21,10 +21,11 @@ def greedy_axis_cover(intervals: Sequence[tuple[int, float, float]], target: Int
                       tol: float | None = None) -> tuple | None:
     """Minimum-cardinality cover of ``target`` by (id, lo, hi) intervals.
 
-    Left-to-right sweep: among the intervals starting at or before the
-    current frontier, take the one reaching farthest right (ties go to
-    the smaller id). Returns the sorted ids of the cover, or None when the
-    frontier gets stuck before the target's right end. An interval with
+    Left-to-right sweep under the rule of :mod:`kfrechet.decide`: among
+    the intervals starting within ``tol`` of the frontier, take the one
+    reaching farthest right (ties go to the smaller id). Returns the
+    sorted ids of the cover, or None when the frontier stops short of
+    ``target.hi - tol``. An interval with
     ``lo > hi`` is empty; a nonempty one must have finite ends, as an
     :class:`~kfrechet.curves.Interval` must, or ``ValueError`` is raised.
     """
@@ -52,23 +53,11 @@ def greedy_axis_cover(intervals: Sequence[tuple[int, float, float]], target: Int
             if hi > best_hi or (hi == best_hi and cid < best_id):
                 best_hi, best_id = hi, cid
             idx += 1
-        if best_id < 0 or best_hi <= frontier + tol:
+        if best_id < 0 or best_hi <= frontier:
             return None
         chosen.append(best_id)
         frontier = best_hi
     return tuple(sorted(chosen))
-
-
-def _axis_covers(diagram: FreeSpaceDiagram, tol: float | None) -> tuple[tuple, tuple] | None:
-    """The greedy covers of the p and the q axis, or None if either fails."""
-    tol = resolve_tol(tol)
-    cover_p = greedy_axis_cover(_axis_intervals(diagram, "p"), Interval(0.0, float(diagram.n)), tol)
-    if cover_p is None:
-        return None
-    cover_q = greedy_axis_cover(_axis_intervals(diagram, "q"), Interval(0.0, float(diagram.m)), tol)
-    if cover_q is None:
-        return None
-    return cover_p, cover_q
 
 
 def approximate_k(diagram: FreeSpaceDiagram, tol: float | None = None) -> tuple | None:
@@ -77,5 +66,11 @@ def approximate_k(diagram: FreeSpaceDiagram, tol: float | None = None) -> tuple 
     None exactly when one axis cannot be covered at all, i.e. the
     Hausdorff test fails. Components picked on both axes count once.
     """
-    covers = _axis_covers(diagram, tol)
-    return None if covers is None else tuple(sorted({*covers[0], *covers[1]}))
+    tol = resolve_tol(tol)
+    union: set = set()
+    for axis, length in (("p", diagram.n), ("q", diagram.m)):
+        cover = greedy_axis_cover(_axis_intervals(diagram, axis), Interval(0.0, float(length)), tol)
+        if cover is None:
+            return None
+        union.update(cover)
+    return tuple(sorted(union))

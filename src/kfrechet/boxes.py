@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .config import resolve_tol
 from .curves import Interval, interval_union_covers
+from .decide import _budget
 
 _INF = math.inf
 
@@ -55,7 +56,7 @@ class CnfFormula:
 
 @dataclass(frozen=True)
 class LabeledBox:
-    """Axis-aligned unit-height box with bottom-left corner (x, y)."""
+    """Axis-aligned unit-height box with bottom-left corner (x, y); label: a nonzero int."""
 
     x: float
     y: float
@@ -69,6 +70,8 @@ class LabeledBox:
                 raise ValueError(f"box width must be a finite number >= 1, got {self.w}")
             raise ValueError("box coordinates must be finite and positive, "
                              f"got ({self.x}, {self.y})")
+        if not hasattr(type(self.label), "__index__") or self.label == 0:
+            raise ValueError(f"box label must be a nonzero integer, got {self.label!r}")
 
     @property
     def x_interval(self) -> Interval:
@@ -81,7 +84,7 @@ class LabeledBox:
 
 @dataclass(frozen=True)
 class BoxInstance:
-    """Bounding rectangle spanning (1, 1)..(x_max, y_max) plus boxes and budget."""
+    """Bounding rectangle spanning (1, 1)..(x_max, y_max) plus boxes and budget k >= 0."""
 
     x_max: float
     y_max: float
@@ -91,6 +94,7 @@ class BoxInstance:
     def __post_init__(self):
         if not (-_INF < self.x_max < _INF and -_INF < self.y_max < _INF):
             raise ValueError(f"box bounds must be finite, got ({self.x_max}, {self.y_max})")
+        _budget(self.k)
 
 
 def normalize_formula(formula: CnfFormula) -> CnfFormula:
@@ -447,9 +451,9 @@ def box_instance_from_json(obj: dict) -> BoxInstance:
     try:
         x_max, y_max = obj["bound"]
         boxes = tuple(
-            LabeledBox(float(b["x"]), float(b["y"]), float(b["w"]), int(b["label"]))
+            LabeledBox(float(b["x"]), float(b["y"]), float(b["w"]), b["label"])
             for b in obj["boxes"]
         )
-        return BoxInstance(x_max=float(x_max), y_max=float(y_max), k=int(obj["k"]), boxes=boxes)
+        return BoxInstance(x_max=float(x_max), y_max=float(y_max), k=obj["k"], boxes=boxes)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed box instance JSON: {exc}") from exc

@@ -14,10 +14,17 @@ the one per-axis shape that the greedy covers of :mod:`kfrechet.approx`
 and the eps search of :mod:`kfrechet.optimize` read too. Only the strong
 decision needs the cell geometry; the others need only the component
 projections.
+
+Every cover test follows :func:`~kfrechet.curves.interval_union_covers`:
+swept from frontier 0, an interval joins a chain when ``lo <= frontier +
+tol`` and ``hi > frontier``; the chain covers once the frontier reaches
+``axis_len - tol``. The intervals of a cover that move the sweep's
+frontier form a chain, so every cover contains one.
 """
 
 from __future__ import annotations
 
+import bisect
 import operator
 from typing import Iterable
 
@@ -61,79 +68,95 @@ def fpt_feasible_selections(diagram: FreeSpaceDiagram, axis: str, k: int,
                             tol: float | None = None) -> tuple[list, int]:
     """All axis-covering selections found by a depth-bounded sweep search.
 
-    Each node of the search tree stands for a component whose projection
-    interval contains the parent's frontier (the right end of the prefix
-    covered so far) and extends it (strictly, beyond tolerance); the root,
-    at depth 0, is the axis' left boundary, and no path is deeper than k.
-    A path ends as soon as its component reaches the right boundary. The
-    tree is walked depth-first as a path enumeration and its nodes are
-    never materialised. Returns the duplicate-free sorted list of
-    selections (as sorted id tuples) plus the raw feasible-path count.
+    The search tree holds every covering chain (see the module docstring)
+    of at most k components, walked breadth-first. Returns the sorted
+    selections of its paths (as sorted id tuples) and the path count.
 
-    The children of a node all meet the axis-parallel line just past its
-    frontier, so a node has at most ``diagram.z`` children and the tree
-    at most z^k paths. ``diagram.z`` is at most the paper's z (see
-    :class:`~kfrechet.freespace.FreeSpaceDiagram`), so this is the
-    paper's FPT bound in k and z.
+    A node's children all meet the window (frontier, frontier + tol]; where
+    no two projection ends lie within tol, they all meet one axis-parallel
+    line, so a node has at most ``diagram.z`` children and the tree at
+    most z^k paths. ``diagram.z`` is at most the paper's z (see
+    :class:`~kfrechet.freespace.FreeSpaceDiagram`): the paper's FPT bound.
     """
     tol = resolve_tol(tol)
     k = _budget(k)
     axis_len = float(diagram.n if axis == "p" else diagram.m)
-    return _axis_selections(_axis_intervals(diagram, axis), axis_len, k, tol)
+    tree = _axis_selections(_axis_intervals(diagram, axis), axis_len, tol)
+    levels = [level for _, level in zip(range(k + 1), tree)]
+    return sorted({sel for level in levels for sel in level}), sum(map(len, levels))
 
 
-def _axis_selections(intervals, axis_len: float, k: int, tol: float) -> tuple[list, int]:
-    """:func:`fpt_feasible_selections` on a list of (id, lo, hi) projections."""
-    found: set = set()
-    paths = 0
-
-    def extend(frontier: float, path: tuple, depth: int) -> None:
-        nonlocal paths
-        if depth == k:
-            return
-        for cid, lo, hi in intervals:
-            if lo <= frontier + tol and hi > frontier + tol:
-                if hi >= axis_len - tol:
-                    paths += 1
-                    found.add(tuple(sorted((*path, cid))))
-                else:
-                    extend(hi, (*path, cid), depth + 1)
-
-    extend(0.0, (), 0)
-    return sorted(found), paths
+def _axis_selections(intervals, axis_len: float, tol: float):
+    """The search tree on (id, lo, hi) projections, breadth-first: for depth
+    0, 1, ..., the selections of the paths of that many components that
+    cover the axis (one sorted id tuple per path), while any path is open."""
+    level = [(0.0, ())]  # the (frontier, path) nodes of one depth
+    while level:
+        yield [tuple(sorted(path)) for frontier, path in level if frontier >= axis_len - tol]
+        level = [(hi, (*path, cid)) for frontier, path in level if frontier < axis_len - tol
+                 for cid, lo, hi in intervals if lo <= frontier + tol and hi > frontier]
 
 
-def _joint_covers(intervals_p, intervals_q, n: int, m: int, k: int, tol: float):
-    """Unions of at most k ids of a p-axis and a q-axis selection of the
-    search tree, as sorted id tuples, in the order the pairs are tried.
+def _cheapest_cover(by_hi, axis_len: float, tol: float, free) -> tuple | None:
+    """``free`` and the fewest other ids holding a chain that covers the axis,
+    sorted, or None, from (id, lo, hi) intervals sorted by hi. A frontier is kept
+    only while no larger one is as cheap: the first kept past a point is cheapest."""
+    free = set(free)
+    fronts, reach, costs, paids = [0.0], [tol], [0], [()]  # f, f + tol, cost, paid ids (id, rest)
+    for cid, lo, hi in by_hi:
+        i = bisect.bisect_left(reach, lo)
+        if i == len(fronts) or fronts[i] >= hi:
+            continue
+        cost, paid = (costs[i], paids[i]) if cid in free else (costs[i] + 1, (cid, paids[i]))
+        while costs and costs[-1] >= cost:
+            del fronts[-1], reach[-1], costs[-1], paids[-1]
+        fronts.append(hi)
+        reach.append(hi + tol)
+        costs.append(cost)
+        paids.append(paid)
+    i = bisect.bisect_left(fronts, axis_len - tol)
+    if i == len(fronts):
+        return None
+    ids, paid = list(free), paids[i]
+    while paid:
+        cid, paid = paid
+        ids.append(cid)
+    return tuple(sorted(ids))
 
-    ``intervals_p``/``intervals_q`` are (id, lo, hi) projections on axes of
-    length n and m. Every union covers both axes.
-    """
-    sels_p, _ = _axis_selections(intervals_p, float(n), k, tol)
-    if not sels_p:
-        return
-    sels_q, _ = _axis_selections(intervals_q, float(m), k, tol)
-    for sp in sels_p:
-        set_p = set(sp)
-        for sq in sels_q:
-            union = set_p.union(sq)
-            if len(union) <= k:
-                yield tuple(sorted(union))
+
+def _min_joint_cover(intervals_p, intervals_q, n: int, m: int, k: int, tol: float) -> tuple | None:
+    """:func:`decide_fpt` on (id, lo, hi) projections onto axes of length n and m."""
+    by_hi_q = sorted(intervals_q, key=operator.itemgetter(2))
+    best, size = None, k + 1  # only a cover smaller than size is kept
+    for depth, level in enumerate(_axis_selections(intervals_p, n, tol)):
+        for sel in sorted(set(level)):
+            cover = _cheapest_cover(by_hi_q, m, tol, sel)
+            if cover is None:
+                return None  # the q axis has no cover at all
+            if len(cover) < size:
+                best, size = cover, len(cover)
+            if size == depth:
+                return best  # no path of this depth or deeper gives less
+        if size <= depth + 1:
+            break
+    return best
 
 
 def decide_fpt(diagram: FreeSpaceDiagram, k: int, tol: float | None = None) -> tuple | None:
-    """Bounded-search-tree decision for budget k.
+    """A minimum selection covering both axes if it has at most k
+    components, else None.
 
-    Feasible per-axis selections are enumerated independently, then every
-    pair is combined; a pair whose union stays within k components is a
-    positive answer. The lexicographically smallest union is returned so
-    results are deterministic.
+    The search tree of :func:`fpt_feasible_selections` on p is walked
+    breadth-first, no deeper than k or the least cover size, and each
+    path S is completed by the q chain with fewest components outside S,
+    in O(C log C) for C components. A cover X holds such an S and a q
+    chain, so the least total is the least |X|. Paths go by depth and
+    then in sorted order; a later cover wins only if it is smaller.
     """
     tol = resolve_tol(tol)
     k = _budget(k)
-    return min(_joint_covers(_axis_intervals(diagram, "p"), _axis_intervals(diagram, "q"),
-                             diagram.n, diagram.m, k, tol), default=None)
+    return _min_joint_cover(_axis_intervals(diagram, "p"), _axis_intervals(diagram, "q"),
+                            diagram.n, diagram.m, k, tol)
 
 
 def _weak_witness(diagram: FreeSpaceDiagram, tol: float | None = None) -> int | None:

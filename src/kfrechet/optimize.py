@@ -32,10 +32,10 @@ import math
 
 import numpy as np
 
-from .approx import _axis_covers
+from .approx import approximate_k
 from .config import resolve_tol
 from .curves import PolyCurve
-from .decide import _budget, _joint_covers, decide_fpt
+from .decide import _budget, _min_joint_cover, decide_fpt
 from .freespace import FreeSpaceDiagram, _components, _dot, _PairGeometry, build_diagram
 
 
@@ -43,21 +43,12 @@ def minimize_k(diagram: FreeSpaceDiagram, tol: float | None = None) -> int | Non
     """Smallest covering budget k for this diagram, or None.
 
     None exactly when no selection of any size covers (Hausdorff fails).
-    Scans k upward from the per-axis greedy lower bound using the
-    search-tree decider, up to the size of the greedy union of
-    :func:`~kfrechet.approx.approximate_k`, which covers and is at most
-    twice the optimum.
+    The size of the minimum cover of :func:`~kfrechet.decide.decide_fpt`
+    at the budget of :func:`~kfrechet.approx.approximate_k`, whose greedy
+    union covers under the decider's rule.
     """
-    covers = _axis_covers(diagram, tol)
-    if covers is None:
-        return None
-    cover_p, cover_q = covers
-    union = len({*cover_p, *cover_q})
-    lower = max(len(cover_p), len(cover_q))
-    for k in range(lower, union + 1):
-        if decide_fpt(diagram, k, tol) is not None:
-            return k
-    return union
+    approx = approximate_k(diagram, tol)
+    return None if approx is None else len(decide_fpt(diagram, len(approx), tol))
 
 
 def pairwise_vertex_max(P: PolyCurve, Q: PolyCurve) -> float:
@@ -133,9 +124,8 @@ def _cover_exists(geometry: _PairGeometry, eps: float, k: int, tol: float,
     the component labelling as in :func:`~kfrechet.freespace._components`."""
     p_lo, p_hi, q_lo, q_hi = _components(geometry.solve(eps, tol), forest)[2].tolist()
     ids = range(len(p_lo))
-    covers = _joint_covers(list(zip(ids, p_lo, p_hi)), list(zip(ids, q_lo, q_hi)),
-                           geometry.n, geometry.m, k, tol)
-    return next(covers, None) is not None
+    return _min_joint_cover(list(zip(ids, p_lo, p_hi)), list(zip(ids, q_lo, q_hi)),
+                            geometry.n, geometry.m, k, tol) is not None
 
 
 def _bisect(lo: float, hi: float, tol: float, feasible) -> tuple[float, float]:

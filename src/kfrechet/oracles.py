@@ -201,8 +201,8 @@ def sampled_hausdorff_bound(P: PolyCurve, Q: PolyCurve, samples: int) -> float:
 class Preprocessed:
     """Result of :func:`preprocess`.
 
-    ``necessary``: components that are the sole coverer of some open
-    sub-interval of an axis; every covering selection contains them.
+    ``necessary``: components without which the rest fail to cover both
+    axes while all do; every covering selection contains them.
     ``kept``: ids that survive redundancy pruning. ``dropped``: ids whose
     projection bounding box fits inside another component's box.
     """
@@ -210,27 +210,6 @@ class Preprocessed:
     necessary: tuple
     kept: tuple
     dropped: tuple
-
-
-def _sole_coverers(components, axis_len: float, proj, tol: float) -> set:
-    """Ids covering some open sub-interval of the axis on their own."""
-    events = [0.0, axis_len]
-    for c in components:
-        iv = proj(c)
-        events.append(min(max(iv.lo, 0.0), axis_len))
-        events.append(min(max(iv.hi, 0.0), axis_len))
-    events.sort()
-    marks = [events[0]]
-    for e in events[1:]:
-        if e - marks[-1] > tol:
-            marks.append(e)
-    found = set()
-    for a, b in zip(marks, marks[1:]):
-        mid = 0.5 * (a + b)
-        covering = [c.id for c in components if proj(c).lo <= mid <= proj(c).hi]
-        if len(covering) == 1:
-            found.add(covering[0])
-    return found
 
 
 def preprocess(diagram: FreeSpaceDiagram, tol: float | None = None) -> Preprocessed:
@@ -243,8 +222,9 @@ def preprocess(diagram: FreeSpaceDiagram, tol: float | None = None) -> Preproces
     """
     tol = resolve_tol(tol)
     comps = diagram.components
-    necessary = _sole_coverers(comps, float(diagram.n), lambda c: c.proj_p, tol)
-    necessary |= _sole_coverers(comps, float(diagram.m), lambda c: c.proj_q, tol)
+    covered = decide_hausdorff(diagram, tol)
+    necessary = tuple(c.id for c in comps if covered and not covers_both(
+        diagram, [other.id for other in comps if other is not c], tol))
 
     dropped = []
     for b in comps:
@@ -258,7 +238,7 @@ def preprocess(diagram: FreeSpaceDiagram, tol: float | None = None) -> Preproces
                 dropped.append(b.id)
                 break
     kept = tuple(c.id for c in comps if c.id not in set(dropped))
-    return Preprocessed(necessary=tuple(sorted(necessary)), kept=kept, dropped=tuple(dropped))
+    return Preprocessed(necessary=necessary, kept=kept, dropped=tuple(dropped))
 
 
 def decide_bruteforce(diagram: FreeSpaceDiagram, k: int, use_preprocess: bool = True,

@@ -401,6 +401,20 @@ class TestIo:
         with pytest.raises(ValueError):
             kf.BoxInstance(*bound, 1, (kf.LabeledBox(1, 1, 1, 1),))
 
+    @pytest.mark.parametrize("k", [1.5, 5.9, 2.0, -1, math.nan, "2", None])
+    def test_budget_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match="k must be"):
+            kf.BoxInstance(3.0, 3.0, k, (kf.LabeledBox(1, 1, 1, 1),))
+
+    @pytest.mark.parametrize("label", [0, -0.3, 1.0, math.nan, "1", None])
+    def test_label_must_be_a_nonzero_integer(self, label):
+        with pytest.raises(ValueError, match="label must be a nonzero integer"):
+            kf.LabeledBox(1, 1, 1, label)
+
+    def test_numpy_budget_and_label_accepted(self):
+        inst = kf.BoxInstance(3.0, 2.0, np.int64(2), (kf.LabeledBox(1, 1, 1, np.int32(-1)),))
+        assert inst.k == 2 and inst.boxes[0].label == -1
+
     def test_box_json_malformed(self):
         with pytest.raises(ValueError):
             kf.box_instance_from_json({"bound": [5, 5]})

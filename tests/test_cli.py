@@ -276,6 +276,17 @@ class TestBoxCommands:
         assert code == 2 and report is None
         assert "finite" in err
 
+    @pytest.mark.parametrize("k, label, message", [("5.9", "1", "k must be an integer"),
+                                                    ("2", "-0.3", "label must be a nonzero integer"),
+                                                    ("2", "0", "label must be a nonzero integer")])
+    def test_boxsolve_fractional_budget_or_label(self, capsys, tmp_path, k, label, message):
+        path = tmp_path / "frac.json"
+        path.write_text('{"bound": [3, 3], "k": %s, "boxes": [{"x": 1, "y": 1, "w": 1, "label": %s}]}'
+                        % (k, label))
+        code, report, err = run_cli(capsys, "boxsolve", "--in", str(path))
+        assert code == 2 and report is None
+        assert message in err
+
     def test_boxsolve_bad_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -62,6 +62,26 @@ class TestPreprocess:
         # neither uniquely covers anything
         assert len(pre.necessary) == 0
 
+    def test_necessary_is_exact_at_tolerance_scale(self):
+        # gaps and overlaps of 0.45e-9 and 0.9e-9 around the 1e-9 tolerance
+        d = stub_diagram(1, 1, [
+            ((0.5000000009, 0.99999999955), (-9e-10, 0.24999999955)),
+            ((0.2499999991, 0.75), (0.74999999955, 0.9999999991)),
+            ((0.25000000045, 0.75), (0.5, 1.0000000009)),
+            ((4.5e-10, 0.24999999955), (0.2499999991, 0.5)),
+            ((0.25000000045, 0.50000000045), (-4.5e-10, 0.9999999991)),
+            ((0.0, 0.2499999991), (0.2500000009, 0.5))])
+        without = oracles.decide_bruteforce(d, 3, use_preprocess=False)
+        assert without is not None and kf.covers_both(d, without)
+        assert oracles.decide_bruteforce(d, 3) == without
+        necessary = oracles.preprocess(d).necessary
+        assert set(necessary) <= set(without)
+        everyone = range(len(d.components))
+        for cid in everyone:
+            others = [o for o in everyone if o != cid]
+            assert (cid in necessary) == (not kf.covers_both(d, others))
+        assert exhaustive_min_selection_size(d) == kf.minimize_k(d) == 3
+
     def test_necessary_disjoint_from_dropped(self, rng):
         for _ in range(30):
             P, Q = random_pair(rng, 5)
@@ -172,6 +192,81 @@ class TestFpt:
             sels, count = kf.fpt_feasible_selections(d, "p", k)
             assert all(len(s) <= k for s in sels)
             assert count >= len(sels)
+
+
+def snapped_stub(rng) -> kf.FreeSpaceDiagram:
+    """A stub of 1-7 components whose projection ends lie on a quarter grid,
+    moved by up to two steps of 0.45e-9: gaps and overlaps on both sides of
+    the 1e-9 tolerance."""
+    n, m = (int(x) for x in rng.integers(1, 3, size=2))
+
+    def end_pair(length):
+        lo, hi = np.sort(rng.integers(0, 4 * length + 1, size=2)) / 4.0
+        return tuple(float(x + rng.integers(-2, 3) * 0.45e-9) for x in (lo, hi))
+
+    return stub_diagram(n, m, [(end_pair(n), end_pair(m)) for _ in range(int(rng.integers(1, 8)))])
+
+
+def forty_component_stub() -> kf.FreeSpaceDiagram:
+    """40 components, width-4 projections on 20 x 20 axes; the first two
+    reach the opposite ends of both axes, so a cover exists."""
+    rng = np.random.default_rng(0)
+    lo = rng.uniform(0.0, 16.0, size=(40, 2))
+    lo[:2] = [[0.0, 16.0], [16.0, 0.0]]
+    return stub_diagram(20, 20, [((p, p + 4.0), (q, q + 4.0)) for p, q in lo])
+
+
+class TestToleranceScale:
+    """One rule, that of ``interval_union_covers``: an interval joins a chain
+    when it starts within tol of the frontier and moves it; the axis is
+    covered once the frontier is within tol of its end."""
+
+    def test_gap_within_tolerance_is_forgiven(self):
+        d = stub_diagram(1, 1, [((0, .5), (0, 1)), ((.3, .5 + .5e-9), (0, 1)),
+                                ((.5 + 1.2e-9, 1), (0, 1))])
+        assert kf.decide_hausdorff(d)
+        assert oracles.decide_bruteforce(d, 3) == (0, 1, 2)
+        assert kf.decide_fpt(d, 3) == (0, 1, 2)
+        assert kf.decide_fpt(d, 2) is None
+        assert kf.approximate_k(d) == (0, 1, 2)
+        assert kf.minimize_k(d) == exhaustive_min_selection_size(d) == 3
+
+    def test_cover_survives_a_growing_interval(self):
+        def diagram(first_hi):
+            return stub_diagram(2, 1, [((0, first_hi), (0, 1)), ((0.5, 1.5), (0, 1)),
+                                       ((1.5 + 0.9e-9, 2), (0, 1))])
+
+        for first_hi in (1.0, 1.5 - 0.5e-9):
+            d = diagram(first_hi)
+            assert kf.fpt_feasible_selections(d, "p", 3)[0] == [(0, 1, 2)]
+            assert kf.decide_fpt(d, 3) == (0, 1, 2)
+            assert kf.minimize_k(d) == 3
+
+    def test_tolerance_as_wide_as_the_axes(self):
+        # under the rule of covers_both the empty selection covers; the search agrees
+        d = stub_diagram(1, 1, [((0.2, 0.8), (0.2, 0.8))])
+        assert kf.covers_both(d, (), tol=1.5)
+        assert kf.fpt_feasible_selections(d, "p", 0, tol=1.5) == ([()], 1)
+        assert kf.decide_fpt(d, 0, tol=1.5) == ()
+        assert kf.minimize_k(d, tol=1.5) == 0
+
+    def test_matches_exhaustive_oracle_on_snapped_stubs(self):
+        rng = np.random.default_rng(20261018)
+        for trial in range(3000):
+            d = snapped_stub(rng)
+            kmin = exhaustive_min_selection_size(d)
+            assert kf.minimize_k(d) == kmin, trial
+            for k in range(len(d.components) + 1):
+                sel = kf.decide_fpt(d, k)
+                assert (sel is None) == (exhaustive_decide(d, k) is None), (trial, k)
+                assert sel is None or (len(sel) == kmin and kf.covers_both(d, sel)), (trial, k)
+
+    def test_forty_components_at_k7(self):
+        d = forty_component_stub()
+        sel = kf.decide_fpt(d, 7)
+        assert sel is not None and len(sel) <= 7 and kf.covers_both(d, sel)
+        assert kf.decide_fpt(d, len(sel) - 1) is None
+        assert kf.minimize_k(d) == len(sel)
 
 
 NOT_INTEGERS = [float("nan"), float("inf"), -float("inf"), 1.5, 2.0, "2", None]

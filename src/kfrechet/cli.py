@@ -20,7 +20,7 @@ from .boxes import (FormulaError, box_instance_from_json, box_instance_to_json,
 from .curves import CurveError, PolyCurve, parse_curve, parse_curve_json
 from .decide import _weak_witness, decide_fpt, decide_hausdorff, decide_strong_frechet
 from .freespace import build_diagram
-from .optimize import minimize_epsilon, minimize_k
+from .optimize import minimize_epsilon
 from .svg import render_diagram_svg
 
 
@@ -89,12 +89,10 @@ def _cmd_minimize_k(args) -> tuple[bool, dict]:
     P = _load_curve(args.p)
     Q = _load_curve(args.q)
     diagram = build_diagram(P, Q, args.eps)
-    if args.method == "approx":
-        witness = approximate_k(diagram)
-        best = None if witness is None else len(witness)
-    else:
-        best = minimize_k(diagram)
-        witness = None if best is None else decide_fpt(diagram, best)
+    witness = approximate_k(diagram)
+    if args.method != "approx" and witness is not None:
+        witness = decide_fpt(diagram, len(witness))  # a minimum cover: minimize_k's search
+    best = None if witness is None else len(witness)
     report = {
         "answer": best is not None,
         "k": best,

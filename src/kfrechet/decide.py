@@ -25,8 +25,11 @@ frontier form a chain, so every cover contains one.
 from __future__ import annotations
 
 import bisect
+import math
 import operator
 from typing import Iterable
+
+import numpy as np
 
 from .config import resolve_tol
 from .curves import Interval, interval_union_covers
@@ -181,88 +184,54 @@ def decide_hausdorff(diagram: FreeSpaceDiagram, tol: float | None = None) -> boo
     return covers_both(diagram, range(len(diagram.components)), tol)
 
 
+def _boundary_starts(edges, tol: float) -> list:
+    """Start of the reachable part of each edge in a run of (lo, hi) boundary
+    edges from the origin corner, inf where none: an edge is reached when it is
+    nonempty and ``lo <= tol`` and, after the first, the edge before it is
+    reached and ends at ``>= 1 - tol``."""
+    lo, hi = edges.T
+    reached = (lo <= hi) & (lo <= tol)
+    reached[1:] &= hi[:-1] >= 1.0 - tol
+    return np.where(np.logical_and.accumulate(reached), lo, math.inf).tolist()
+
+
 def decide_strong_frechet(diagram: FreeSpaceDiagram, tol: float | None = None) -> bool:
     """Monotone reachability from the bottom-left to the top-right corner.
 
-    Classic dynamic program over cell boundary intervals: within one cell
-    the free space is convex, so from an entry point every exit point
-    above/right of it is reachable by a monotone segment.
+    The dynamic program of Alt & Godau over cell edges. A cell's free space
+    is convex, so the reachable part of a free edge ``[lo, hi]`` is
+    ``[start, hi]``; the sweep keeps the start only, inf where nothing on the
+    edge is reachable. The left and bottom boundary edges follow
+    :func:`_boundary_starts`. Of a cell entered from below (start b), the
+    right edge starts at ``r_lo``; of one entered from the left only (start
+    l), at ``max(r_lo, l)``. Symmetrically, the top edge starts at ``t_lo``
+    when the cell is entered from the left, else at ``max(t_lo, b)``. A start
+    past the edge's hi is inf.
     """
     grid = diagram.cells
     if not isinstance(grid, FreeSpaceGrid):
         raise ValueError("decide_strong_frechet needs the cell geometry of the diagram; "
                          "this one holds component projections only")
     tol = resolve_tol(tol)
-    n, m = diagram.n, diagram.m
-    # Edge intervals as lo and hi lists (empty where lo > hi), converted one
-    # column at a time as the sweep reaches it: reachability usually dies in
-    # the first columns. vert[i] holds the left edges of the cells (i, j),
-    # the right edges of the cells (i-1, j); horiz[i] the bottom and top
-    # edges of the cells (i, j).
-    empty = (1.0, -1.0)
-
-    def clip_from(edge_lo: float, edge_hi: float, lo: float):
-        if edge_lo > edge_hi or edge_hi < lo:
-            return empty
-        return (max(edge_lo, lo), edge_hi)
-
-    def opens(edge_lo: float, edge_hi: float) -> bool:
-        """Nonempty and starting at the cell corner."""
-        return edge_lo <= edge_hi and edge_lo <= tol
-
-    # reach_left[j] for the current column i: reachable part of the left
-    # edge of cell (i, j); reach_bottom[i] that of the bottom edge of cell
-    # (i, 0), the only bottom edges reached from outside a column.
-    reach_left = [empty] * m
-    v_lo, v_hi = grid.vert[0].T.tolist()
-    if opens(v_lo[0], v_hi[0]):
-        reach_left[0] = (v_lo[0], v_hi[0])
-        for j in range(1, m):
-            below = reach_left[j - 1]
-            if below[0] <= below[1] and below[1] >= 1.0 - tol and opens(v_lo[j], v_hi[j]):
-                reach_left[j] = (v_lo[j], v_hi[j])
-            else:
-                break
-
-    reach_bottom = [empty] * n
-    h_lo, h_hi = grid.horiz[:, 0].T.tolist()
-    if opens(h_lo[0], h_hi[0]):
-        reach_bottom[0] = (h_lo[0], h_hi[0])
-        for i in range(1, n):
-            left_of = reach_bottom[i - 1]
-            if left_of[0] <= left_of[1] and left_of[1] >= 1.0 - tol and opens(h_lo[i], h_hi[i]):
-                reach_bottom[i] = (h_lo[i], h_hi[i])
-            else:
-                break
-
+    n, m, inf = diagram.n, diagram.m, math.inf
+    # left[j]: start on the left edge of cell (i, j) in column i; bottom[i]: on
+    # the bottom edge of cell (i, 0), the only bottom edge entered from outside.
+    left = _boundary_starts(grid.vert[0], tol)
+    bottom = _boundary_starts(grid.horiz[:, 0], tol) + [inf]
     for i in range(n):
-        right_lo, right_hi = grid.vert[i + 1].T.tolist()
-        top_lo, top_hi = grid.horiz[i].T.tolist()
-        next_left = [empty] * m
-        bottom_in = reach_bottom[i]
-        for j in range(m):
-            left_in = reach_left[j]
-            has_left = left_in[0] <= left_in[1]
-            has_bottom = bottom_in[0] <= bottom_in[1]
-            if has_bottom:
-                out_right = clip_from(right_lo[j], right_hi[j], 0.0)
-            elif has_left:
-                out_right = clip_from(right_lo[j], right_hi[j], left_in[0])
-            else:
-                out_right = empty
-            if has_left:
-                out_top = clip_from(top_lo[j + 1], top_hi[j + 1], 0.0)
-            elif has_bottom:
-                out_top = clip_from(top_lo[j + 1], top_hi[j + 1], bottom_in[0])
-            else:
-                out_top = empty
-            next_left[j] = out_right
-            bottom_in = out_top
-        if i == n - 1 and bottom_in[0] <= bottom_in[1] and bottom_in[1] >= 1.0 - tol:
-            # top-right corner reached through the top edge of the last cell
-            return True
-        if next_left.count(empty) == m and (i + 1 == n or reach_bottom[i + 1] is empty):
+        r_lo, r_hi = grid.vert[i + 1].T.tolist()
+        t_lo, t_hi = grid.horiz[i, 1:].T.tolist()
+        right, b = [inf] * m, bottom[i]
+        for j, l in enumerate(left):
+            if b == l == inf:
+                continue  # neither entered: nothing leaves this cell
+            r = r_lo[j] if b < inf else max(r_lo[j], l)
+            t = t_lo[j] if l < inf else max(t_lo[j], b)
+            right[j] = r if r <= r_hi[j] else inf
+            b = t if t <= t_hi[j] else inf
+        if i == n - 1 and b < inf and t_hi[m - 1] >= 1.0 - tol:
+            return True  # top-right corner reached through the top edge of the last cell
+        if right.count(inf) == m and bottom[i + 1] == inf:
             return False  # nothing reachable enters the remaining columns
-        reach_left = next_left
-    top_right = reach_left[m - 1]
-    return top_right[0] <= top_right[1] and top_right[1] >= 1.0 - tol
+        left = right
+    return left[m - 1] < inf and r_hi[m - 1] >= 1.0 - tol

@@ -147,11 +147,16 @@ def render_diagram_svg(diagram: FreeSpaceDiagram, P=None, Q=None,
 
     ``P``/``Q`` are the source curves; they are required to draw the free
     regions (cell geometry is not stored in the diagram). Without them
-    only grid, projections metadata and axes are emitted. ``selected``
-    holds the ids of the components to outline; an id the diagram does
-    not have raises ``KeyError``, as in :func:`~kfrechet.decide.covers_both`.
+    only grid, projections metadata and axes are emitted. A given curve
+    whose segment count is not the diagram's (n for P, m for Q) raises
+    ``ValueError``. ``selected`` holds the ids of the components to
+    outline; an id the diagram does not have raises ``KeyError``, as in
+    :func:`~kfrechet.decide.covers_both`.
     """
     n, m = diagram.n, diagram.m
+    if (P is not None and P.n != n) or (Q is not None and Q.n != m):
+        raise ValueError(f"the curves must have the diagram's segment counts, "
+                         f"n = {n} for P and m = {m} for Q")
     scale = min((CANVAS - MARGIN_LEFT - MARGIN_RIGHT) / n,
                 (CANVAS - MARGIN_TOP - MARGIN_BOTTOM) / m)
     x0 = MARGIN_LEFT

@@ -3,6 +3,7 @@ import pytest
 
 import kfrechet as kf
 from kfrechet import oracles
+from kfrechet.freespace import FreeSpaceGrid
 from conftest import (SIX_COMPONENT_PAIR, epsilon_probes, exhaustive_decide,
                       exhaustive_min_selection_size, random_pair, stub_diagram)
 
@@ -11,6 +12,29 @@ def diagonal_diagram(eps=1.0):
     P = kf.PolyCurve([(0, 0), (1, 0)])
     Q = kf.PolyCurve([(0, 1), (1, 1)])
     return kf.build_diagram(P, Q, eps)
+
+
+FREE, SHUT = (0.0, 1.0), (np.inf, -np.inf)  # a wholly free and an empty edge
+
+
+def edge_diagram(vert, horiz):
+    """A diagram holding only hand-set cell edges: ``vert`` (n+1, m) and
+    ``horiz`` (n, m+1) nested lists of (lo, hi), as in :class:`FreeSpaceGrid`."""
+    vert, horiz = np.array(vert, dtype=float), np.array(horiz, dtype=float)
+    n, m = horiz.shape[0], vert.shape[1]
+    shut = np.full((n, m, 2), SHUT)
+    grid = FreeSpaceGrid(vert=vert, horiz=horiz, s_proj=shut, t_proj=shut)
+    return kf.FreeSpaceDiagram(epsilon=1.0, n=n, m=m, cells=grid, components=(), z=0)
+
+
+def strong_both_ways(vert, horiz, tol):
+    """The strong decision on the edge diagram and on its transpose (P and Q
+    swapped), which must agree."""
+    d = edge_diagram(vert, horiz)
+    flipped = edge_diagram(d.cells.horiz.transpose(1, 0, 2), d.cells.vert.transpose(1, 0, 2))
+    answer = kf.decide_strong_frechet(d, tol)
+    assert kf.decide_strong_frechet(flipped, tol) == answer
+    return answer
 
 
 def six_component_diagram():
@@ -341,6 +365,55 @@ class TestClassicDecisions:
         assert kf.decide_weak_frechet(d)  # the projections alone answer the others
         with pytest.raises(ValueError, match="cell geometry"):
             kf.decide_strong_frechet(d)
+
+
+class TestStrongEdgeRules:
+    """The strong decision on hand-set edges, each case in both orientations."""
+
+    TOLS = (1e-6, 0.125)
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_first_boundary_edge_starts_within_tol(self, tol):
+        # 1x1, entered only through the left edge, left by the right edge
+        for lo, reached in ((tol, True), (2 * tol, False)):
+            assert strong_both_ways([[(lo, 1.0)], [FREE]], [[SHUT, FREE]], tol) == reached
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_later_boundary_edge_starts_within_tol(self, tol):
+        # 1x2: cell (0, 1) is entered only through its left boundary edge
+        for lo, reached in ((tol, True), (2 * tol, False)):
+            vert = [[FREE, (lo, 1.0)], [SHUT, FREE]]
+            assert strong_both_ways(vert, [[SHUT, SHUT, FREE]], tol) == reached
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_boundary_edge_before_ends_within_tol(self, tol):
+        for hi, reached in ((1.0 - tol, True), (np.nextafter(1.0 - tol, 0.0), False)):
+            vert = [[(0.0, hi), FREE], [SHUT, FREE]]
+            assert strong_both_ways(vert, [[SHUT, SHUT, FREE]], tol) == reached
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_corner_through_the_last_top_edge(self, tol):
+        # 3x1 with the last right edge shut: only the top edge of the last cell ends at the corner
+        for hi, reached in ((1.0, True), (1.0 - tol, True), (1.0 - 2 * tol, False)):
+            vert = [[FREE], [FREE], [FREE], [SHUT]]
+            horiz = [[FREE, FREE], [FREE, FREE], [FREE, (0.0, hi)]]
+            assert strong_both_ways(vert, horiz, tol) == reached
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_corner_through_the_last_right_edge(self, tol):
+        # 1x3 with the last top edge shut: only the right edge of the last cell ends at the corner
+        for hi, reached in ((1.0, True), (1.0 - tol, True), (1.0 - 2 * tol, False)):
+            vert = [[FREE, FREE, FREE], [FREE, FREE, (0.0, hi)]]
+            horiz = [[FREE, FREE, FREE, SHUT]]
+            assert strong_both_ways(vert, horiz, tol) == reached
+
+    def test_entry_start_carries_into_the_next_cell(self):
+        # 3x1, every top edge shut: cell (1, 0) is entered from the left only, at
+        # t >= 0.5, so it reaches its right edge only where that reaches 0.5
+        for hi, reached in ((0.5, True), (0.6, True), (np.nextafter(0.5, 0.0), False)):
+            vert = [[FREE], [(0.5, 1.0)], [(0.0, hi)], [FREE]]
+            horiz = [[FREE, SHUT], [SHUT, SHUT], [SHUT, SHUT]]
+            assert strong_both_ways(vert, horiz, 0.0) == reached
 
 
 class TestStructuralProperties:

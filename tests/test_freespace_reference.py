@@ -30,7 +30,7 @@ import pytest
 
 import kfrechet as kf
 from kfrechet import optimize
-from kfrechet.freespace import FreeSpaceGrid, _as_grid, _components, _PairGeometry
+from kfrechet.freespace import FreeSpaceGrid, _as_grid, _components, _interval, _PairGeometry
 from kfrechet.optimize import _bisect, _cover_exists
 
 from conftest import random_curve, sweep_z
@@ -361,6 +361,32 @@ def test_build_diagram_equals_reference(chunk):
 
 def test_blocked_cases_have_no_strong_matching():
     assert not any(kf.decide_strong_frechet(kf.build_diagram(*c)) for c in BLOCKED)
+
+
+def edge_cells(grid, n, m):
+    """The edges of a :class:`FreeSpaceGrid` as the reference's nested RefCells."""
+    return tuple(tuple(RefCell(*map(_interval, (grid.vert[i, j], grid.vert[i + 1, j],
+                                                grid.horiz[i, j], grid.horiz[i, j + 1])),
+                               None, None, None) for j in range(m)) for i in range(n))
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_strong_frechet_equals_reference_at_critical_eps(chunk):
+    """At every fourth distance candidate and the floats either side of it,
+    with a strong decision tolerance of 0 and of 1e-6."""
+    answers = [0, 0]
+    for P, Q, _ in CASES[chunk::32]:
+        for c in kf.distance_candidates(P, Q)[::4]:
+            for eps in (math.nextafter(c, -math.inf), float(c), math.nextafter(c, math.inf)):
+                if eps < 0.0:
+                    continue
+                d = kf.build_diagram(P, Q, eps)
+                cells = edge_cells(d.cells, d.n, d.m)
+                for tol in (0.0, 1e-6):
+                    got = kf.decide_strong_frechet(d, tol)
+                    assert got == reference_strong_frechet(cells, d.n, d.m, tol), (P, Q, eps, tol)
+                    answers[got] += 1
+    assert min(answers) >= 100, answers
 
 
 def test_no_component_with_one_empty_projection():

@@ -64,6 +64,17 @@ class TestRenderDiagram:
                 kf.render_diagram_svg(d, P, Q, selected=selected)
         assert metadata(kf.render_diagram_svg(d, P, Q, selected=(0,)))["selected"] == [0]
 
+    def test_curves_of_another_diagram_rejected(self):
+        P = kf.PolyCurve([(0, 0), (1, 0), (2, 0)])
+        Q = kf.PolyCurve([(0, 1), (2, 1)])
+        d = kf.build_diagram(P, Q, 1.5)  # n = 2, m = 1
+        longer = kf.PolyCurve([(0, 0), (1, 0), (2, 0), (3, 0)])
+        for curves in ((longer, Q), (P, longer), (Q, P), (longer, None), (None, P)):
+            with pytest.raises(ValueError, match="segment counts"):
+                kf.render_diagram_svg(d, *curves)
+        assert metadata(kf.render_diagram_svg(d, P, Q))["n"] == 2
+        assert metadata(kf.render_diagram_svg(d))["m"] == 1
+
     def test_axis_labels_present(self):
         P, Q = diagonal_pair()
         d = kf.build_diagram(P, Q, 1.0)

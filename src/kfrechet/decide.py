@@ -128,11 +128,22 @@ def _cheapest_cover(by_hi, axis_len: float, tol: float, free) -> tuple | None:
 
 
 def _min_joint_cover(intervals_p, intervals_q, n: int, m: int, k: int, tol: float) -> tuple | None:
-    """:func:`decide_fpt` on (id, lo, hi) projections onto axes of length n and m."""
+    """:func:`decide_fpt` on (id, lo, hi) projections onto axes of length n and m.
+
+    A path of ``depth`` components, once the best cover has ``depth + 1``,
+    wins only if it covers q alone, so it is completed from its own q
+    intervals (in ``by_hi_q`` order) instead of from all of them.
+    """
     by_hi_q = sorted(intervals_q, key=operator.itemgetter(2))
+    rank = {iv[0]: r for r, iv in enumerate(by_hi_q)}
     best, size = None, k + 1  # only a cover smaller than size is kept
     for depth, level in enumerate(_axis_selections(intervals_p, n, tol)):
         for sel in sorted(set(level)):
+            if size == depth + 1:  # only sel itself can win: try its own q intervals
+                own = [by_hi_q[r] for r in sorted(rank[cid] for cid in sel)]
+                if _cheapest_cover(own, m, tol, sel) is not None:
+                    return sel  # a cover of size depth: no smaller one is left
+                continue
             cover = _cheapest_cover(by_hi_q, m, tol, sel)
             if cover is None:
                 return None  # the q axis has no cover at all

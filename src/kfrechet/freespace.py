@@ -15,7 +15,7 @@ of strip terms for the s and t strips of all cells, and gather indices
 for each cell's hull pieces and for the interior edges that join cells.
 A solve at eps is then one disk slice, one strip slice, the hull gathers
 and a union-find over the free joins; a search over eps re-solves only
-that. :func:`build_diagram` and the per-cell functions reshape the solved
+that, and a diagram keeps the pair it was solved from for such a search. :func:`build_diagram` and the per-cell functions reshape the solved
 rows into a :class:`FreeSpaceGrid`: free intervals of the (n+1)×m
 vertical and n×(m+1) horizontal cell edges and the n×m cell projections
 on each axis. A :class:`Component` holds its id, its cells and its two
@@ -36,7 +36,7 @@ only a single free boundary point belong to the same component.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -91,7 +91,15 @@ class FreeSpaceDiagram:
     ``z``, the most component projections met by one axis-parallel line,
     is at most the paper's z (the most segments of one curve within eps of
     a point on the other): each component met at P(s) holds a cell whose
-    Q segment is within eps of P(s), and likewise on Q.
+    Q segment is within eps of P(s), and likewise on Q. A line meets at
+    least as many projections at the largest projection start at or before
+    it, so ``z`` is counted at the starts alone (see :func:`_stab_number`).
+
+    A diagram from :func:`build_diagram` keeps the prepared curve pair it was
+    solved from, so that :func:`~kfrechet.optimize.minimize_epsilon` probes
+    other eps without preparing the pair again. It is not part of the value:
+    equality, hashing and ``repr`` ignore it, and ``dataclasses.replace``
+    drops it.
     """
 
     epsilon: float
@@ -100,6 +108,7 @@ class FreeSpaceDiagram:
     cells: FreeSpaceGrid | tuple  # () for diagrams made from projections alone
     components: tuple  # tuple of Component, ids equal to positions
     z: int  # max number of components met by any axis-aligned line
+    _pair: _PairGeometry | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _picked(diagram: FreeSpaceDiagram, ids) -> list:
@@ -205,8 +214,9 @@ class _PairGeometry:
     i*m + j), then their t strips; each holds the u-range whose foot falls
     inside the other segment and the signed distance ``gamma + delta*u``
     from its line. Gather indices pick each cell's hull pieces and the
-    interior edges that join cells. :meth:`solve` adds only the eps work,
-    so a search over eps prepares the pair once.
+    interior edges that join cells, and each cell's shift to global
+    parameters. :meth:`solve` adds only the eps work, so a search over eps
+    prepares the pair once.
 
     Raises ``ValueError`` when a term leaves the float64 range (a squared
     length that overflows or underflows to 0): every edge would then read
@@ -259,6 +269,10 @@ class _PairGeometry:
         self.join_edge = np.concatenate((cell[m:], nv + inner + row[col > 0]))
         self.join_a = np.concatenate((cell[:nm - m], inner - 1))
         self.join_b = np.concatenate((cell[m:], inner))
+        # Shift of each cell's projection rows (lo s, lo t, -hi s, -hi t) to
+        # global parameters: x + (-0.0) is x and x + (-i) is x - i, bit for bit.
+        start = np.array((row, col), dtype=float)
+        self.shift = np.concatenate((start, -start))
 
     def solve(self, eps: float, tol: float) -> _Solved:
         """Edge intervals and cell projections at eps.
@@ -393,10 +407,7 @@ def _components(solved: _Solved, forest: np.ndarray | None = None):
     # hull of the member cells' projections, shifted to global parameters: s
     # by the cell's i, t by its j; rows p_lo, q_lo, -p_hi, -q_hi
     ends = np.full((4, len(roots)), _INF)
-    shift = np.stack(np.divmod(occupied, pair.m))
-    cells = proj.reshape(4, nm).take(occupied, axis=1)
-    cells[:2] += shift
-    cells[2:] -= shift
+    cells = (proj.reshape(4, nm) + pair.shift).take(occupied, axis=1)
     np.minimum.at(ends.ravel(), (label + len(roots) * _ROWS).ravel(), cells.ravel())
     return occupied, label, ends[[0, 2, 1, 3]] * _SIGNS
 
@@ -411,9 +422,9 @@ def build_diagram(P: PolyCurve, Q: PolyCurve, eps: float,
     cell, become single-cell components. Components are numbered in the
     row-major order (cell index i*m + j) of their first cell.
     """
-    tol = resolve_tol(tol)
     n, m = P.n, Q.n
-    solved = _PairGeometry(P.vertices, Q.vertices).solve(eps, tol)
+    pair = _PairGeometry(P.vertices, Q.vertices)
+    solved = pair.solve(eps, resolve_tol(tol))
     occupied, label, ends = _components(solved)
     ii, jj = np.divmod(occupied, m)
     members = [[] for _ in ends[0]]
@@ -424,23 +435,30 @@ def build_diagram(P: PolyCurve, Q: PolyCurve, eps: float,
         Component(id=c, cells=frozenset(members[c]),
                   proj_p=_interval((plo, phi)), proj_q=_interval((qlo, qhi)))
         for c, (plo, phi, qlo, qhi) in enumerate(zip(*ends.tolist())))
-    return FreeSpaceDiagram(epsilon=eps, n=n, m=m, cells=_as_grid(solved), components=components,
-                            z=_stab_number(ends, n, m, tol))
+    diagram = FreeSpaceDiagram(epsilon=eps, n=n, m=m, cells=_as_grid(solved),
+                               components=components, z=_stab_number(ends))
+    object.__setattr__(diagram, "_pair", pair)  # frozen; see FreeSpaceDiagram
+    return diagram
 
 
-def _stab_number(ends, n: int, m: int, tol: float) -> int:
-    """Most components met by one axis-parallel line, by a sorted sweep.
+def _stab_number(ends) -> int:
+    """Most components met by one axis-parallel line, counted at projection starts.
 
     ``ends`` holds the arrays (p_lo, p_hi, q_lo, q_hi) of the component
-    projections; empty ones (lo > hi) meet no line and are skipped.
+    projections; empty ones (lo > hi) meet no line and are skipped. A closed
+    projection that contains x contains the largest start at or below x, so
+    no line meets more projections than the line at some start, and the
+    starts of a built diagram lie on the axes, inside [0, n] and [0, m]:
+    no line within the axes, at or near an end, meets more. With the
+    starts sorted, the line at the i-th (from 1) meets i
+    projections less those ending below it; of equal starts the last counts
+    exactly and the others count fewer.
     """
     best = 0
-    for lo, hi, length in ((ends[0], ends[1], n), (ends[2], ends[3], m)):
+    for lo, hi in ((ends[0], ends[1]), (ends[2], ends[3])):
         lo, hi = np.sort(lo[lo <= hi]), np.sort(hi[lo <= hi])
-        pos = np.concatenate([e + shift for e in (lo, hi) for shift in (-tol, 0.0, tol)])
-        pos = pos[(pos >= 0.0) & (pos <= length)]
-        if pos.size:
-            count = np.searchsorted(lo, pos, "right") - np.searchsorted(hi, pos, "left")
+        if lo.size:
+            count = np.arange(1, lo.size + 1) - np.searchsorted(hi, lo, "left")
             best = max(best, int(count.max()))
     return best
 

@@ -3,10 +3,11 @@
 Minimise the number of covering components at fixed eps, or the distance
 eps at a fixed component budget k. Both lean on monotonicity: a positive
 decision stays positive when k or eps grows. The eps search decides
-eps = 0 on a built diagram, then prepares the eps-independent geometry of
-the pair once; each further probe solves only the eps terms, labels the
-components and runs the search-tree decider on their projections, without
-building a :class:`FreeSpaceDiagram`. Free space only grows with eps (in
+eps = 0 on a built diagram, whose build prepares the eps-independent
+geometry of the pair once; each further probe solves only the eps terms
+of that prepared pair, labels the components and runs the search-tree
+decider on their projections, without building a
+:class:`FreeSpaceDiagram`. Free space only grows with eps (in
 floating point too, see :mod:`kfrechet.freespace`), so each probe starts
 its union-find from the components found at the largest eps found
 infeasible so far and adds only the joins free at its own eps; the labels
@@ -152,9 +153,10 @@ def minimize_epsilon(P: PolyCurve, Q: PolyCurve, k: int, tol: float = 1e-6) -> f
     returns the upper end once the two ends are within ``tol``. A probe at
     eps decides exactly what ``decide_fpt(build_diagram(P, Q, eps), k) is
     not None`` decides, comparing interval ends with ``resolve_tol(None)``
-    (``KFRECHET_TOL`` or 1e-9); ``tol`` is only the search width. Every
-    probe after eps = 0 reuses geometry computed once for the pair and the
-    components of the largest eps found infeasible.
+    (``KFRECHET_TOL`` or 1e-9); ``tol`` is only the search width. The pair
+    is prepared once, by the eps = 0 build: every later probe re-solves
+    that build's prepared pair and starts from the components of the
+    largest eps found infeasible.
 
     The search follows the plain bisection's path but probes only outcomes
     not yet implied: the decision is monotone in eps, so an eps at or
@@ -183,10 +185,11 @@ def minimize_epsilon(P: PolyCurve, Q: PolyCurve, k: int, tol: float = 1e-6) -> f
         raise ValueError(f"tol must be a finite number > 0, got {tol}")
     # eps = 0 is decided on a built diagram, so that per-layer tracing, which
     # wraps only public functions, still sees one build and one decision per
-    # search; the probes of the search proper re-solve the prepared pair
-    if decide_fpt(build_diagram(P, Q, 0.0), k) is not None:
+    # search; the probes of the search proper re-solve the pair it prepared
+    start = build_diagram(P, Q, 0.0)
+    if decide_fpt(start, k) is not None:
         return 0.0
-    geometry = _PairGeometry(P.vertices, Q.vertices)
+    geometry = start._pair
     cmp_tol = resolve_tol(None)
     # Free space only grows with eps, so the cells joined at the largest eps
     # found infeasible so far stay joined at every later probe, which lies

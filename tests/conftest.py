@@ -9,7 +9,6 @@ import pytest
 
 import kfrechet as kf
 from kfrechet import oracles
-from kfrechet.freespace import _stab_number
 
 
 @pytest.fixture
@@ -95,10 +94,21 @@ def touched_sides(comp, n: int, m: int, tol: float = 1e-9) -> str:
 
 
 def sweep_z(components, n: int, m: int, tol: float | None = None) -> int:
-    """The diagram's stabbing number ``z``, by its own sweep, from component projections."""
+    """The stabbing number ``z`` of component projections, by a sorted sweep
+    over every projection end, each also shifted by -tol and +tol, that lies
+    on the axis: the reference for the start-only count of ``build_diagram``."""
+    tol = kf.default_tol() if tol is None else tol
     ends = np.array([(c.proj_p.lo, c.proj_p.hi, c.proj_q.lo, c.proj_q.hi) for c in components],
-                    dtype=float).reshape(-1, 4)
-    return _stab_number(ends.T, n, m, kf.default_tol() if tol is None else tol)
+                    dtype=float).reshape(-1, 4).T
+    best = 0
+    for lo, hi, length in ((ends[0], ends[1], n), (ends[2], ends[3], m)):
+        lo, hi = np.sort(lo[lo <= hi]), np.sort(hi[lo <= hi])
+        pos = np.concatenate([e + shift for e in (lo, hi) for shift in (-tol, 0.0, tol)])
+        pos = pos[(pos >= 0.0) & (pos <= length)]
+        if pos.size:
+            count = np.searchsorted(lo, pos, "right") - np.searchsorted(hi, pos, "left")
+            best = max(best, int(count.max()))
+    return best
 
 
 def stub_diagram(n: int, m: int, projections) -> kf.FreeSpaceDiagram:

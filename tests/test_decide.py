@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -210,12 +212,48 @@ class TestFpt:
                 oracle = exhaustive_decide(d, k)
                 assert (kf.decide_fpt(d, k) is None) == (oracle is None)
 
+    @pytest.mark.parametrize("projections, minimum", [
+        # path (0,) needs two more components on q, so the best has 3 when
+        # path (1,) comes: it needs one more, (3,), and that cover wins
+        ([((0, 1), (0, .3)), ((0, 1), (0, .6)), ((.4, .5), (.3, .7)), ((.4, .5), (.6, 1))],
+         (1, 3)),
+        # path (0,) needs one more, (2,); path (1,) covers q alone and wins
+        ([((0, 1), (0, .5)), ((0, 1), (0, 1)), ((.4, .5), (.5, 1))], (1,)),
+    ])
+    def test_later_path_with_a_cheaper_completion_wins(self, projections, minimum):
+        d = stub_diagram(1, 1, projections)
+        assert exhaustive_min_selection_size(d) == len(minimum)
+        for k in (len(minimum), len(projections)):
+            assert kf.decide_fpt(d, k) == minimum
+        assert kf.decide_fpt(d, len(minimum) - 1) is None
+        assert kf.minimize_k(d) == len(minimum)
+
     def test_feasible_paths_respect_depth(self):
         d = six_component_diagram()
         for k in (1, 2, 3, 4):
             sels, count = kf.fpt_feasible_selections(d, "p", k)
             assert all(len(s) <= k for s in sels)
             assert count >= len(sels)
+
+    def test_k2_paths_within_z_plus_z_squared(self, monkeypatch):
+        """The paper's polynomial case k = 2: on each axis the search tree
+        holds at most z + z² covering paths, on the benchmark's match-decide
+        diagrams (seeds 1-3) whose projection ends lie more than tol apart."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+
+        tol, checked = kf.default_tol(), 0
+        for seed in (1, 2, 3):
+            for item in workloads.MatchDecide().generate(seed):
+                d = kf.build_diagram(kf.parse_curve(item.p), kf.parse_curve(item.q), item.eps)
+                ends = [np.sort([e for c in d.components for e in (c.proj_p.lo, c.proj_p.hi)]),
+                        np.sort([e for c in d.components for e in (c.proj_q.lo, c.proj_q.hi)])]
+                if any((np.diff(e) <= tol).any() for e in ends):
+                    continue
+                for axis in ("p", "q"):
+                    assert kf.fpt_feasible_selections(d, axis, 2)[1] <= d.z + d.z ** 2, (seed, item)
+                checked += 1
+        assert checked >= 400
 
 
 def snapped_stub(rng) -> kf.FreeSpaceDiagram:

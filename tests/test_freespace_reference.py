@@ -30,7 +30,8 @@ import pytest
 
 import kfrechet as kf
 from kfrechet import optimize
-from kfrechet.freespace import FreeSpaceGrid, _as_grid, _components, _interval, _PairGeometry
+from kfrechet.freespace import (FreeSpaceGrid, _as_grid, _components, _interval, _PairGeometry,
+                                _stab_number)
 from kfrechet.optimize import _bisect, _cover_exists
 
 from conftest import random_curve, sweep_z
@@ -411,6 +412,34 @@ def test_sweep_z_matches_pair_count_on_stubs():
                 proj.append(kf.Interval(lo, hi + float(rng.choice([0.0, 0.5e-9, 2e-9]))))
             comps.append(kf.Component(id=idx, cells=frozenset(), proj_p=proj[0], proj_q=proj[1]))
         assert sweep_z(comps, n, m, TOL) == stab_number(comps, n, m, TOL)
+
+
+def test_start_count_equals_sweep_on_stubs():
+    """``z`` counted at projection starts equals the sweep over every end
+    and the points tol either side of it, on projections inside the axes
+    with repeated ends, touching ends and ends within tol of each other.
+    (On built diagrams the two meet in test_build_diagram_equals_reference.)"""
+    rng = np.random.default_rng(78)
+    near = [0.0, 0.0, 0.0, -0.5e-9, 0.5e-9, 1e-9, -2e-9, 2e-9]
+    touching = 0
+    for _ in range(3000):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        comps = []
+        for idx in range(int(rng.integers(0, 9))):
+            proj = []
+            for length in (n, m):
+                if rng.random() < 0.1:
+                    proj.append(kf.EMPTY)
+                    continue
+                # ends on a coarse grid, some moved within a few tol
+                ends = np.round(rng.uniform(0, length, size=2), 1) + rng.choice(near, size=2)
+                proj.append(kf.Interval(*sorted(np.clip(ends, 0.0, length).tolist())))
+            comps.append(kf.Component(id=idx, cells=frozenset(), proj_p=proj[0], proj_q=proj[1]))
+        ends = np.array([(c.proj_p.lo, c.proj_p.hi, c.proj_q.lo, c.proj_q.hi) for c in comps],
+                        dtype=float).reshape(-1, 4).T
+        assert _stab_number(ends) == sweep_z(comps, n, m, TOL), comps
+        touching += bool(set(ends[0]) & set(ends[1]) - {math.inf, -math.inf})
+    assert touching >= 300
 
 
 # ------------------------------------------------------ prepared curve pair

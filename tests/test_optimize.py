@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
-from kfrechet import oracles
+from kfrechet import freespace, optimize, oracles
 from conftest import exhaustive_min_selection_size, random_pair, touched_sides
 
 
@@ -78,6 +78,28 @@ class TestMinimizeEpsilon:
     def test_numpy_integer_k_accepted(self, rng):
         P, Q = random_pair(rng, 4)
         assert kf.minimize_epsilon(P, Q, np.int64(2), tol=1e-4) == kf.minimize_epsilon(P, Q, 2, tol=1e-4)
+
+    @pytest.mark.parametrize("feasible_at_zero", [True, False])
+    def test_one_preparation_per_search(self, rng, monkeypatch, feasible_at_zero):
+        # the eps = 0 build, through the alias that tracing wraps, prepares
+        # the pair; every later probe re-solves that build's pair
+        prepared, built = [], []
+        prepare = freespace._PairGeometry.__init__
+
+        def counted(self, *args):
+            prepared.append(args)
+            prepare(self, *args)
+
+        def build(*args, **kwargs):
+            built.append(args[2])
+            return freespace.build_diagram(*args, **kwargs)
+
+        monkeypatch.setattr(freespace._PairGeometry, "__init__", counted)
+        monkeypatch.setattr(optimize, "build_diagram", build)
+        P, Q = random_pair(rng, 5)
+        eps = kf.minimize_epsilon(P, P if feasible_at_zero else Q, 2, tol=1e-5)
+        assert (eps == 0.0) == feasible_at_zero
+        assert len(prepared) == 1 and built == [0.0]
 
     def test_returned_eps_is_tight(self, rng):
         # feasible at the result, infeasible two tolerances below it

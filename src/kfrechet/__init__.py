@@ -20,12 +20,10 @@ from .boxes import (BoxInstance, CnfFormula, FormulaError, LabeledBox,
                     solve_box_bruteforce, write_dimacs)
 from .config import DEFAULT_TOL, default_tol
 from .curves import (EMPTY, CurveError, Interval, PolyCurve, interval_union_covers,
-                     parse_curve, parse_curve_json, point_segment_distance,
-                     segment_distance, serialize_curve)
+                     parse_curve, parse_curve_json, serialize_curve)
 from .decide import (covers_both, decide_fpt, decide_hausdorff, decide_strong_frechet,
                      decide_weak_frechet, fpt_feasible_selections)
-from .freespace import (Component, FreeSpaceDiagram, build_diagram, cell_axis_projection,
-                        cell_edge_interval)
+from .freespace import Component, FreeSpaceDiagram, build_diagram
 from .optimize import (distance_candidates, minimize_epsilon, minimize_k,
                        pairwise_vertex_max)
 from .svg import render_diagram_svg
@@ -36,13 +34,11 @@ __all__ = [
     "BoxInstance", "CnfFormula", "Component", "CurveError", "DEFAULT_TOL", "EMPTY",
     "FormulaError", "FreeSpaceDiagram", "Interval", "LabeledBox", "PolyCurve",
     "approximate_k", "box_instance_from_json", "box_instance_to_json",
-    "build_box_instance", "build_diagram", "cell_axis_projection", "cell_edge_interval",
-    "covers_both", "covers_boundaries", "decide_fpt", "decide_hausdorff",
-    "decide_strong_frechet", "decide_weak_frechet", "default_tol",
-    "distance_candidates", "fpt_feasible_selections", "greedy_axis_cover",
-    "interval_union_covers", "minimize_epsilon", "minimize_k", "normalize_formula",
-    "pairwise_vertex_max", "parse_curve", "parse_curve_json", "parse_dimacs",
-    "point_segment_distance", "render_diagram_svg", "sat_bruteforce",
-    "segment_distance", "selection_from_assignment", "serialize_curve",
-    "solve_box_bruteforce", "write_dimacs",
+    "build_box_instance", "build_diagram", "covers_both", "covers_boundaries",
+    "decide_fpt", "decide_hausdorff", "decide_strong_frechet", "decide_weak_frechet",
+    "default_tol", "distance_candidates", "fpt_feasible_selections",
+    "greedy_axis_cover", "interval_union_covers", "minimize_epsilon", "minimize_k",
+    "normalize_formula", "pairwise_vertex_max", "parse_curve", "parse_curve_json",
+    "parse_dimacs", "render_diagram_svg", "sat_bruteforce", "selection_from_assignment",
+    "serialize_curve", "solve_box_bruteforce", "write_dimacs",
 ]

@@ -222,6 +222,12 @@ def solve_box_bruteforce(instance: BoxInstance, tol: float | None = None):
     and backtracks over those choices, spending any remaining budget on
     bottom-edge gaps. Other instances fall back to plain subset
     enumeration, which is only meant for tiny inputs.
+
+    Bounds, for R unit rows, B boxes and spare budget b = k - R: the row-wise
+    search reaches at most (product of the R row sizes) one-box-per-row
+    choices, and patches each with at most sum_{r <= b} C(p, r) combinations
+    of the p <= B - R unchosen boxes. The subset fallback tests at most
+    sum_{s <= min(k, B)} C(B, s) <= 2**22 subsets; it raises ValueError for B > 22.
     """
     if _integral_instance(instance):
         return _solve_rowwise(instance)
@@ -404,9 +410,10 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if stripped.startswith("p"):
             parts = stripped.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise FormulaError(f"bad problem line: {stripped!r}")
-            num_vars, declared = int(parts[2]), int(parts[3])
+            try:
+                num_vars, declared = map(int, parts[2:]) if parts[1:2] == ["cnf"] else ()
+            except ValueError:  # not "cnf", not two counts, or a count not an integer
+                raise FormulaError(f"bad problem line: {stripped!r}") from None
             continue
         try:
             tokens.extend(int(t) for t in stripped.split())

@@ -28,7 +28,10 @@ def default_tol() -> float:
     raw = os.environ.get(_ENV_VAR)
     if raw is None:
         return DEFAULT_TOL
-    return _check(_ENV_VAR, float(raw))
+    try:
+        return _check(_ENV_VAR, float(raw))
+    except ValueError:  # not a number, or not finite and >= 0
+        raise ValueError(f"{_ENV_VAR} must be a finite number >= 0, got {raw!r}") from None
 
 
 def resolve_tol(tol: float | None) -> float:

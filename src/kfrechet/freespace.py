@@ -15,12 +15,12 @@ of strip terms for the s and t strips of all cells, and gather indices
 for each cell's hull pieces and for the interior edges that join cells.
 A solve at eps is then one disk slice, one strip slice, the hull gathers
 and a union-find over the free joins; a search over eps re-solves only
-that, and a diagram keeps the pair it was solved from for such a search. :func:`build_diagram` and the per-cell functions reshape the solved
-rows into a :class:`FreeSpaceGrid`: free intervals of the (n+1)×m
-vertical and n×(m+1) horizontal cell edges and the n×m cell projections
-on each axis. A :class:`Component` holds its id, its cells and its two
-projection intervals, nothing more; which diagram boundaries it touches
-follows from the projections.
+that, and a diagram keeps the pair it was solved from for such a search.
+:func:`build_diagram` reshapes the solved rows into a :class:`FreeSpaceGrid`:
+free intervals of the (n+1)×m vertical and n×(m+1) horizontal cell edges
+and the n×m cell projections on each axis. A :class:`Component` holds its
+id, its cells and its two projection intervals, nothing more; which
+diagram boundaries it touches follows from the projections.
 
 Every edge test is built from monotone IEEE operations (``eps*eps``, a
 subtraction, a multiplication by ``d·d > 0``, a square root and a
@@ -317,41 +317,6 @@ def _as_grid(solved: _Solved) -> FreeSpaceGrid:
     return FreeSpaceGrid(vert=edges[:nv].reshape(n + 1, m, 2),
                          horiz=edges[nv:].reshape(n, m + 1, 2),
                          s_proj=proj[:nm].reshape(n, m, 2), t_proj=proj[nm:].reshape(n, m, 2))
-
-
-def _segment_grid(seg_p, seg_q, eps: float, tol: float | None) -> FreeSpaceGrid:
-    """The 1×1 grid of one segment pair, from the grid kernels."""
-    P, Q = PolyCurve(seg_p), PolyCurve(seg_q)
-    if P.n != 1 or Q.n != 1:
-        raise ValueError("a segment needs exactly two endpoints")
-    return _as_grid(_PairGeometry(P.vertices, Q.vertices).solve(eps, resolve_tol(tol)))
-
-
-def cell_edge_interval(seg_p, seg_q, eps: float, edge: str, tol: float | None = None) -> Interval:
-    """Free interval on one edge of the cell of segment pair (seg_p, seg_q).
-
-    ``left``/``right`` fix the P endpoint and vary along seg_q (interval in
-    t); ``bottom``/``top`` fix the Q endpoint and vary along seg_p
-    (interval in s). Returns EMPTY when no point of the edge is free.
-    """
-    if edge not in ("left", "right", "bottom", "top"):
-        raise ValueError(f"edge must be left, right, bottom or top, got {edge!r}")
-    grid = _segment_grid(seg_p, seg_q, eps, tol)
-    return _interval({"left": grid.vert[0, 0], "right": grid.vert[1, 0],
-                      "bottom": grid.horiz[0, 0], "top": grid.horiz[0, 1]}[edge])
-
-
-def cell_axis_projection(seg_p, seg_q, eps: float, axis: str = "p",
-                         tol: float | None = None) -> Interval:
-    """Projection of a cell's free space onto one axis, in local [0, 1].
-
-    For axis "p" this is the set of s with dist(P(s), seg_q) <= eps; axis
-    "q" swaps the roles.
-    """
-    if axis not in ("p", "q"):
-        raise ValueError(f'axis must be "p" or "q", got {axis!r}')
-    grid = _segment_grid(seg_p, seg_q, eps, tol)
-    return _interval((grid.s_proj if axis == "p" else grid.t_proj)[0, 0])
 
 
 def _merge(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:

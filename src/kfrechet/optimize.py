@@ -70,9 +70,9 @@ def _vertex_distance(P: PolyCurve, Q: PolyCurve) -> np.ndarray:
 
 
 def _vertex_segment_distance(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """``point_segment_distance(p, a, b)`` of each point p to each segment a-b
-    of the polyline ``vertices``, shape (points, segments): the same IEEE
-    operations in the same order as the scalar function, hence the same floats."""
+    """Distance of each point p to each segment a-b of the polyline ``vertices``,
+    shape (points, segments), by the IEEE operations of the scalar reference
+    ``point_segment_distance`` in ``tests/conftest.py``, hence the same floats."""
     start, step = vertices[:-1], np.diff(vertices, axis=0)
     den = _dot(step, step)
     with np.errstate(all="ignore"):
@@ -109,11 +109,11 @@ def distance_candidates(P: PolyCurve, Q: PolyCurve) -> list[float]:
     appears or reaches a cell edge. They are NOT proven to include every
     value where coverage feasibility changes (component projections can
     start overlapping at other eps), so no search returns one of them as
-    its answer; they place test and demo eps near critical values. Each value is the float that ``np.linalg.norm``,
-    :func:`~kfrechet.curves.point_segment_distance` or
-    :func:`~kfrechet.curves.segment_distance` returns for the pair; a
-    segment-segment distance is 0 (crossing segments) or the least of its
-    four vertex-segment distances, so it adds no value of its own.
+    its answer; they place test and demo eps near critical values. Each
+    value is the float that ``np.linalg.norm`` or the scalar reference
+    (``point_segment_distance``, ``segment_distance`` in ``tests/conftest.py``)
+    returns for the pair; a segment-segment distance is 0 (crossing segments)
+    or the least of its four vertex-segment distances, so it adds no value.
     """
     return _sorted_distinct((_vertex_distance(P, Q), *_vertex_segment_distances(P, Q))).tolist()
 

@@ -1,8 +1,10 @@
-"""Shared fixtures: random curve generators, stub diagrams, subset oracles."""
+"""Shared fixtures: random curve generators, scalar segment distances, stub
+diagrams, subset oracles."""
 
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -84,6 +86,65 @@ def raster_stable(P, Q, eps: float, res: int) -> bool:
         return False
     mid = kf.build_diagram(P, Q, eps)
     return _components_bijective(lo, mid) and _components_bijective(mid, hi)
+
+
+# The scalar reference of ``optimize.distance_candidates`` and
+# ``optimize._vertex_segment_distance``: one segment pair per call.
+def segment_distance(a0: Sequence[float], a1: Sequence[float],
+                     b0: Sequence[float], b1: Sequence[float]) -> float:
+    """Minimum distance between two closed segments."""
+    a0 = np.asarray(a0, dtype=float)
+    a1 = np.asarray(a1, dtype=float)
+    b0 = np.asarray(b0, dtype=float)
+    b1 = np.asarray(b1, dtype=float)
+    if _segments_intersect(a0, a1, b0, b1):
+        return 0.0
+    return min(
+        point_segment_distance(a0, b0, b1),
+        point_segment_distance(a1, b0, b1),
+        point_segment_distance(b0, a0, a1),
+        point_segment_distance(b1, a0, a1),
+    )
+
+
+def point_segment_distance(p, a, b) -> float:
+    """Distance from point ``p`` to the closed segment ``a``-``b``."""
+    p = np.asarray(p, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    d = b - a
+    den = float(d @ d)
+    if den == 0.0:
+        return float(np.linalg.norm(p - a))
+    u = float((p - a) @ d) / den
+    u = min(1.0, max(0.0, u))
+    return float(np.linalg.norm(a + u * d - p))
+
+
+def _segments_intersect(a0, a1, b0, b1) -> bool:
+    def orient(p, q, r):
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+    d1 = orient(b0, b1, a0)
+    d2 = orient(b0, b1, a1)
+    d3 = orient(a0, a1, b0)
+    d4 = orient(a0, a1, b1)
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
+        return True
+
+    def on_segment(p, q, r):
+        return (min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
+                and min(p[1], q[1]) <= r[1] <= max(p[1], q[1]))
+
+    if d1 == 0 and on_segment(b0, b1, a0):
+        return True
+    if d2 == 0 and on_segment(b0, b1, a1):
+        return True
+    if d3 == 0 and on_segment(a0, a1, b0):
+        return True
+    if d4 == 0 and on_segment(a0, a1, b1):
+        return True
+    return False
 
 
 def touched_sides(comp, n: int, m: int, tol: float = 1e-9) -> str:

@@ -376,6 +376,11 @@ class TestIo:
         with pytest.raises(kf.FormulaError):
             kf.parse_dimacs("p cnf 2 5\n1 0\n")  # wrong clause count
 
+    @pytest.mark.parametrize("header", ["p cnf x 1", "p cnf 1 x"])
+    def test_dimacs_non_integer_header(self, header):
+        with pytest.raises(kf.FormulaError, match="bad problem line"):
+            kf.parse_dimacs(header + "\n1 0\n")
+
     def test_box_json_round_trip(self):
         inst = kf.build_box_instance(formula(1, (1, -1)))
         obj = kf.box_instance_to_json(inst)

@@ -265,6 +265,14 @@ class TestBoxCommands:
                                "--out", str(tmp_path / "x.json"))
         assert code == 2 and "bad clause line" in err
 
+    @pytest.mark.parametrize("header", ["p cnf x 1", "p cnf 1 x"])
+    def test_boxgen_non_integer_header(self, capsys, tmp_path, header):
+        cnf = tmp_path / "bad.cnf"
+        cnf.write_text(header + "\n1 0\n")
+        code, _, err = run_cli(capsys, "boxgen", "--cnf", str(cnf),
+                               "--out", str(tmp_path / "x.json"))
+        assert code == 2 and "bad problem line" in err
+
     @pytest.mark.parametrize("bad", ['"x": NaN', '"w": Infinity', '"y": NaN'])
     def test_boxsolve_non_finite_box(self, capsys, tmp_path, bad):
         box = {"x": "1", "y": "1", "w": "1"}
@@ -325,6 +333,17 @@ class TestToleranceEnv:
         code, report, err = run_cli(capsys, "decide", "--p", p, "--q", q,
                                     "--eps", "0.5", "--k", "1")
         assert code == 2 and report is None and "KFRECHET_TOL" in err
+
+    @pytest.mark.parametrize("raw", ["abc", ""])
+    def test_unparsable_env_value(self, capsys, monkeypatch, curve_files, raw):
+        monkeypatch.setenv("KFRECHET_TOL", raw)
+        with pytest.raises(ValueError, match=f"KFRECHET_TOL .*got '{raw}'"):
+            kf.default_tol()
+        p, q = curve_files
+        code, report, err = run_cli(capsys, "decide", "--p", p, "--q", q,
+                                    "--eps", "1.0", "--k", "1")
+        assert code == 2 and report is None and "KFRECHET_TOL must be a finite number" in err
+        assert repr(raw) in err
 
 
 def test_module_entry_point(curve_files):

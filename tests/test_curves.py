@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
-from conftest import random_curve
+from conftest import point_segment_distance, random_curve, segment_distance
 
 
 class TestParseCurve:
@@ -164,14 +164,14 @@ class TestIntervalUnionCovers:
 
 class TestDistances:
     def test_point_segment(self):
-        assert kf.point_segment_distance((0, 1), (-1, 0), (1, 0)) == pytest.approx(1.0)
-        assert kf.point_segment_distance((5, 0), (-1, 0), (1, 0)) == pytest.approx(4.0)
+        assert point_segment_distance((0, 1), (-1, 0), (1, 0)) == pytest.approx(1.0)
+        assert point_segment_distance((5, 0), (-1, 0), (1, 0)) == pytest.approx(4.0)
 
     def test_crossing_segments(self):
-        assert kf.segment_distance((0, 0), (2, 2), (0, 2), (2, 0)) == 0.0
+        assert segment_distance((0, 0), (2, 2), (0, 2), (2, 0)) == 0.0
 
     def test_parallel_segments(self):
-        assert kf.segment_distance((0, 0), (1, 0), (0, 1), (1, 1)) == pytest.approx(1.0)
+        assert segment_distance((0, 0), (1, 0), (0, 1), (1, 1)) == pytest.approx(1.0)
 
     def test_touching_endpoint(self):
-        assert kf.segment_distance((0, 0), (1, 0), (1, 0), (2, 5)) == 0.0
+        assert segment_distance((0, 0), (1, 0), (1, 0), (2, 5)) == 0.0

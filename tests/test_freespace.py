@@ -6,7 +6,8 @@ import pytest
 
 import kfrechet as kf
 from kfrechet import oracles
-from conftest import random_pair, touched_sides
+from kfrechet.freespace import _interval
+from conftest import point_segment_distance, random_pair, touched_sides
 
 UNIT_P = ((0.0, 0.0), (1.0, 0.0))
 UNIT_Q = ((0.0, 1.0), (1.0, 1.0))  # parallel, at distance 1
@@ -16,30 +17,35 @@ def diagonal_pair():
     return kf.PolyCurve(UNIT_P), kf.PolyCurve(UNIT_Q)
 
 
+def one_cell(seg_p, seg_q, eps: float):
+    """The cell arrays of one segment pair: the diagram of two one-segment curves."""
+    return kf.build_diagram(kf.PolyCurve(seg_p), kf.PolyCurve(seg_q), eps).cells
+
+
+def cell_edges(grid):
+    """The left, right, bottom and top edge intervals of the grid's cell (0, 0)."""
+    return [_interval(e) for e in (grid.vert[0, 0], grid.vert[1, 0],
+                                   grid.horiz[0, 0], grid.horiz[0, 1])]
+
+
 class TestCellEdgeInterval:
     def test_tangency_single_point(self):
-        iv = kf.cell_edge_interval(UNIT_P, UNIT_Q, 1.0, "bottom")
+        iv = _interval(one_cell(UNIT_P, UNIT_Q, 1.0).horiz[0, 0])
         assert iv.lo == pytest.approx(0.0, abs=1e-9)
         assert iv.hi == pytest.approx(0.0, abs=1e-9)
 
     def test_whole_edge_free(self):
-        for edge in ("left", "right", "bottom", "top"):
-            iv = kf.cell_edge_interval(UNIT_P, UNIT_Q, math.sqrt(2), edge)
+        for iv in cell_edges(one_cell(UNIT_P, UNIT_Q, math.sqrt(2))):
             assert iv.lo == pytest.approx(0.0, abs=1e-9)
             assert iv.hi == pytest.approx(1.0, abs=1e-9)
 
     def test_below_min_distance_empty(self):
-        for edge in ("left", "right", "bottom", "top"):
-            assert kf.cell_edge_interval(UNIT_P, UNIT_Q, 0.5, edge).is_empty
-
-    def test_bad_edge_name(self):
-        with pytest.raises(ValueError):
-            kf.cell_edge_interval(UNIT_P, UNIT_Q, 1.0, "diagonal")
+        for iv in cell_edges(one_cell(UNIT_P, UNIT_Q, 0.5)):
+            assert iv.is_empty
 
     def test_malformed_segment_rejected(self):
-        for seg_p in (((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))):
-            with pytest.raises(ValueError):
-                kf.cell_edge_interval(seg_p, UNIT_Q, 1.0, "left")
+        with pytest.raises(ValueError):
+            one_cell(((0.0, 0.0), (0.0, 0.0)), UNIT_Q, 1.0)
 
     def test_matches_dense_sampling(self, rng):
         for _ in range(50):
@@ -47,14 +53,11 @@ class TestCellEdgeInterval:
             seg_q = rng.uniform(0, 1, size=(2, 2))
             eps = float(rng.uniform(0.05, 1.0))
             u = np.linspace(0, 1, 2001)
-            for edge in ("left", "right", "bottom", "top"):
-                iv = kf.cell_edge_interval(seg_p, seg_q, eps, edge)
-                if edge in ("left", "right"):
-                    fixed = seg_p[0] if edge == "left" else seg_p[1]
-                    pts = seg_q[0] + u[:, None] * (seg_q[1] - seg_q[0])
-                else:
-                    fixed = seg_q[0] if edge == "bottom" else seg_q[1]
-                    pts = seg_p[0] + u[:, None] * (seg_p[1] - seg_p[0])
+            edges = cell_edges(one_cell(seg_p, seg_q, eps))
+            # left and right fix a P endpoint and run along seg_q, bottom and top
+            # fix a Q endpoint and run along seg_p
+            for iv, fixed, seg in zip(edges, (*seg_p, *seg_q), (seg_q, seg_q, seg_p, seg_p)):
+                pts = seg[0] + u[:, None] * (seg[1] - seg[0])
                 free = np.linalg.norm(pts - fixed, axis=1) <= eps
                 if iv.is_empty:
                     assert not (np.linalg.norm(pts - fixed, axis=1) <= eps - 1e-6).any()
@@ -67,25 +70,25 @@ class TestCellEdgeInterval:
 
 class TestCellAxisProjection:
     def test_parallel_at_exact_distance(self):
-        iv = kf.cell_axis_projection(UNIT_P, UNIT_Q, 1.0, "p")
+        iv = _interval(one_cell(UNIT_P, UNIT_Q, 1.0).s_proj[0, 0])
         assert iv.lo == pytest.approx(0.0, abs=1e-9)
         assert iv.hi == pytest.approx(1.0, abs=1e-9)
 
     def test_parallel_below_distance(self):
-        assert kf.cell_axis_projection(UNIT_P, UNIT_Q, 0.9, "p").is_empty
+        assert _interval(one_cell(UNIT_P, UNIT_Q, 0.9).s_proj[0, 0]).is_empty
 
     def test_short_segment_oracle_value(self):
         # frozen from a 10^4-point sampling of dist(P(s), segQ):
         # footprint of the eps-capsule around the short top segment
         seg_p = ((0.0, 0.0), (2.0, 0.0))
         seg_q = ((1.0, 1.0), (1.05, 1.0))
-        iv = kf.cell_axis_projection(seg_p, seg_q, 1.0, "p")
+        iv = _interval(one_cell(seg_p, seg_q, 1.0).s_proj[0, 0])
         assert iv.lo == pytest.approx(0.5, abs=1e-4)
         assert iv.hi == pytest.approx(0.525, abs=1e-4)
         # live oracle at coarser resolution agrees
         s = np.linspace(0, 1, 2001)
         pts = np.array(seg_p[0]) + s[:, None] * (np.array(seg_p[1]) - np.array(seg_p[0]))
-        dist = [kf.point_segment_distance(p, np.array(seg_q[0]), np.array(seg_q[1])) for p in pts]
+        dist = [point_segment_distance(p, np.array(seg_q[0]), np.array(seg_q[1])) for p in pts]
         inside = s[np.array(dist) <= 1.0]
         assert iv.lo == pytest.approx(inside.min(), abs=1e-3)
         assert iv.hi == pytest.approx(inside.max(), abs=1e-3)
@@ -95,10 +98,10 @@ class TestCellAxisProjection:
             seg_p = rng.uniform(0, 1, size=(2, 2))
             seg_q = rng.uniform(0, 1, size=(2, 2))
             eps = float(rng.uniform(0.05, 0.8))
-            iv = kf.cell_axis_projection(seg_p, seg_q, eps, "p")
+            iv = _interval(one_cell(seg_p, seg_q, eps).s_proj[0, 0])
             for s in rng.uniform(0, 1, size=60):
                 p = seg_p[0] + s * (seg_p[1] - seg_p[0])
-                d = kf.point_segment_distance(p, seg_q[0], seg_q[1])
+                d = point_segment_distance(p, seg_q[0], seg_q[1])
                 if d <= eps - 1e-7:
                     assert iv.contains(float(s))
                 elif d >= eps + 1e-7:
@@ -107,8 +110,8 @@ class TestCellAxisProjection:
     def test_axis_q_is_swap(self, rng):
         seg_p = rng.uniform(0, 1, size=(2, 2))
         seg_q = rng.uniform(0, 1, size=(2, 2))
-        a = kf.cell_axis_projection(seg_p, seg_q, 0.4, "q")
-        b = kf.cell_axis_projection(seg_q, seg_p, 0.4, "p")
+        a = _interval(one_cell(seg_p, seg_q, 0.4).t_proj[0, 0])
+        b = _interval(one_cell(seg_q, seg_p, 0.4).s_proj[0, 0])
         assert a == b
 
 
@@ -141,10 +144,6 @@ class TestBuildDiagram:
         P, Q = diagonal_pair()
         with pytest.raises(ValueError, match="eps"):
             kf.build_diagram(P, Q, eps)
-        with pytest.raises(ValueError, match="eps"):
-            kf.cell_edge_interval(UNIT_P, UNIT_Q, eps, "left")
-        with pytest.raises(ValueError, match="eps"):
-            kf.cell_axis_projection(UNIT_P, UNIT_Q, eps, "p")
 
     def test_squared_length_underflow_rejected(self):
         # d·d of a 1e-170 segment underflows to 0: every edge would read as empty
@@ -152,8 +151,6 @@ class TestBuildDiagram:
         P = kf.PolyCurve([(0.0, 0.0), (1e-170, 0.0)])
         with pytest.raises(ValueError, match="out of range"):
             kf.build_diagram(P, P, 1.0)
-        with pytest.raises(ValueError, match="out of range"):
-            kf.cell_edge_interval(P.vertices, P.vertices, 1.0, "left")
 
     def test_squared_distance_overflow_rejected(self):
         # w·w of two segments 1e200 apart overflows: every edge would read as empty
@@ -259,7 +256,7 @@ class TestBuildDiagram:
             d = kf.build_diagram(P, Q, eps)
             intervals = [c.proj_p for c in d.components]
             for s in rng.uniform(0, P.n, size=120):
-                dist = min(kf.point_segment_distance(P.point_at(float(s)), *Q.segment(j))
+                dist = min(point_segment_distance(P.point_at(float(s)), *Q.segment(j))
                            for j in range(Q.n))
                 covered = any(iv.contains(float(s)) for iv in intervals)
                 if dist <= eps - 1e-6:

@@ -34,7 +34,7 @@ from kfrechet.freespace import (FreeSpaceGrid, _as_grid, _components, _interval,
                                 _stab_number)
 from kfrechet.optimize import _bisect, _cover_exists
 
-from conftest import random_curve, sweep_z
+from conftest import point_segment_distance, random_curve, segment_distance, sweep_z
 
 TOL = 1e-9
 
@@ -499,12 +499,12 @@ def reference_distance_candidates(P, Q):
             values.add(float(np.linalg.norm(u - v)))
     for u in P.vertices:
         for j in range(Q.n):
-            values.add(kf.point_segment_distance(u, *Q.segment(j)))
+            values.add(point_segment_distance(u, *Q.segment(j)))
     for v in Q.vertices:
         for i in range(P.n):
-            values.add(kf.point_segment_distance(v, *P.segment(i)))
+            values.add(point_segment_distance(v, *P.segment(i)))
     for i, j in itertools.product(range(P.n), range(Q.n)):
-        values.add(kf.segment_distance(*P.segment(i), *Q.segment(j)))
+        values.add(segment_distance(*P.segment(i), *Q.segment(j)))
     return sorted(values)
 
 

@@ -12,9 +12,9 @@ import math
 from typing import Sequence
 
 from .config import resolve_tol
-from .curves import Interval
 from .decide import _axis_intervals
 from .freespace import FreeSpaceDiagram
+from .intervals import Interval
 
 
 def greedy_axis_cover(intervals: Sequence[tuple[int, float, float]], target: Interval,
@@ -27,7 +27,7 @@ def greedy_axis_cover(intervals: Sequence[tuple[int, float, float]], target: Int
     sorted ids of the cover, or None when the frontier stops short of
     ``target.hi - tol``. An interval with
     ``lo > hi`` is empty; a nonempty one must have finite ends, as an
-    :class:`~kfrechet.curves.Interval` must, or ``ValueError`` is raised.
+    :class:`~kfrechet.intervals.Interval` must, or ``ValueError`` is raised.
     """
     tol = resolve_tol(tol)
     pool = []

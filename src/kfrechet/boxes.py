@@ -11,6 +11,10 @@ labels, and k is half the box count, so a covering selection must pick
 exactly one box per row; that choice is the variable assignment.
 
 Literals are signed integers: +v / -v for variable v in 1..n.
+
+Only :mod:`kfrechet.intervals` and :mod:`kfrechet.config` are imported,
+neither of which needs numpy, so the box commands start without the curve
+layers.
 """
 
 from __future__ import annotations
@@ -19,9 +23,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .config import resolve_tol
-from .curves import Interval, interval_union_covers
-from .decide import _budget
+from .config import _budget, resolve_tol
+from .intervals import Interval, interval_union_covers
 
 _INF = math.inf
 

@@ -4,6 +4,11 @@ Machine-readable JSON goes to stdout (sorted keys, sorted id lists),
 diagnostics to stderr. Exit status: 0 for a positive answer, 1 for a
 negative one, 2 for any usage or input error. The KFRECHET_TOL
 environment variable overrides the global comparison tolerance.
+
+Only the box workbench is imported with this module, so ``boxgen`` and
+``boxsolve`` run without numpy. The curve commands (``decide``,
+``minimize-k``, ``minimize-eps``, ``freespace-svg``) import the curve
+layers, and with them numpy, when they run.
 """
 
 from __future__ import annotations
@@ -13,22 +18,18 @@ import json
 import sys
 from pathlib import Path
 
-from .approx import approximate_k
 from .boxes import (FormulaError, box_instance_from_json, box_instance_to_json,
                     build_box_instance, normalize_formula, parse_dimacs,
                     solve_box_bruteforce)
-from .curves import CurveError, PolyCurve, parse_curve, parse_curve_json
-from .decide import _weak_witness, decide_fpt, decide_hausdorff, decide_strong_frechet
-from .freespace import build_diagram
-from .optimize import minimize_epsilon
-from .svg import render_diagram_svg
 
 
 class CliError(Exception):
     """Input or usage error; message goes to stderr, exit status 2."""
 
 
-def _load_curve(path: str) -> PolyCurve:
+def _load_curve(path: str):
+    from .curves import CurveError, parse_curve, parse_curve_json
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -54,6 +55,10 @@ def _require_k(args) -> int:
 
 
 def _cmd_decide(args) -> tuple[bool, dict]:
+    from .approx import approximate_k
+    from .decide import _weak_witness, decide_fpt, decide_hausdorff, decide_strong_frechet
+    from .freespace import build_diagram
+
     P = _load_curve(args.p)
     Q = _load_curve(args.q)
     diagram = build_diagram(P, Q, args.eps)
@@ -86,6 +91,10 @@ def _cmd_decide(args) -> tuple[bool, dict]:
 
 
 def _cmd_minimize_k(args) -> tuple[bool, dict]:
+    from .approx import approximate_k
+    from .decide import decide_fpt
+    from .freespace import build_diagram
+
     P = _load_curve(args.p)
     Q = _load_curve(args.q)
     diagram = build_diagram(P, Q, args.eps)
@@ -105,6 +114,10 @@ def _cmd_minimize_k(args) -> tuple[bool, dict]:
 
 
 def _cmd_minimize_eps(args) -> tuple[bool, dict]:
+    from .decide import decide_fpt
+    from .freespace import build_diagram
+    from .optimize import minimize_epsilon
+
     P = _load_curve(args.p)
     Q = _load_curve(args.q)
     if args.k < 1:
@@ -122,6 +135,9 @@ def _cmd_minimize_eps(args) -> tuple[bool, dict]:
 
 
 def _cmd_svg(args) -> tuple[bool, dict]:
+    from .freespace import build_diagram
+    from .svg import render_diagram_svg
+
     P = _load_curve(args.p)
     Q = _load_curve(args.q)
     diagram = build_diagram(P, Q, args.eps)
@@ -252,7 +268,7 @@ def main(argv=None) -> int:
         answer, report = args.func(args)
         # allow_nan=False: a NaN or infinity would print as non-JSON
         text = json.dumps(report, sort_keys=True, allow_nan=False)
-    except (CliError, CurveError, FormulaError, ValueError, KeyError) as exc:
+    except (CliError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(text)

@@ -1,25 +1,29 @@
-"""Global numeric tolerance.
+"""Global numeric tolerance and budget checks.
 
 All interval-endpoint comparisons and coverage gap checks share a single
 absolute tolerance. It defaults to 1e-9 and can be overridden through the
 ``KFRECHET_TOL`` environment variable or per call via the ``tol`` keyword
-that most operations accept. Either must be a finite number >= 0;
-anything else raises ``ValueError``.
+that most operations accept. Either must be a finite number in ``[0, 1)``;
+anything else raises ``ValueError``. Comparisons are in parameter units,
+where one cell of a diagram and one column of a box instance are 1 wide: a
+tolerance that wide would forgive a whole uncovered cell.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 
 DEFAULT_TOL = 1e-9
 
 _ENV_VAR = "KFRECHET_TOL"
+_RULE = "must be a finite number >= 0 and < 1"
 
 
 def _check(name: str, value: float) -> float:
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+    if not (math.isfinite(value) and 0.0 <= value < 1.0):
+        raise ValueError(f"{name} {_RULE}, got {value}")
     return value
 
 
@@ -30,8 +34,8 @@ def default_tol() -> float:
         return DEFAULT_TOL
     try:
         return _check(_ENV_VAR, float(raw))
-    except ValueError:  # not a number, or not finite and >= 0
-        raise ValueError(f"{_ENV_VAR} must be a finite number >= 0, got {raw!r}") from None
+    except ValueError:  # not a number, or outside [0, 1)
+        raise ValueError(f"{_ENV_VAR} {_RULE}, got {raw!r}") from None
 
 
 def resolve_tol(tol: float | None) -> float:
@@ -39,3 +43,14 @@ def resolve_tol(tol: float | None) -> float:
     if tol is None:
         return default_tol()
     return _check("tolerance", tol)
+
+
+def _budget(k, least: int = 0) -> int:
+    """``k`` as a Python int; a non-integer (NaN, inf, 1.5) or ``k < least`` raises."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
+    if k < least:
+        raise ValueError(f"k must be >= {least}, got {k}")
+    return k

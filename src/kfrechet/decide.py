@@ -15,7 +15,7 @@ and the eps search of :mod:`kfrechet.optimize` read too. Only the strong
 decision needs the cell geometry; the others need only the component
 projections.
 
-Every cover test follows :func:`~kfrechet.curves.interval_union_covers`:
+Every cover test follows :func:`~kfrechet.intervals.interval_union_covers`:
 swept from frontier 0, an interval joins a chain when ``lo <= frontier +
 tol`` and ``hi > frontier``; the chain covers once the frontier reaches
 ``axis_len - tol``. The intervals of a cover that move the sweep's
@@ -31,20 +31,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import resolve_tol
-from .curves import Interval, interval_union_covers
+from .config import _budget, resolve_tol
 from .freespace import FreeSpaceDiagram, FreeSpaceGrid, _picked
-
-
-def _budget(k, least: int = 0) -> int:
-    """``k`` as a Python int; a non-integer (NaN, inf, 1.5) or ``k < least`` raises."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"k must be an integer, got {k!r}") from None
-    if k < least:
-        raise ValueError(f"k must be >= {least}, got {k}")
-    return k
+from .intervals import Interval, interval_union_covers
 
 
 def covers_both(diagram: FreeSpaceDiagram, selection: Iterable[int],

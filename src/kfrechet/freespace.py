@@ -42,7 +42,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import resolve_tol
-from .curves import EMPTY, Interval, PolyCurve
+from .curves import PolyCurve
+from .intervals import EMPTY, Interval
 
 _INF = math.inf
 

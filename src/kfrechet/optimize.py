@@ -34,9 +34,9 @@ import math
 import numpy as np
 
 from .approx import approximate_k
-from .config import resolve_tol
+from .config import _budget, resolve_tol
 from .curves import PolyCurve
-from .decide import _budget, _min_joint_cover, decide_fpt
+from .decide import _min_joint_cover, decide_fpt
 from .freespace import FreeSpaceDiagram, _components, _dot, _PairGeometry, build_diagram
 
 

@@ -22,10 +22,11 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial.distance import cdist
 
-from .config import resolve_tol
-from .curves import Interval, PolyCurve
-from .decide import _budget, covers_both, decide_hausdorff
+from .config import _budget, resolve_tol
+from .curves import PolyCurve
+from .decide import covers_both, decide_hausdorff
 from .freespace import FreeSpaceDiagram
+from .intervals import Interval
 
 
 @dataclass(frozen=True)

@@ -320,7 +320,7 @@ class TestToleranceEnv:
         with pytest.raises(ValueError):
             kf.default_tol()
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 1.0, 2.0])
     def test_bad_tol_argument(self, tol):
         with pytest.raises(ValueError):
             resolve_tol(tol)
@@ -333,6 +333,15 @@ class TestToleranceEnv:
         code, report, err = run_cli(capsys, "decide", "--p", p, "--q", q,
                                     "--eps", "0.5", "--k", "1")
         assert code == 2 and report is None and "KFRECHET_TOL" in err
+
+    @pytest.mark.parametrize("raw", ["1", "1.5"])
+    def test_cell_wide_env_value_exits_2(self, capsys, monkeypatch, curve_files, raw):
+        # nothing is free at eps 0.5; a tolerance one cell wide let the empty selection cover
+        p, q = curve_files
+        monkeypatch.setenv("KFRECHET_TOL", raw)
+        code, report, err = run_cli(capsys, "decide", "--p", p, "--q", q,
+                                    "--eps", "0.5", "--k", "1")
+        assert code == 2 and report is None and "KFRECHET_TOL must be a finite number" in err
 
     @pytest.mark.parametrize("raw", ["abc", ""])
     def test_unparsable_env_value(self, capsys, monkeypatch, curve_files, raw):
@@ -367,3 +376,23 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_box_commands_leave_numpy_unloaded(curve_files, tmp_path):
+    # the box path imports no curve layer; a curve command loads them when it runs
+    p, q = curve_files
+    cnf, boxes = tmp_path / "f.cnf", tmp_path / "boxes.json"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
+    code = f"""
+import sys
+import kfrechet, kfrechet.cli
+assert "numpy" not in sys.modules, "import"
+statuses = [kfrechet.cli.main(["boxgen", "--cnf", {str(cnf)!r}, "--out", {str(boxes)!r}]),
+            kfrechet.cli.main(["boxsolve", "--in", {str(boxes)!r}])]
+assert statuses == [0, 0] and "numpy" not in sys.modules, statuses
+print("decide", kfrechet.cli.main(["decide", "--p", {p!r}, "--q", {q!r}, "--eps", "1.0", "--k", "1"]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == [
+        '{"answer": true, "components": 1, "selection": [0], "z": 1}', "decide 0"]

@@ -305,12 +305,17 @@ class TestToleranceScale:
             assert kf.minimize_k(d) == 3
 
     def test_tolerance_as_wide_as_the_axes(self):
-        # under the rule of covers_both the empty selection covers; the search agrees
+        # a tolerance one cell wide would let the empty selection cover: rejected
         d = stub_diagram(1, 1, [((0.2, 0.8), (0.2, 0.8))])
-        assert kf.covers_both(d, (), tol=1.5)
-        assert kf.fpt_feasible_selections(d, "p", 0, tol=1.5) == ([()], 1)
-        assert kf.decide_fpt(d, 0, tol=1.5) == ()
-        assert kf.minimize_k(d, tol=1.5) == 0
+        for tol in (1.0, 1.5):
+            for call in (lambda: kf.covers_both(d, (), tol=tol),
+                         lambda: kf.fpt_feasible_selections(d, "p", 0, tol=tol),
+                         lambda: kf.decide_fpt(d, 0, tol=tol),
+                         lambda: kf.minimize_k(d, tol=tol),
+                         lambda: kf.approximate_k(d, tol=tol)):
+                with pytest.raises(ValueError, match="tolerance must be .* < 1"):
+                    call()
+        assert kf.decide_fpt(d, 1, tol=np.nextafter(1.0, 0.0)) == (0,)
 
     def test_matches_exhaustive_oracle_on_snapped_stubs(self):
         rng = np.random.default_rng(20261018)

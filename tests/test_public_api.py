@@ -1,5 +1,8 @@
 """The package's public names: exactly these, each importable."""
 
+import subprocess
+import sys
+
 import kfrechet as kf
 import kfrechet.curves
 import kfrechet.decide
@@ -31,6 +34,11 @@ ORACLES = ["Preprocessed", "decide_bruteforce", "preprocess"]
 # one-segment curves gives the cell arrays; the private helpers went with them
 DELETED = {kfrechet.curves: ["_segments_intersect", "point_segment_distance", "segment_distance"],
            kfrechet.freespace: ["_segment_grid", "cell_axis_projection", "cell_edge_interval"]}
+# the public name that carries no __module__ (EMPTY has its class's)
+CONSTANTS = {"DEFAULT_TOL": "kfrechet.config"}
+# what `import kfrechet` makes reachable as attributes; not cli, not oracles
+SUBMODULES = ["approx", "boxes", "config", "curves", "decide", "freespace", "intervals",
+              "optimize", "svg"]
 
 
 def test_all_is_the_sorted_public_list():
@@ -42,6 +50,24 @@ def test_all_is_the_sorted_public_list():
 def test_every_name_resolves():
     for name in kf.__all__:
         assert getattr(kf, name) is not None, name
+
+
+def test_every_name_is_the_object_its_module_defines():
+    for name in kf.__all__:
+        obj = getattr(kf, name)
+        home = CONSTANTS.get(name) or obj.__module__
+        assert getattr(sys.modules[home], name) is obj, name
+    assert kf.build_diagram is kfrechet.freespace.build_diagram
+    assert set(kf.__all__) <= set(dir(kf))
+
+
+def test_fresh_import_resolves_submodules_on_access():
+    code = ("import sys, kfrechet as kf\n"
+            "print(sorted(m for m in sys.modules if m.startswith('kfrechet.')))\n"
+            f"print([getattr(kf, name).__name__ for name in {SUBMODULES!r}])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", repr([f"kfrechet.{name}" for name in SUBMODULES])]
 
 
 def test_star_import():

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .config import _budget, resolve_tol
@@ -73,7 +74,11 @@ class LabeledBox:
                 raise ValueError(f"box width must be a finite number >= 1, got {self.w}")
             raise ValueError("box coordinates must be finite and positive, "
                              f"got ({self.x}, {self.y})")
-        if not hasattr(type(self.label), "__index__") or self.label == 0:
+        label = self.label
+        if type(label) is not int and hasattr(type(label), "__index__"):  # a numpy integer, say
+            label = operator.index(label)
+            object.__setattr__(self, "label", label)
+        if not isinstance(label, int) or label == 0:
             raise ValueError(f"box label must be a nonzero integer, got {self.label!r}")
 
     @property
@@ -97,7 +102,7 @@ class BoxInstance:
     def __post_init__(self):
         if not (-_INF < self.x_max < _INF and -_INF < self.y_max < _INF):
             raise ValueError(f"box bounds must be finite, got ({self.x_max}, {self.y_max})")
-        _budget(self.k)
+        object.__setattr__(self, "k", _budget(self.k))
 
 
 def normalize_formula(formula: CnfFormula) -> CnfFormula:
@@ -203,14 +208,7 @@ def build_box_instance(formula: CnfFormula) -> BoxInstance:
     )
 
 
-def _integral_instance(instance: BoxInstance) -> bool:
-    if not (float(instance.x_max).is_integer() and float(instance.y_max).is_integer()):
-        return False
-    return all(
-        float(b.x).is_integer() and float(b.y).is_integer() and float(b.w).is_integer()
-        and 1 <= b.y <= instance.y_max - 1 and 1 <= b.x and b.x + b.w <= instance.x_max
-        for b in instance.boxes
-    )
+_OFF_GRID = object()  # _solve_rowwise's answer for an instance off the integer grid
 
 
 def solve_box_bruteforce(instance: BoxInstance, tol: float | None = None):
@@ -226,94 +224,66 @@ def solve_box_bruteforce(instance: BoxInstance, tol: float | None = None):
     bottom-edge gaps. Other instances fall back to plain subset
     enumeration, which is only meant for tiny inputs.
 
-    Bounds, for R unit rows, B boxes and spare budget b = k - R: the row-wise
-    search reaches at most (product of the R row sizes) one-box-per-row
-    choices, and patches each with at most sum_{r <= b} C(p, r) combinations
-    of the p <= B - R unchosen boxes. The subset fallback tests at most
-    sum_{s <= min(k, B)} C(B, s) <= 2**22 subsets; it raises ValueError for B > 22.
+    Bounds, for R unit rows, B boxes, C bottom columns (the pieces between
+    consecutive box ends, at most 2B + 1) and spare budget b = k - R: the
+    row-wise search remembers each state (row, missing columns) that holds no
+    cover, so it visits at most min(product of the earlier row sizes, 2**C)
+    states per row, and patches each last-row state with at most
+    sum_{r <= b} C(p, r) combinations of the p <= B - R unchosen boxes. The
+    subset fallback tests at most sum_{s <= min(k, B)} C(B, s) <= 2**22
+    subsets; it raises ValueError for B > 22.
     """
-    if _integral_instance(instance):
-        return _solve_rowwise(instance)
-    return _solve_subsets(instance, resolve_tol(tol))
+    selection = _solve_rowwise(instance)
+    if selection is _OFF_GRID:
+        return _solve_subsets(instance, resolve_tol(tol))
+    return selection
 
 
 def _solve_rowwise(instance: BoxInstance):
-    boxes = instance.boxes
-    n_rows = int(instance.y_max) - 1
-    n_cols = int(instance.x_max) - 1
-    if n_rows < 1 or n_cols < 1:
-        return None
-    if n_rows > len(boxes):  # some unit row holds no box
+    x_max, y_max, boxes = instance.x_max, instance.y_max, instance.boxes
+    if not (float(x_max).is_integer() and float(y_max).is_integer()):
+        return _OFF_GRID
+    top = y_max - 1
+    lefts, rights, ys = [], [], []
+    for b in boxes:
+        x, y, w = b.x, b.y, b.w
+        right = x + w
+        if not (float(x).is_integer() and float(y).is_integer() and float(w).is_integer()
+                and 1 <= y <= top and 1 <= x and right <= x_max):
+            return _OFF_GRID
+        lefts.append(x)
+        rights.append(right)
+        ys.append(y)
+    n_rows = int(y_max) - 1
+    n_cols = int(x_max) - 1
+    if n_rows < 1 or n_cols < 1 or n_rows > len(boxes):  # more rows than boxes: one is empty
         return None
 
     # Columns are the pieces of the bottom edge between consecutive box ends:
     # a box covers a piece whole or not at all, so covering every piece covers
     # the edge, with at most 2*boxes + 1 columns whatever the bound.
-    lefts = [int(b.x) for b in boxes]
-    rights = [int(b.x + b.w) for b in boxes]
     column = {cut: k for k, cut in enumerate(sorted({1, n_cols + 1, *lefts, *rights}))}
-    rows = [[] for _ in range(n_rows)]
-    for idx, b in enumerate(boxes):
-        rows[int(b.y) - 1].append(idx)
     col_masks = [(1 << column[hi]) - (1 << column[lo]) for lo, hi in zip(lefts, rights)]
-    if any(not opts for opts in rows):
-        return None
-    if instance.k < n_rows:
+    rows = [[] for _ in range(n_rows)]  # per row, (box, the columns it leaves)
+    covers = [0] * n_rows  # per row, the columns its boxes cover
+    for idx, (y, mask) in enumerate(zip(ys, col_masks)):
+        row = int(y) - 1
+        rows[row].append((idx, ~mask))
+        covers[row] |= mask
+    if not all(rows) or instance.k < n_rows:
         return None
     budget = instance.k - n_rows
 
-    target = (1 << (len(column) - 1)) - 1
-    if target & ~_or_all(col_masks):
-        return None
-
-    suffix = [0] * (n_rows + 1)
+    beyond = [0] * n_rows  # per row, the columns no later row covers
+    later = 0
     for r in range(n_rows - 1, -1, -1):
-        suffix[r] = suffix[r + 1] | _or_all(col_masks[i] for i in rows[r])
-
-    chosen: list[int] = []
-
-    def patch_gaps(covered: int):
-        """Spend leftover budget on bottom columns still uncovered."""
-        missing = target & ~covered
-        if not missing:
-            return tuple(sorted(chosen))
-        if budget == 0:
-            return None
-        taken = set(chosen)
-        pool = [i for i in range(len(boxes)) if i not in taken and col_masks[i] & missing]
-        for r in range(1, budget + 1):
-            for extra in itertools.combinations(pool, r):
-                mask = covered
-                for i in extra:
-                    mask |= col_masks[i]
-                if not (target & ~mask):
-                    return tuple(sorted((*chosen, *extra)))
+        beyond[r] = ~later
+        later |= covers[r]
+    target = (1 << (len(column) - 1)) - 1
+    if target & ~later:
         return None
-
-    def descend(r: int, covered: int):
-        if r == n_rows:
-            return patch_gaps(covered)
-        if budget == 0 and (target & ~covered) & ~suffix[r]:
-            return None
-        for idx in rows[r]:
-            chosen.append(idx)
-            result = search(r + 1, covered | col_masks[idx])
-            if result is not None:
-                return result
-            chosen.pop()
-        return None
-
-    search = descend
-    if budget == 0:
-        return search(0, 0)
-    # With spare budget the test above does not apply. Instead a state (row,
-    # covered) fails when the columns no later row can cover need more boxes
-    # than the budget; and states found to fail are remembered. Failing
-    # depends on covered alone: a chosen box's mask lies inside covered, so
-    # it never enters patch_gaps' pool.
-    failed: set = set()
     farthest = [0] * (len(column) - 1)  # per column, the covering box reaching farthest right
-    for mask in col_masks:
+    for mask in col_masks if budget else ():  # only the spare budget needs it
         for c in range((mask & -mask).bit_length() - 1, mask.bit_length()):
             if mask.bit_length() > farthest[c].bit_length():
                 farthest[c] = mask
@@ -328,25 +298,44 @@ def _solve_rowwise(instance: BoxInstance):
             missing &= ~farthest[(missing & -missing).bit_length() - 1]
         return missing != 0
 
-    def remembered(r: int, covered: int):
-        if (r, covered) in failed:
-            return None
-        if r < n_rows and over_budget(target & ~covered & ~suffix[r]):
-            return None
-        result = descend(r, covered)
-        if result is None:
-            failed.add((r, covered))
-        return result
+    def patch_gaps(missing: int):
+        """First combination of fewest boxes, at most the spare budget, that
+        covers the bottom columns still missing. A chosen box covers none of
+        them, so it never enters the pool."""
+        if not missing:
+            return ()
+        pool = [i for i, mask in enumerate(col_masks) if mask & missing]
+        for r in range(1, budget + 1):
+            for extra in itertools.combinations(pool, r):
+                left = missing
+                for i in extra:
+                    left &= ~col_masks[i]
+                if not left:
+                    return extra
+        return None
 
-    search = remembered
-    return search(0, 0)
+    # A state is a row and the columns still missing. Whether it holds a
+    # cover depends on nothing else, so the states found to hold none are
+    # remembered per row. A child is not entered when the columns no later
+    # row covers need more boxes than the spare budget: at budget 0, any.
+    failed = [set() for _ in range(n_rows)]  # per row, such states left after it
 
+    def descend(r: int, missing: int):
+        if r == n_rows:
+            return patch_gaps(missing)
+        seen, out = failed[r], beyond[r]
+        for idx, keep in rows[r]:
+            left = missing & keep
+            if left in seen or left & out and (not budget or over_budget(left & out)):
+                continue
+            found = descend(r + 1, left)
+            if found is not None:
+                return (idx, *found)
+            seen.add(left)
+        return None
 
-def _or_all(masks) -> int:
-    out = 0
-    for m in masks:
-        out |= m
-    return out
+    found = descend(0, target)
+    return None if found is None else tuple(sorted(found))
 
 
 def _solve_subsets(instance: BoxInstance, tol: float):
@@ -457,13 +446,20 @@ def box_instance_to_json(instance: BoxInstance) -> dict:
     }
 
 
+def _number(value, name: str):
+    """``value``, unless it is a JSON true or false, which Python reads as 1 or 0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {str(value).lower()}")
+    return value
+
+
 def box_instance_from_json(obj: dict) -> BoxInstance:
     try:
-        x_max, y_max = obj["bound"]
+        x_max, y_max = (float(_number(v, "bound")) for v in obj["bound"])
         boxes = tuple(
-            LabeledBox(float(b["x"]), float(b["y"]), float(b["w"]), b["label"])
+            LabeledBox(*(float(_number(b[key], key)) for key in "xyw"), _number(b["label"], "label"))
             for b in obj["boxes"]
         )
-        return BoxInstance(x_max=float(x_max), y_max=float(y_max), k=obj["k"], boxes=boxes)
+        return BoxInstance(x_max=x_max, y_max=y_max, k=_number(obj["k"], "k"), boxes=boxes)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed box instance JSON: {exc}") from exc

@@ -279,6 +279,18 @@ class TestSolver:
         assert kf.solve_box_bruteforce(kf.BoxInstance(9.0, 7.0, 7, boxes)) is None
         assert time.perf_counter() - start < 1.0
 
+    def test_unsatisfiable_rows_answer_at_once(self):
+        # rows 1..21 hold two boxes over the same column each, row 22 one box
+        # over column 22 and one over column 23; at budget 0 one box per row
+        # leaves column 22 or 23 open, which only the last row finds out, so
+        # the walk used to try all 2**21 paths (2.5 s); both boxes of a row
+        # leave the same columns missing, and that state is remembered
+        boxes = tuple(kf.LabeledBox(r, r, 1, label) for r in range(1, 22) for label in (1, -1))
+        boxes += (kf.LabeledBox(22, 22, 1, 1), kf.LabeledBox(23, 22, 1, -1))
+        start = time.perf_counter()
+        assert kf.solve_box_bruteforce(kf.BoxInstance(24.0, 23.0, 22, boxes)) is None
+        assert time.perf_counter() - start < 1.0
+
     def test_huge_integer_bounds_answer_at_once(self):
         # one column per box end, not per unit of the bound
         boxes = (kf.LabeledBox(1, 1, 1e9 - 1, 1), kf.LabeledBox(1, 2, 1e9 - 1, -1))
@@ -419,6 +431,25 @@ class TestIo:
     def test_numpy_budget_and_label_accepted(self):
         inst = kf.BoxInstance(3.0, 2.0, np.int64(2), (kf.LabeledBox(1, 1, 1, np.int32(-1)),))
         assert inst.k == 2 and inst.boxes[0].label == -1
+        # stored as Python ints, so the instance exports to JSON
+        assert type(inst.k) is int and type(inst.boxes[0].label) is int
+        obj = json.loads(json.dumps(kf.box_instance_to_json(inst)))
+        assert (obj["k"], obj["boxes"][0]["label"]) == (2, -1)
+        assert kf.box_instance_from_json(obj) == inst
+
+    @pytest.mark.parametrize("field", ["bound", "k", "x", "y", "w", "label"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_box_json_rejects_booleans(self, field, value):
+        # Python reads JSON true as 1 and false as 0; neither is a number here
+        obj = {"bound": [3, 3], "k": 2, "boxes": [{"x": 1, "y": 1, "w": 1, "label": 1}]}
+        if field == "bound":
+            obj["bound"][0] = value
+        elif field == "k":
+            obj["k"] = value
+        else:
+            obj["boxes"][0][field] = value
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            kf.box_instance_from_json(obj)
 
     def test_box_json_malformed(self):
         with pytest.raises(ValueError):

@@ -295,6 +295,15 @@ class TestBoxCommands:
         assert code == 2 and report is None
         assert message in err
 
+    @pytest.mark.parametrize("k, x", [("true", "1"), ("2", "true")])
+    def test_boxsolve_boolean_field(self, capsys, tmp_path, k, x):
+        path = tmp_path / "bool.json"
+        path.write_text('{"bound": [3, 3], "k": %s, "boxes": [{"x": %s, "y": 1, "w": 1, "label": 1}]}'
+                        % (k, x))
+        code, report, err = run_cli(capsys, "boxsolve", "--in", str(path))
+        assert code == 2 and report is None
+        assert "must be a number, got true" in err
+
     def test_boxsolve_bad_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

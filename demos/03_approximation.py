@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Greedy axis covers and the factor-2 budget approximation.
+"""Per-axis minimum covers and the factor-2 budget approximation.
 
-The per-axis greedy cover is optimal on its own axis; combining the two
+The cover of each axis is optimal on its own axis; combining the two
 covers can at worst double the joint optimum because each axis cover is
 already a lower bound. The experiment below measures how loose the
 approximation actually is on random instances: the answer is "rarely
@@ -67,21 +67,23 @@ def main():
     print(f"worst case observed: |S| = {worst[1]} vs OPT = {worst[2]} "
           f"(factor {worst[0]:.2f}, bound is 2.00)")
 
-    # the factor-2 worst case does exist at the interval level: per-axis
-    # greedy falls for a decoy on each axis and misses the shared pair.
+    # the factor-2 worst case does exist at the projection level: each
+    # per-axis minimum cover falls for a decoy and misses the shared pair.
     # whether curves can realize such a diagram is an open question.
-    print("\nhand-built interval family hitting the factor-2 bound:")
-    # (component id, lo, hi) per axis
-    p_axis = [(0, 0.0, 0.6), (1, 0.4, 1.0), (2, 0.0, 0.61), (3, 0.0, 0.05)]
-    q_axis = [(0, 0.5, 1.0), (1, 0.0, 0.55), (2, 0.0, 0.05), (3, 0.0, 0.56)]
-    s_p = kf.greedy_axis_cover(p_axis, kf.Interval(0.0, 1.0))
-    s_q = kf.greedy_axis_cover(q_axis, kf.Interval(0.0, 1.0))
-    union = {*s_p, *s_q}
-    print(f"  greedy P-axis: {list(s_p)}, greedy Q-axis: {list(s_q)}, "
-          f"union size {len(union)}")
-    print("  components 0 and 1 alone cover both axes: OPT = 2, ratio = "
-          f"{len(union) / 2:.1f}")
-
+    print("\nhand-built projection family hitting the factor-2 bound:")
+    # ((P-axis lo, hi), (Q-axis lo, hi)) of components 0..3 on a 1 x 1 diagram
+    projections = [((0.0, 0.6), (0.5, 1.0)), ((0.4, 1.0), (0.0, 0.55)),
+                   ((0.0, 0.61), (0.0, 0.05)), ((0.0, 0.05), (0.0, 0.56))]
+    comps = tuple(kf.Component(id=i, cells=frozenset(), proj_p=kf.Interval(*p),
+                               proj_q=kf.Interval(*q))
+                  for i, (p, q) in enumerate(projections))
+    # cells=(): projections alone; z = 3, as the line s = 0 meets components 0, 2 and 3
+    d = kf.FreeSpaceDiagram(epsilon=1.0, n=1, m=1, cells=(), components=comps, z=3)
+    union = kf.approximate_k(d)
+    exact = kf.decide_fpt(d, 2)
+    print(f"  approximate_k: {list(union)}, union size {len(union)}")
+    print(f"  decide_fpt(d, 2): {list(exact)}, components 0 and 1 alone cover "
+          f"both axes: OPT = 2, ratio = {len(union) / len(exact):.1f}")
 
 if __name__ == "__main__":
     main()

@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 # the submodule that defines each public name
 _HOMES = {
-    "approx": ("approximate_k", "greedy_axis_cover"),
+    "approx": ("approximate_k",),
     "boxes": ("BoxInstance", "CnfFormula", "FormulaError", "LabeledBox",
               "box_instance_from_json", "box_instance_to_json", "build_box_instance",
               "covers_boundaries", "normalize_formula", "parse_dimacs", "sat_bruteforce",

@@ -20,14 +20,26 @@ layers.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .config import _budget, resolve_tol
 from .intervals import Interval, interval_union_covers
 
-_INF = math.inf
+_MAX = sys.float_info.max  # compares exactly with ints, so one too large for a float fails
+
+
+def _store_reals(obj, names) -> None:
+    """Store the named fields of a frozen dataclass as Python numbers: a numpy
+    integer, say, as an int, and another real number as a float."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not int and type(value) is not float:
+            if hasattr(type(value), "__index__"):
+                object.__setattr__(obj, name, operator.index(value))
+            elif hasattr(type(value), "__float__"):
+                object.__setattr__(obj, name, float(value))
 
 
 class FormulaError(ValueError):
@@ -60,7 +72,10 @@ class CnfFormula:
 
 @dataclass(frozen=True)
 class LabeledBox:
-    """Axis-aligned unit-height box with bottom-left corner (x, y); label: a nonzero int."""
+    """Axis-aligned unit-height box with bottom-left corner (x, y); label: a nonzero int.
+
+    Numbers are stored as Python ints and floats, and the box must end
+    within the float range."""
 
     x: float
     y: float
@@ -68,17 +83,23 @@ class LabeledBox:
     label: int
 
     def __post_init__(self):
-        # a comparison with NaN is False, so NaN fails these checks too
-        if not (1.0 <= self.w < _INF and 0.0 < self.x < _INF and 0.0 < self.y < _INF):
-            if not 1.0 <= self.w < _INF:
-                raise ValueError(f"box width must be a finite number >= 1, got {self.w}")
-            raise ValueError("box coordinates must be finite and positive, "
-                             f"got ({self.x}, {self.y})")
-        label = self.label
-        if type(label) is not int and hasattr(type(label), "__index__"):  # a numpy integer, say
-            label = operator.index(label)
-            object.__setattr__(self, "label", label)
-        if not isinstance(label, int) or label == 0:
+        x, y, w = self.x, self.y, self.w
+        # plain ints, as build_box_instance gives, skip the conversion
+        if not type(x) is type(y) is type(w) is type(self.label) is int:
+            _store_reals(self, ("x", "y", "w", "label"))
+            x, y, w = self.x, self.y, self.w
+        # a comparison with NaN is False, so NaN fails these checks too; both
+        # ends of the box must be at most _MAX, so the corner and width are too
+        try:
+            inside = 1 <= w and 0 < x and 0 < y and x + w <= _MAX and y + 1 <= _MAX
+        except OverflowError:  # an int past the float range plus a float
+            inside = False
+        if not inside:
+            if not 1.0 <= w <= _MAX:
+                raise ValueError(f"box width must be a finite number >= 1, got {w}")
+            raise ValueError("box coordinates must be finite and positive, and the box "
+                             f"must end within the float range, got ({x}, {y}) wide {w}")
+        if not isinstance(self.label, int) or self.label == 0:
             raise ValueError(f"box label must be a nonzero integer, got {self.label!r}")
 
     @property
@@ -92,7 +113,8 @@ class LabeledBox:
 
 @dataclass(frozen=True)
 class BoxInstance:
-    """Bounding rectangle spanning (1, 1)..(x_max, y_max) plus boxes and budget k >= 0."""
+    """Bounding rectangle spanning (1, 1)..(x_max, y_max), both bounds > 1, plus boxes
+    and budget k >= 0."""
 
     x_max: float
     y_max: float
@@ -100,8 +122,12 @@ class BoxInstance:
     boxes: tuple
 
     def __post_init__(self):
-        if not (-_INF < self.x_max < _INF and -_INF < self.y_max < _INF):
-            raise ValueError(f"box bounds must be finite, got ({self.x_max}, {self.y_max})")
+        _store_reals(self, ("x_max", "y_max"))
+        # B's two boundaries need a length: on a bound of 1 or less the row-wise
+        # search and the subset search of solve_box_bruteforce would disagree
+        if not (1.0 < self.x_max <= _MAX and 1.0 < self.y_max <= _MAX):
+            raise ValueError("box bounds must be finite and greater than 1, "
+                             f"got ({self.x_max}, {self.y_max})")
         object.__setattr__(self, "k", _budget(self.k))
 
 
@@ -461,5 +487,5 @@ def box_instance_from_json(obj: dict) -> BoxInstance:
             for b in obj["boxes"]
         )
         return BoxInstance(x_max=x_max, y_max=y_max, k=_number(obj["k"], "k"), boxes=boxes)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:  # Overflow: float(10**400)
         raise ValueError(f"malformed box instance JSON: {exc}") from exc

@@ -56,25 +56,20 @@ def _require_k(args) -> int:
 
 def _cmd_decide(args) -> tuple[bool, dict]:
     from .approx import approximate_k
-    from .decide import _weak_witness, decide_fpt, decide_hausdorff, decide_strong_frechet
+    from .decide import decide_fpt, decide_hausdorff, decide_strong_frechet
     from .freespace import build_diagram
 
     P = _load_curve(args.p)
     Q = _load_curve(args.q)
     diagram = build_diagram(P, Q, args.eps)
     selection: tuple | None = None
-    if args.algo == "fpt":
-        selection = decide_fpt(diagram, _require_k(args))
+    if args.algo in ("fpt", "weak"):  # a weak matching is a cover by one component
+        selection = decide_fpt(diagram, 1 if args.algo == "weak" else _require_k(args))
         answer = selection is not None
     elif args.algo == "approx":
         k = _require_k(args)
         selection = approximate_k(diagram)
         answer = selection is not None and len(selection) <= k
-    elif args.algo == "weak":
-        witness = _weak_witness(diagram)
-        answer = witness is not None
-        if answer:
-            selection = (witness,)
     elif args.algo == "hausdorff":
         answer = decide_hausdorff(diagram)
         if answer:

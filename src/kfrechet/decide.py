@@ -4,16 +4,17 @@ The central question: can at most k connected components of the free
 space jointly project onto the whole of both parameter axes? This module
 answers it with one exact decider, the bounded-search-tree method of
 :func:`decide_fpt`, and derives the classic decisions, Hausdorff / weak /
-strong matching, from the same diagram. The subset brute force that
-checks :func:`decide_fpt` lives in :mod:`kfrechet.oracles`; the factor-2
-greedy is :func:`kfrechet.approx.approximate_k`.
+strong matching, from the same diagram: the weak one is the decider at
+k = 1. The subset brute force that checks :func:`decide_fpt` lives in
+:mod:`kfrechet.oracles`; the factor-2 approximation
+:func:`kfrechet.approx.approximate_k` unions one minimum cover per axis
+from the decider's cover search, :func:`_cheapest_cover`.
 
 A selection is a sorted, duplicate-free tuple of component ids. The
 decider reads each axis as (id, lo, hi) triples from :func:`_axis_intervals`,
-the one per-axis shape that the greedy covers of :mod:`kfrechet.approx`
-and the eps search of :mod:`kfrechet.optimize` read too. Only the strong
-decision needs the cell geometry; the others need only the component
-projections.
+the one per-axis shape that :mod:`kfrechet.approx` and the eps search of
+:mod:`kfrechet.optimize` read too. Only the strong decision needs the cell
+geometry; the others need only the component projections.
 
 Every cover test follows :func:`~kfrechet.intervals.interval_union_covers`:
 swept from frontier 0, an interval joins a chain when ``lo <= frontier +
@@ -162,21 +163,15 @@ def decide_fpt(diagram: FreeSpaceDiagram, k: int, tol: float | None = None) -> t
                             diagram.n, diagram.m, k, tol)
 
 
-def _weak_witness(diagram: FreeSpaceDiagram, tol: float | None = None) -> int | None:
-    """Id of the first component touching all four diagram boundaries, or None."""
-    tol = resolve_tol(tol)
-    n, m = float(diagram.n), float(diagram.m)
-    return next((c.id for c in diagram.components
-                 if c.proj_p.lo <= tol and c.proj_p.hi >= n - tol
-                 and c.proj_q.lo <= tol and c.proj_q.hi >= m - tol), None)
-
-
 def decide_weak_frechet(diagram: FreeSpaceDiagram, tol: float | None = None) -> bool:
     """True when a single component projects onto the whole of both axes.
 
-    Equivalently: some component touches all four diagram boundaries.
+    Equivalently: some component touches all four diagram boundaries, and
+    :func:`decide_fpt` finds a selection at ``k = 1``.
     """
-    return _weak_witness(diagram, tol) is not None
+    tol = resolve_tol(tol)
+    return _min_joint_cover(_axis_intervals(diagram, "p"), _axis_intervals(diagram, "q"),
+                            diagram.n, diagram.m, 1, tol) is not None
 
 
 def decide_hausdorff(diagram: FreeSpaceDiagram, tol: float | None = None) -> bool:

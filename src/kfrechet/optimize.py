@@ -45,8 +45,9 @@ def minimize_k(diagram: FreeSpaceDiagram, tol: float | None = None) -> int | Non
 
     None exactly when no selection of any size covers (Hausdorff fails).
     The size of the minimum cover of :func:`~kfrechet.decide.decide_fpt`
-    at the budget of :func:`~kfrechet.approx.approximate_k`, whose greedy
-    union covers under the decider's rule.
+    at the budget of :func:`~kfrechet.approx.approximate_k`, whose union of
+    per-axis minimum covers comes from the decider's own cover search and
+    so covers under its rule.
     """
     approx = approximate_k(diagram, tol)
     return None if approx is None else len(decide_fpt(diagram, len(approx), tol))

@@ -29,6 +29,7 @@ PALETTE = (
 )
 
 _SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+ELLIPSE_SAMPLES = 48  # vertices of the polygon inscribed in a cell's free ellipse
 
 
 def _clip_halfplane(pts, a: float, b: float, c: float):
@@ -60,15 +61,15 @@ def _clip_to_square(pts):
     return pts
 
 
-def cell_region_shape(seg_p, seg_q, eps: float, samples: int = 48):
+def cell_region_shape(seg_p, seg_q, eps: float):
     """Convex shape of one cell's free region, in local coordinates.
 
     Returns ("polygon", pts), ("segment", (a, b)) or ("point", p) for a
     proper region, a degenerate tangency line, or a single tangency
     point; None when the cell is blocked. Ellipse boundaries are sampled
-    (inscribed polygon); nearly parallel segments degenerate to a strip
-    and are clipped exactly. Display quality only; decisions never use
-    this.
+    (inscribed polygon of :data:`ELLIPSE_SAMPLES` vertices); nearly parallel
+    segments degenerate to a strip and are clipped exactly. Display quality
+    only; decisions never use this.
     """
     pa, pb = (np.asarray(v, dtype=float) for v in seg_p)
     qa, qb = (np.asarray(v, dtype=float) for v in seg_q)
@@ -95,7 +96,7 @@ def cell_region_shape(seg_p, seg_q, eps: float, samples: int = 48):
             return None
         r = math.sqrt(-val)
         evals, evecs = np.linalg.eigh(np.array([[a00, a01], [a01, a11]]))
-        theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+        theta = np.linspace(0.0, 2.0 * math.pi, ELLIPSE_SAMPLES, endpoint=False)
         circle = np.stack([np.cos(theta) / math.sqrt(evals[0]),
                            np.sin(theta) / math.sqrt(evals[1])])
         pts = (np.array([cx, cy])[:, None] + r * (evecs @ circle)).T

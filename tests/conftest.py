@@ -4,6 +4,7 @@ diagrams, subset oracles."""
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import kfrechet as kf
 from kfrechet import oracles
+from kfrechet.decide import _cheapest_cover
 
 
 @pytest.fixture
@@ -170,6 +172,15 @@ def sweep_z(components, n: int, m: int, tol: float | None = None) -> int:
             count = np.searchsorted(lo, pos, "right") - np.searchsorted(hi, pos, "left")
             best = max(best, int(count.max()))
     return best
+
+
+def axis_cover(intervals, target: kf.Interval):
+    """The minimum cover of ``target`` (starting at 0) that
+    :func:`kf.approximate_k` takes on one axis: the cover search of
+    :mod:`kfrechet.decide` over (id, lo, hi) intervals, none of them free."""
+    assert target.lo == 0.0
+    by_hi = sorted(intervals, key=operator.itemgetter(2))
+    return _cheapest_cover(by_hi, target.hi, kf.default_tol(), ())
 
 
 def stub_diagram(n: int, m: int, projections) -> kf.FreeSpaceDiagram:

@@ -436,6 +436,48 @@ class TestIo:
         obj = json.loads(json.dumps(kf.box_instance_to_json(inst)))
         assert (obj["k"], obj["boxes"][0]["label"]) == (2, -1)
         assert kf.box_instance_from_json(obj) == inst
+        # numpy coordinates, widths and bounds are stored as Python numbers too
+        box = kf.LabeledBox(np.int64(1), np.float64(1.0), np.int32(2), 1)
+        inst = kf.BoxInstance(np.float64(4.0), np.int64(2), 1, (box,))
+        assert [type(v) for v in (box.x, box.y, box.w, inst.x_max, inst.y_max)] == \
+            [int, float, int, float, int]
+        obj = json.loads(json.dumps(kf.box_instance_to_json(inst)))
+        assert obj == {"bound": [4.0, 2], "k": 1,
+                       "boxes": [{"x": 1, "y": 1.0, "w": 2, "label": 1}]}
+        assert kf.box_instance_from_json(obj) == inst
+        assert json.dumps(kf.box_instance_to_json(
+            kf.BoxInstance(3.0, 2.0, 1, (kf.LabeledBox(np.int64(1), 1, 1, 1),))))
+
+    @pytest.mark.parametrize("args", [(10**400, 1, 1), (1, 10**400, 1), (1, 1, 10**400),
+                                      (2**1023, 1, 2**1023), (1e308, 1, 1e308),
+                                      (10**400, 1, 1.0), (1.0, 1, 10**400), (1.5, 10**400, 1)])
+    def test_box_beyond_float_range_rejected(self, args):
+        # an int too large for a float, or a box ending past the largest float
+        with pytest.raises(ValueError, match="finite"):
+            kf.LabeledBox(*args, 1)
+
+    @pytest.mark.parametrize("bound", [(10**400, 3), (3, 10**400)])
+    def test_bound_beyond_float_range_rejected(self, bound):
+        with pytest.raises(ValueError, match="finite"):
+            kf.BoxInstance(*bound, 1, (kf.LabeledBox(1, 1, 1, 1),))
+
+    @pytest.mark.parametrize("field", ["bound", "x", "y", "w"])
+    def test_box_json_beyond_float_range(self, field):
+        obj = {"bound": [3, 3], "k": 2, "boxes": [{"x": 1, "y": 1, "w": 1, "label": 1}]}
+        if field == "bound":
+            obj["bound"][0] = 10**400
+        else:
+            obj["boxes"][0][field] = 10**400
+        with pytest.raises(ValueError, match="malformed box instance JSON"):
+            kf.box_instance_from_json(obj)
+
+    @pytest.mark.parametrize("bound", [(0.0, 0.0), (0.5, 0.5), (0.5, 3.0), (3.0, 0.5),
+                                       (1.0, 3.0), (3.0, 1.0), (-2.0, 3.0)])
+    def test_bound_of_one_or_less_rejected(self, bound):
+        # the row-wise search answered None on (0.0, 0.0) and the subset search
+        # () on (0.5, 0.5), both with no box to pick
+        with pytest.raises(ValueError, match="greater than 1"):
+            kf.BoxInstance(*bound, 0, ())
 
     @pytest.mark.parametrize("field", ["bound", "k", "x", "y", "w", "label"])
     @pytest.mark.parametrize("value", [True, False])

@@ -304,6 +304,28 @@ class TestBoxCommands:
         assert code == 2 and report is None
         assert "must be a number, got true" in err
 
+    @pytest.mark.parametrize("field", ["bound", "x", "w"])
+    def test_boxsolve_beyond_float_range(self, capsys, tmp_path, field):
+        # a 401-digit integer: exit 2 (bad input), not 1 (no cover)
+        obj = {"bound": [3, 3], "k": 2, "boxes": [{"x": 1, "y": 1, "w": 1, "label": 1}]}
+        if field == "bound":
+            obj["bound"][1] = 10**400
+        else:
+            obj["boxes"][0][field] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj))
+        code, report, err = run_cli(capsys, "boxsolve", "--in", str(path))
+        assert code == 2 and report is None
+        assert "malformed box instance JSON" in err
+
+    @pytest.mark.parametrize("bound", ["[0.5, 0.5]", "[0, 0]", "[1, 3]"])
+    def test_boxsolve_bound_of_one_or_less(self, capsys, tmp_path, bound):
+        path = tmp_path / "flat.json"
+        path.write_text('{"bound": %s, "k": 0, "boxes": []}' % bound)
+        code, report, err = run_cli(capsys, "boxsolve", "--in", str(path))
+        assert code == 2 and report is None
+        assert "greater than 1" in err
+
     def test_boxsolve_bad_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

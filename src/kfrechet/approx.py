@@ -8,10 +8,8 @@ since the optimum must cover each axis too.
 
 from __future__ import annotations
 
-import operator
-
 from .config import resolve_tol
-from .decide import _axis_intervals, _cheapest_cover
+from .decide import _axis_cover, _axis_intervals
 from .freespace import FreeSpaceDiagram
 
 
@@ -24,8 +22,7 @@ def approximate_k(diagram: FreeSpaceDiagram, tol: float | None = None) -> tuple 
     tol = resolve_tol(tol)
     union: set = set()
     for axis, length in (("p", diagram.n), ("q", diagram.m)):
-        by_hi = sorted(_axis_intervals(diagram, axis), key=operator.itemgetter(2))
-        cover = _cheapest_cover(by_hi, float(length), tol, ())
+        cover = _axis_cover(_axis_intervals(diagram, axis), float(length), tol)
         if cover is None:
             return None
         union.update(cover)

@@ -32,7 +32,8 @@ _MAX = sys.float_info.max  # compares exactly with ints, so one too large for a 
 
 def _store_reals(obj, names) -> None:
     """Store the named fields of a frozen dataclass as Python numbers: a numpy
-    integer, say, as an int, and another real number as a float."""
+    integer, say, as an int, and another real number as a float. A value that
+    is neither, such as a string, raises ``ValueError``."""
     for name in names:
         value = getattr(obj, name)
         if type(value) is not int and type(value) is not float:
@@ -40,6 +41,8 @@ def _store_reals(obj, names) -> None:
                 object.__setattr__(obj, name, operator.index(value))
             elif hasattr(type(value), "__float__"):
                 object.__setattr__(obj, name, float(value))
+            else:
+                raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 class FormulaError(ValueError):
@@ -86,8 +89,10 @@ class LabeledBox:
         x, y, w = self.x, self.y, self.w
         # plain ints, as build_box_instance gives, skip the conversion
         if not type(x) is type(y) is type(w) is type(self.label) is int:
-            _store_reals(self, ("x", "y", "w", "label"))
+            _store_reals(self, ("x", "y", "w"))
             x, y, w = self.x, self.y, self.w
+            if hasattr(type(self.label), "__index__"):  # others fail the label check below
+                object.__setattr__(self, "label", operator.index(self.label))
         # a comparison with NaN is False, so NaN fails these checks too; both
         # ends of the box must be at most _MAX, so the corner and width are too
         try:

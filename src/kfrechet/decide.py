@@ -2,13 +2,18 @@
 
 The central question: can at most k connected components of the free
 space jointly project onto the whole of both parameter axes? This module
-answers it with one exact decider, the bounded-search-tree method of
-:func:`decide_fpt`, and derives the classic decisions, Hausdorff / weak /
-strong matching, from the same diagram: the weak one is the decider at
-k = 1. The subset brute force that checks :func:`decide_fpt` lives in
-:mod:`kfrechet.oracles`; the factor-2 approximation
-:func:`kfrechet.approx.approximate_k` unions one minimum cover per axis
-from the decider's cover search, :func:`_cheapest_cover`.
+answers it with one exact decider, :func:`decide_fpt`, and derives the
+classic decisions, Hausdorff / weak / strong matching, from the same
+diagram: the weak one is the decider at k = 1. The subset brute force that
+checks :func:`decide_fpt` lives in :mod:`kfrechet.oracles`.
+
+The decider starts from the paper's factor-2 approximation, the union of
+a minimum cover a of p and b of q from :func:`_axis_cover` (which
+:func:`kfrechet.approx.approximate_k` returns too). It is a certificate:
+every joint cover covers each axis, so none has fewer than max(|a|, |b|)
+components. Above k that answers None, and a union of that size is itself
+a minimum joint cover. Only the remaining diagrams, where the union is
+larger, go to the bounded search tree.
 
 A selection is a sorted, duplicate-free tuple of component ids. The
 decider reads each axis as (id, lo, hi) triples from :func:`_axis_intervals`,
@@ -93,7 +98,8 @@ def _axis_selections(intervals, axis_len: float, tol: float):
 def _cheapest_cover(by_hi, axis_len: float, tol: float, free) -> tuple | None:
     """``free`` and the fewest other ids holding a chain that covers the axis,
     sorted, or None, from (id, lo, hi) intervals sorted by hi. A frontier is kept
-    only while no larger one is as cheap: the first kept past a point is cheapest."""
+    only while no larger one is as cheap: the first kept past a point is cheapest.
+    Of intervals with equal hi at equal cost, the last given is kept."""
     free = set(free)
     fronts, reach, costs, paids = [0.0], [tol], [0], [()]  # f, f + tol, cost, paid ids (id, rest)
     for cid, lo, hi in by_hi:
@@ -117,13 +123,31 @@ def _cheapest_cover(by_hi, axis_len: float, tol: float, free) -> tuple | None:
     return tuple(sorted(ids))
 
 
+def _axis_cover(intervals, axis_len: float, tol: float) -> tuple | None:
+    """A minimum cover of one axis from (id, lo, hi) intervals, or None."""
+    return _cheapest_cover(sorted(intervals, key=operator.itemgetter(2)), axis_len, tol, ())
+
+
 def _min_joint_cover(intervals_p, intervals_q, n: int, m: int, k: int, tol: float) -> tuple | None:
     """:func:`decide_fpt` on (id, lo, hi) projections onto axes of length n and m.
 
-    A path of ``depth`` components, once the best cover has ``depth + 1``,
-    wins only if it covers q alone, so it is completed from its own q
-    intervals (in ``by_hi_q`` order) instead of from all of them.
+    The per-axis minimum covers a and b come first, as a certificate: every
+    joint cover covers each axis, so the least size is at least
+    max(|a|, |b|). None when an axis has no cover or that bound exceeds k;
+    the union of a and b when it meets the bound. Which minimum cover an
+    axis gives is fixed by the tie rule of :func:`_cheapest_cover`, so the union
+    and hence the witness are too. Only otherwise is the tree walked, within
+    the z^k bound of :func:`fpt_feasible_selections`. A path of ``depth``
+    components, once the best cover has ``depth + 1``, wins only if it covers
+    q alone, so it is completed from its own q intervals (in ``by_hi_q``
+    order) instead of from all of them.
     """
+    a, b = _axis_cover(intervals_p, n, tol), _axis_cover(intervals_q, m, tol)
+    if a is None or b is None or max(len(a), len(b)) > k:
+        return None
+    union = tuple(sorted({*a, *b}))
+    if len(union) == max(len(a), len(b)):
+        return union
     by_hi_q = sorted(intervals_q, key=operator.itemgetter(2))
     rank = {iv[0]: r for r, iv in enumerate(by_hi_q)}
     best, size = None, k + 1  # only a cover smaller than size is kept
@@ -134,9 +158,7 @@ def _min_joint_cover(intervals_p, intervals_q, n: int, m: int, k: int, tol: floa
                 if _cheapest_cover(own, m, tol, sel) is not None:
                     return sel  # a cover of size depth: no smaller one is left
                 continue
-            cover = _cheapest_cover(by_hi_q, m, tol, sel)
-            if cover is None:
-                return None  # the q axis has no cover at all
+            cover = _cheapest_cover(by_hi_q, m, tol, sel)  # q has a cover, so this is one
             if len(cover) < size:
                 best, size = cover, len(cover)
             if size == depth:
@@ -150,12 +172,16 @@ def decide_fpt(diagram: FreeSpaceDiagram, k: int, tol: float | None = None) -> t
     """A minimum selection covering both axes if it has at most k
     components, else None.
 
-    The search tree of :func:`fpt_feasible_selections` on p is walked
-    breadth-first, no deeper than k or the least cover size, and each
-    path S is completed by the q chain with fewest components outside S,
-    in O(C log C) for C components. A cover X holds such an S and a q
-    chain, so the least total is the least |X|. Paths go by depth and
-    then in sorted order; a later cover wins only if it is smaller.
+    First the certificate of the module docstring, from one minimum cover
+    per axis (O(C log C) for C components): None when an axis has no cover
+    or one axis needs more than k components, their union when it is no
+    larger than the larger of the two. Otherwise the search tree of
+    :func:`fpt_feasible_selections` on p is walked breadth-first, no deeper
+    than k or the least cover size, and each path S is completed by the q
+    chain with fewest components outside S, in O(C log C). A cover X holds
+    such an S and a q chain, so the least total is the least |X|. Paths go
+    by depth and then in sorted order; a later cover wins only if it is
+    smaller. The z^k bound on the tree's paths holds for this search.
     """
     tol = resolve_tol(tol)
     k = _budget(k)

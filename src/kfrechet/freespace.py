@@ -275,6 +275,19 @@ class _PairGeometry:
         start = np.array((row, col), dtype=float)
         self.shift = np.concatenate((start, -start))
 
+    def vertex_segment_distances(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distance from each vertex of P to each segment of Q, shape (n+1, m),
+        and from each vertex of Q to each segment of P, shape (m+1, n): per disk
+        row, the square root of the least ``w·w + u*(2*d·w + u*d·d)`` over u in
+        [0, 1]. They differ from the scalar reference by rounding only, but near
+        0 the difference ``w·w - (d·w)²/d·d`` cancels, leaving an error of up to
+        about 1e-8·|w|: fit for the eps search's prior, not for its answers."""
+        n, m = self.n, self.m
+        nv = (n + 1) * m
+        u = np.clip(self.qb[0] / self.qa, 0.0, 1.0)  # -d·w / d·d, the foot of the fixed point
+        dist = np.sqrt(np.maximum(self.ww + u * (2.0 * self.qb[1] + u * self.qa), 0.0))
+        return dist[:nv].reshape(n + 1, m), dist[nv:].reshape(n, m + 1).T
+
     def solve(self, eps: float, tol: float) -> _Solved:
         """Edge intervals and cell projections at eps.
 

@@ -5,8 +5,9 @@ eps at a fixed component budget k. Both lean on monotonicity: a positive
 decision stays positive when k or eps grows. The eps search decides
 eps = 0 on a built diagram, whose build prepares the eps-independent
 geometry of the pair once; each further probe solves only the eps terms
-of that prepared pair, labels the components and runs the search-tree
-decider on their projections, without building a
+of that prepared pair, labels the components and runs the decider
+(certificate first, then the search tree) on their projections, without
+building a
 :class:`FreeSpaceDiagram`. Free space only grows with eps (in
 floating point too, see :mod:`kfrechet.freespace`), so each probe starts
 its union-find from the components found at the largest eps found
@@ -21,9 +22,10 @@ path points around the prediction: if the prediction is right, they
 imply the whole path. The first prediction is the vertex bound, the
 largest distance from a vertex of either curve to the other curve, a
 lower bound on the Hausdorff distance and so on every k-Fréchet
-distance; later ones come from the vertex-segment distances above it.
-A wrong prediction costs only its own probes, so the returned float is
-the plain bisection's.
+distance; later ones come from the vertex-segment distances above it,
+the nearer ones weighted more (1/rank). Both are read off the disk rows
+of the prepared pair. A wrong prediction costs only its own probes, so
+the returned float is the plain bisection's.
 """
 
 from __future__ import annotations
@@ -173,10 +175,16 @@ def minimize_epsilon(P: PolyCurve, Q: PolyCurve, k: int, tol: float = 1e-6) -> f
     distance from a vertex of either curve to the other curve, a lower
     bound on the answer, and often the answer itself), as much as on all
     the rest, so that the vertex bound is checked first, with two probes;
-    2 spread evenly over the vertex-segment distances above it (the
-    :func:`distance_candidates` at which edges open); and 1 over the
-    range by length, so that an answer no distance predicts costs at
-    most a few probes more than plain bisection. A wrong prediction costs
+    2 over the vertex-segment distances above it (the
+    :func:`distance_candidates` at which edges open), split in proportion
+    to 1/rank, rank 1 the nearest the bound, since an answer at such a
+    distance mostly lies among the first few; and 1 over the range by
+    length, so that an answer no distance predicts costs at most a few
+    probes more than plain bisection. The vertex bound and the distances
+    come from the prepared pair
+    (:meth:`~kfrechet.freespace._PairGeometry.vertex_segment_distances`),
+    not from a second pass over the curves; they differ from
+    :func:`distance_candidates` by rounding only. A wrong prediction costs
     only its own probes: every outcome on the path is still the one a
     probe would give, so the returned float is the plain bisection's,
     bit for bit.
@@ -213,18 +221,20 @@ def minimize_epsilon(P: PolyCurve, Q: PolyCurve, k: int, tol: float = 1e-6) -> f
         forest, infeasible_at = roots, eps
         return False
 
-    p_to_q, q_to_p = _vertex_segment_distances(P, Q)
+    p_to_q, q_to_p = geometry.vertex_segment_distances()
     # The prior (see above): atoms[0] is the vertex bound, of mass 3, and the
     # atoms[t] for t >= 1 the larger vertex-segment distances, of mass 2 in
-    # all; 1 more is spread over (0, top] by length.
+    # all split in proportion to 1/t; 1 more is spread over (0, top] by length.
+    # held[t] is the mass of the first t atoms.
     bound = _vertex_bound(p_to_q, q_to_p)
     atoms = _sorted_distinct((p_to_q, q_to_p))
     atoms = [bound, *atoms[atoms > bound].tolist()]
-    share = 2.0 / max(len(atoms) - 1, 1)
+    weights = 1.0 / np.arange(1, len(atoms))  # the sum is at least 1 unless empty
+    held = np.cumsum([0.0, 3.0, *(2.0 / max(weights.sum(), 1.0) * weights)]).tolist()
 
     def mass(eps: float, atoms_in: int) -> float:
         """Prior mass of (0, eps], given the atoms it holds."""
-        return (atoms_in > 0) * (3.0 + share * (atoms_in - 1)) + eps / top
+        return held[atoms_in] + eps / top
 
     def mass_at(eps: float) -> float:
         return mass(eps, bisect.bisect_right(atoms, eps))

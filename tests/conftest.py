@@ -4,7 +4,6 @@ diagrams, subset oracles."""
 from __future__ import annotations
 
 import itertools
-import operator
 from typing import Sequence
 
 import numpy as np
@@ -12,7 +11,7 @@ import pytest
 
 import kfrechet as kf
 from kfrechet import oracles
-from kfrechet.decide import _cheapest_cover
+from kfrechet.decide import _axis_cover
 
 
 @pytest.fixture
@@ -179,8 +178,7 @@ def axis_cover(intervals, target: kf.Interval):
     :func:`kf.approximate_k` takes on one axis: the cover search of
     :mod:`kfrechet.decide` over (id, lo, hi) intervals, none of them free."""
     assert target.lo == 0.0
-    by_hi = sorted(intervals, key=operator.itemgetter(2))
-    return _cheapest_cover(by_hi, target.hi, kf.default_tol(), ())
+    return _axis_cover(intervals, target.hi, kf.default_tol())
 
 
 def stub_diagram(n: int, m: int, projections) -> kf.FreeSpaceDiagram:

@@ -28,9 +28,10 @@ class TestGreedyAxisCover:
         intervals = [proj(0, 0.0, 0.4), proj(1, 0.6, 1.0)]
         assert axis_cover(intervals, kf.Interval(0.0, 1.0)) is None
 
-    def test_tie_breaks_to_smaller_id(self):
-        intervals = [proj(5, 0.0, 1.0), proj(2, 0.0, 1.0)]
-        assert axis_cover(intervals, kf.Interval(0.0, 1.0)) == (2,)
+    def test_tie_breaks_to_last_in_input_order(self):
+        # of intervals with equal hi, the last one given wins, whatever its id
+        assert axis_cover([proj(5, 0.0, 1.0), proj(2, 0.0, 1.0)], kf.Interval(0.0, 1.0)) == (2,)
+        assert axis_cover([proj(2, 0.0, 1.0), proj(5, 0.0, 1.0)], kf.Interval(0.0, 1.0)) == (5,)
 
     def test_empty_interval_skipped(self):
         # an empty interval (lo > hi) is skipped, as kf.EMPTY is

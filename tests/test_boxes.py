@@ -479,6 +479,17 @@ class TestIo:
         with pytest.raises(ValueError, match="greater than 1"):
             kf.BoxInstance(*bound, 0, ())
 
+    @pytest.mark.parametrize("args", [("1", 1, 1), (1, "1", 1), (1, 1, "1"), (1, 1.5, None)])
+    def test_box_of_non_numbers_rejected(self, args):
+        # a string once reached the range checks and raised TypeError there
+        with pytest.raises(ValueError, match="must be a number"):
+            kf.LabeledBox(*args, 1)
+
+    @pytest.mark.parametrize("bound", [("3", 3.0), (3.0, "3"), (None, 3)])
+    def test_bound_of_non_numbers_rejected(self, bound):
+        with pytest.raises(ValueError, match="must be a number"):
+            kf.BoxInstance(*bound, 1, (kf.LabeledBox(1, 1, 1, 1),))
+
     @pytest.mark.parametrize("field", ["bound", "k", "x", "y", "w", "label"])
     @pytest.mark.parametrize("value", [True, False])
     def test_box_json_rejects_booleans(self, field, value):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
-from kfrechet import oracles
+from kfrechet import decide, oracles
 from kfrechet.freespace import FreeSpaceGrid
-from conftest import (SIX_COMPONENT_PAIR, epsilon_probes, exhaustive_decide,
+from conftest import (SIX_COMPONENT_PAIR, axis_cover, epsilon_probes, exhaustive_decide,
                       exhaustive_min_selection_size, random_pair, stub_diagram)
 
 
@@ -363,6 +363,80 @@ class TestBudget:
         assert kf.decide_fpt(d, k) == kf.decide_fpt(d, int(k))
         assert kf.fpt_feasible_selections(d, "q", k) == kf.fpt_feasible_selections(d, "q", int(k))
         assert oracles.decide_bruteforce(d, k) == oracles.decide_bruteforce(d, int(k))
+
+
+# one minimum cover on each axis, (0,) on p and (1,) on q, and no component
+# covering both: the union has two ids, more than either cover
+SPLIT_COVERS = [((0, 1), (0, .5)), ((0, .5), (0, 1)), ((.5, 1), (.5, 1))]
+
+
+def gadget_diagram(formula) -> kf.FreeSpaceDiagram:
+    """The box gadget of a formula as a projection-only diagram: box (x, y, w)
+    is the component [x - 1, x + w - 1] x [y - 1, y]."""
+    inst = kf.build_box_instance(formula)
+    return stub_diagram(int(inst.x_max) - 1, int(inst.y_max) - 1,
+                        [((b.x - 1, b.x + b.w - 1), (b.y - 1, b.y)) for b in inst.boxes])
+
+
+class TestCertificate:
+    """decide_fpt first takes a minimum cover a of p and b of q: None when an
+    axis has none or max(|a|, |b|) > k, the union of a and b when it has
+    max(|a|, |b|) ids; only otherwise does it walk the search tree."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The calls of the search tree walk."""
+        calls, walk = [], decide._axis_selections
+
+        def recorded(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(decide, "_axis_selections", recorded)
+        return calls
+
+    @pytest.mark.parametrize("projections, k, want, walked", [
+        ([((0, .4), (0, 1)), ((.6, 1), (0, 1))], 5, None, False),  # a gap on p
+        ([((0, .5), (0, 1)), ((.5, 1), (0, 1))], 1, None, False),  # p needs two
+        ([((0, .5), (0, .5)), ((.5, 1), (0, 1))], 2, (0, 1), False),  # union = p's cover
+        (SPLIT_COVERS, 1, None, True),
+        (SPLIT_COVERS, 2, (0, 2), True),
+    ])
+    def test_one_stub_per_branch(self, walks, projections, k, want, walked):
+        d = stub_diagram(1, 1, projections)
+        assert kf.decide_fpt(d, k) == want
+        assert bool(walks) == walked
+        assert (exhaustive_decide(d, k) is None) == (want is None)
+
+    def test_every_k_up_to_kmin_matches_bruteforce(self, rng):
+        checked = 0
+        for _ in range(40):
+            P, Q = random_pair(rng, 5)
+            for eps in epsilon_probes(rng, P, Q, count=2):
+                d = kf.build_diagram(P, Q, eps)
+                kmin = kf.minimize_k(d)
+                if kmin is None or len(d.components) > 10:
+                    continue
+                for k in range(1, kmin + 1):
+                    sel, brute = kf.decide_fpt(d, k), oracles.decide_bruteforce(d, k)
+                    assert (sel is None) == (brute is None) == (k < kmin), (eps, k)
+                    assert sel is None or (len(sel) == len(brute) and kf.covers_both(d, sel))
+                checked += 1
+        assert checked >= 30
+
+    @pytest.mark.parametrize("clauses", [((1, 2, 3), (-1, -2), (2, -3)),  # satisfiable
+                                         ((1, 2), (-1, 2), (-2, 3), (-3,))])  # not
+    def test_sat_gadget_goes_to_the_search(self, walks, clauses):
+        # the q cover takes one box per row, so the union is larger than either cover
+        formula = kf.normalize_formula(kf.CnfFormula(3, clauses))
+        d, k = gadget_diagram(formula), kf.build_box_instance(formula).k
+        covers = [axis_cover(decide._axis_intervals(d, axis), kf.Interval(0.0, float(length)))
+                  for axis, length in (("p", d.n), ("q", d.m))]
+        assert max(map(len, covers)) <= k < len(set(covers[0]) | set(covers[1]))
+        sel = kf.decide_fpt(d, k)
+        assert walks
+        assert (sel is None) == (kf.sat_bruteforce(formula) is None)
+        assert sel is None or (len(sel) <= k and kf.covers_both(d, sel))
 
 
 class TestClassicDecisions:

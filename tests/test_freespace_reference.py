@@ -600,6 +600,21 @@ def test_probes_at_most_plain_bisection_plus_three(monkeypatch):
     assert saved > 0
 
 
+def test_prior_distances_from_the_prepared_pair():
+    # the prior reads the vertex-segment distances off the disk rows of the
+    # prepared pair, which round differently from the scalar reference
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        P, Q = piece_pair(rng, int(rng.integers(6, 17)), int(rng.integers(1, 7)))
+        scale = max(np.abs(P.vertices).max(), np.abs(Q.vertices).max())
+        got = _PairGeometry(P.vertices, Q.vertices).vertex_segment_distances()
+        want = optimize._vertex_segment_distances(P, Q)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-9 * scale)
+        assert abs(optimize._vertex_bound(*got) - optimize._vertex_bound(*want)) <= 1e-9 * scale
+
+
 def test_predicted_bracket_hits_and_misses_at_benchmark_tol():
     # the eps-search benchmark's setting: tol 1e-4, k = 2..4, piece pairs;
     # the vertex bound predicts some answers and misses others, and either

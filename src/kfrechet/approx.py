@@ -1,7 +1,7 @@
 """The factor-2 approximation of the budget k.
 
 Each axis gets a minimum cover of its own, from the cover search of
-:mod:`kfrechet.decide` with no component given for free; the union of the
+:mod:`kfrechet.intervals` with no component given for free; the union of the
 two covers is at worst twice the size of an optimal joint selection,
 since the optimum must cover each axis too.
 """
@@ -9,8 +9,9 @@ since the optimum must cover each axis too.
 from __future__ import annotations
 
 from .config import resolve_tol
-from .decide import _axis_cover, _axis_intervals
+from .decide import _axis_intervals
 from .freespace import FreeSpaceDiagram
+from .intervals import _axis_cover
 
 
 def approximate_k(diagram: FreeSpaceDiagram, tol: float | None = None) -> tuple | None:
@@ -22,7 +23,7 @@ def approximate_k(diagram: FreeSpaceDiagram, tol: float | None = None) -> tuple 
     tol = resolve_tol(tol)
     union: set = set()
     for axis, length in (("p", diagram.n), ("q", diagram.m)):
-        cover = _axis_cover(_axis_intervals(diagram, axis), float(length), tol)
+        cover = _axis_cover(_axis_intervals(diagram, axis), (0.0, float(length)), tol)
         if cover is None:
             return None
         union.update(cover)

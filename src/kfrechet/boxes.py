@@ -14,7 +14,9 @@ Literals are signed integers: +v / -v for variable v in 1..n.
 
 Only :mod:`kfrechet.intervals` and :mod:`kfrechet.config` are imported,
 neither of which needs numpy, so the box commands start without the curve
-layers.
+layers. Off the integer grid the box question is the curve decider's own
+joint-cover question on the boxes' projections, and it is answered by the
+same search, :func:`kfrechet.intervals._min_joint_cover`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import sys
 from dataclasses import dataclass
 
 from .config import _budget, resolve_tol
-from .intervals import Interval, interval_union_covers
+from .intervals import Interval, _min_joint_cover, interval_union_covers
 
 _MAX = sys.float_info.max  # compares exactly with ints, so one too large for a float fails
 
@@ -129,7 +131,7 @@ class BoxInstance:
     def __post_init__(self):
         _store_reals(self, ("x_max", "y_max"))
         # B's two boundaries need a length: on a bound of 1 or less the row-wise
-        # search and the subset search of solve_box_bruteforce would disagree
+        # search and the cover search of solve_box_bruteforce would disagree
         if not (1.0 < self.x_max <= _MAX and 1.0 < self.y_max <= _MAX):
             raise ValueError("box bounds must be finite and greater than 1, "
                              f"got ({self.x_max}, {self.y_max})")
@@ -243,51 +245,57 @@ _OFF_GRID = object()  # _solve_rowwise's answer for an instance off the integer 
 
 
 def solve_box_bruteforce(instance: BoxInstance, tol: float | None = None):
-    """First selection of at most k boxes covering both target boundaries.
+    """A selection of at most k boxes covering both target boundaries, or None.
 
     Covering means: the x-projections of the selected boxes cover B's
     bottom edge [1, x_max] and their y-projections cover the left edge
-    [1, y_max]. Returns a sorted tuple of box indices, or None.
+    [1, y_max], with gaps of at most ``tol`` forgiven. Returns a sorted
+    tuple of box indices. For B boxes:
 
-    On integer-grid instances the search picks one box per unit row of
-    the left boundary first (each row must contribute at least one box)
-    and backtracks over those choices, spending any remaining budget on
-    bottom-edge gaps. Other instances fall back to plain subset
-    enumeration, which is only meant for tiny inputs.
-
-    Bounds, for R unit rows, B boxes, C bottom columns (the pieces between
-    consecutive box ends, at most 2B + 1) and spare budget b = k - R: the
-    row-wise search remembers each state (row, missing columns) that holds no
-    cover, so it visits at most min(product of the earlier row sizes, 2**C)
-    states per row, and patches each last-row state with at most
-    sum_{r <= b} C(p, r) combinations of the p <= B - R unchosen boxes. The
-    subset fallback tests at most sum_{s <= min(k, B)} C(B, s) <= 2**22
-    subsets; it raises ValueError for B > 22.
+    - On the integer grid (integral bounds, corners and widths) each of the
+      R unit rows of the left edge needs a box of its own, so the row-wise
+      search picks one box per row and backtracks over those choices,
+      patching bottom-edge gaps with the spare budget b = k - R; it returns
+      the first cover it meets. With C bottom columns (the pieces between
+      box ends inside [1, x_max], at most 2B + 1) it remembers each state
+      (row, missing columns) that holds no cover, so it visits at most
+      min(product of the earlier row sizes, 2**C) states per row, and
+      patches each last-row state with at most sum_{r <= b} C(B - R, r)
+      combinations. A box outside the rows joins none but may patch.
+    - Off the grid, the curve decider's joint-cover search
+      :func:`kfrechet.intervals._min_joint_cover`, walking x, returns a
+      minimum cover. Each path of its tree is a distinct subset of at most
+      k boxes, so it walks at most 2**22 paths; B > 22 raises ValueError.
     """
+    tol = resolve_tol(tol)
     selection = _solve_rowwise(instance)
-    if selection is _OFF_GRID:
-        return _solve_subsets(instance, resolve_tol(tol))
-    return selection
+    if selection is not _OFF_GRID:
+        return selection
+    boxes = instance.boxes
+    if len(boxes) > 22:
+        raise ValueError(f"off-grid instance of {len(boxes)} boxes; the cover search takes at most 22")
+    return _min_joint_cover([(i, b.x, b.x + b.w) for i, b in enumerate(boxes)],
+                            [(i, b.y, b.y + 1.0) for i, b in enumerate(boxes)],
+                            (1.0, float(instance.x_max)), (1.0, float(instance.y_max)),
+                            instance.k, tol)
 
 
 def _solve_rowwise(instance: BoxInstance):
     x_max, y_max, boxes = instance.x_max, instance.y_max, instance.boxes
     if not (float(x_max).is_integer() and float(y_max).is_integer()):
         return _OFF_GRID
-    top = y_max - 1
     lefts, rights, ys = [], [], []
     for b in boxes:
         x, y, w = b.x, b.y, b.w
-        right = x + w
-        if not (float(x).is_integer() and float(y).is_integer() and float(w).is_integer()
-                and 1 <= y <= top and 1 <= x and right <= x_max):
+        if not (float(x).is_integer() and float(y).is_integer() and float(w).is_integer()):
             return _OFF_GRID
-        lefts.append(x)
-        rights.append(right)
+        right = x + w  # x >= 1: the box's columns inside [1, x_max] end at x_max
+        lefts.append(x if x < x_max else x_max)
+        rights.append(right if right < x_max else x_max)
         ys.append(y)
     n_rows = int(y_max) - 1
     n_cols = int(x_max) - 1
-    if n_rows < 1 or n_cols < 1 or n_rows > len(boxes):  # more rows than boxes: one is empty
+    if n_rows > len(boxes):  # more rows than boxes: one is empty
         return None
 
     # Columns are the pieces of the bottom edge between consecutive box ends:
@@ -297,7 +305,11 @@ def _solve_rowwise(instance: BoxInstance):
     col_masks = [(1 << column[hi]) - (1 << column[lo]) for lo, hi in zip(lefts, rights)]
     rows = [[] for _ in range(n_rows)]  # per row, (box, the columns it leaves)
     covers = [0] * n_rows  # per row, the columns its boxes cover
+    outside = 0  # the columns of boxes above the left edge: they join no row but may patch
     for idx, (y, mask) in enumerate(zip(ys, col_masks)):
+        if y > n_rows:  # y >= 1 on the grid
+            outside |= mask
+            continue
         row = int(y) - 1
         rows[row].append((idx, ~mask))
         covers[row] |= mask
@@ -311,7 +323,7 @@ def _solve_rowwise(instance: BoxInstance):
         beyond[r] = ~later
         later |= covers[r]
     target = (1 << (len(column) - 1)) - 1
-    if target & ~later:
+    if target & ~(later | outside):
         return None
     farthest = [0] * (len(column) - 1)  # per column, the covering box reaching farthest right
     for mask in col_masks if budget else ():  # only the spare budget needs it
@@ -367,21 +379,6 @@ def _solve_rowwise(instance: BoxInstance):
 
     found = descend(0, target)
     return None if found is None else tuple(sorted(found))
-
-
-def _solve_subsets(instance: BoxInstance, tol: float):
-    boxes = instance.boxes
-    if len(boxes) > 22:
-        raise ValueError("non-integral instance too large for subset enumeration")
-    bottom = Interval(1.0, float(instance.x_max))
-    left = Interval(1.0, float(instance.y_max))
-    ids = range(len(boxes))
-    for size in range(min(instance.k, len(boxes)) + 1):
-        for combo in itertools.combinations(ids, size):
-            if interval_union_covers([boxes[i].x_interval for i in combo], bottom, tol) and \
-               interval_union_covers([boxes[i].y_interval for i in combo], left, tol):
-                return tuple(combo)
-    return None
 
 
 def sat_bruteforce(formula: CnfFormula):

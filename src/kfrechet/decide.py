@@ -7,39 +7,32 @@ classic decisions, Hausdorff / weak / strong matching, from the same
 diagram: the weak one is the decider at k = 1. The subset brute force that
 checks :func:`decide_fpt` lives in :mod:`kfrechet.oracles`.
 
-The decider starts from the paper's factor-2 approximation, the union of
-a minimum cover a of p and b of q from :func:`_axis_cover` (which
-:func:`kfrechet.approx.approximate_k` returns too). It is a certificate:
-every joint cover covers each axis, so none has fewer than max(|a|, |b|)
-components. Above k that answers None, and a union of that size is itself
-a minimum joint cover. Only the remaining diagrams, where the union is
-larger, go to the bounded search tree.
+The cover rule and the search live in the numpy-free
+:mod:`kfrechet.intervals`, shared with the box solver of
+:mod:`kfrechet.boxes`. The search starts from the paper's factor-2
+approximation, the union of a minimum cover a of p and b of q (which
+:func:`kfrechet.approx.approximate_k` returns too), as a certificate: no
+joint cover has fewer than max(|a|, |b|) components. Only the diagrams
+where the union is larger go to the bounded search tree.
 
 A selection is a sorted, duplicate-free tuple of component ids. The
 decider reads each axis as (id, lo, hi) triples from :func:`_axis_intervals`,
 the one per-axis shape that :mod:`kfrechet.approx` and the eps search of
 :mod:`kfrechet.optimize` read too. Only the strong decision needs the cell
-geometry; the others need only the component projections.
-
-Every cover test follows :func:`~kfrechet.intervals.interval_union_covers`:
-swept from frontier 0, an interval joins a chain when ``lo <= frontier +
-tol`` and ``hi > frontier``; the chain covers once the frontier reaches
-``axis_len - tol``. The intervals of a cover that move the sweep's
-frontier form a chain, so every cover contains one.
+geometry, and its boundary test is its own; the others need only the
+component projections.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-import operator
 from typing import Iterable
 
 import numpy as np
 
 from .config import _budget, resolve_tol
 from .freespace import FreeSpaceDiagram, FreeSpaceGrid, _picked
-from .intervals import Interval, interval_union_covers
+from .intervals import Interval, _axis_selections, _min_joint_cover, interval_union_covers
 
 
 def covers_both(diagram: FreeSpaceDiagram, selection: Iterable[int],
@@ -66,7 +59,7 @@ def fpt_feasible_selections(diagram: FreeSpaceDiagram, axis: str, k: int,
                             tol: float | None = None) -> tuple[list, int]:
     """All axis-covering selections found by a depth-bounded sweep search.
 
-    The search tree holds every covering chain (see the module docstring)
+    The search tree holds every covering chain (see :mod:`kfrechet.intervals`)
     of at most k components, walked breadth-first. Returns the sorted
     selections of its paths (as sorted id tuples) and the path count.
 
@@ -79,114 +72,28 @@ def fpt_feasible_selections(diagram: FreeSpaceDiagram, axis: str, k: int,
     tol = resolve_tol(tol)
     k = _budget(k)
     axis_len = float(diagram.n if axis == "p" else diagram.m)
-    tree = _axis_selections(_axis_intervals(diagram, axis), axis_len, tol)
+    tree = _axis_selections(_axis_intervals(diagram, axis), (0.0, axis_len), tol)
     levels = [level for _, level in zip(range(k + 1), tree)]
     return sorted({sel for level in levels for sel in level}), sum(map(len, levels))
 
 
-def _axis_selections(intervals, axis_len: float, tol: float):
-    """The search tree on (id, lo, hi) projections, breadth-first: for depth
-    0, 1, ..., the selections of the paths of that many components that
-    cover the axis (one sorted id tuple per path), while any path is open."""
-    level = [(0.0, ())]  # the (frontier, path) nodes of one depth
-    while level:
-        yield [tuple(sorted(path)) for frontier, path in level if frontier >= axis_len - tol]
-        level = [(hi, (*path, cid)) for frontier, path in level if frontier < axis_len - tol
-                 for cid, lo, hi in intervals if lo <= frontier + tol and hi > frontier]
-
-
-def _cheapest_cover(by_hi, axis_len: float, tol: float, free) -> tuple | None:
-    """``free`` and the fewest other ids holding a chain that covers the axis,
-    sorted, or None, from (id, lo, hi) intervals sorted by hi. A frontier is kept
-    only while no larger one is as cheap: the first kept past a point is cheapest.
-    Of intervals with equal hi at equal cost, the last given is kept."""
-    free = set(free)
-    fronts, reach, costs, paids = [0.0], [tol], [0], [()]  # f, f + tol, cost, paid ids (id, rest)
-    for cid, lo, hi in by_hi:
-        i = bisect.bisect_left(reach, lo)
-        if i == len(fronts) or fronts[i] >= hi:
-            continue
-        cost, paid = (costs[i], paids[i]) if cid in free else (costs[i] + 1, (cid, paids[i]))
-        while costs and costs[-1] >= cost:
-            del fronts[-1], reach[-1], costs[-1], paids[-1]
-        fronts.append(hi)
-        reach.append(hi + tol)
-        costs.append(cost)
-        paids.append(paid)
-    i = bisect.bisect_left(fronts, axis_len - tol)
-    if i == len(fronts):
-        return None
-    ids, paid = list(free), paids[i]
-    while paid:
-        cid, paid = paid
-        ids.append(cid)
-    return tuple(sorted(ids))
-
-
-def _axis_cover(intervals, axis_len: float, tol: float) -> tuple | None:
-    """A minimum cover of one axis from (id, lo, hi) intervals, or None."""
-    return _cheapest_cover(sorted(intervals, key=operator.itemgetter(2)), axis_len, tol, ())
-
-
-def _min_joint_cover(intervals_p, intervals_q, n: int, m: int, k: int, tol: float) -> tuple | None:
-    """:func:`decide_fpt` on (id, lo, hi) projections onto axes of length n and m.
-
-    The per-axis minimum covers a and b come first, as a certificate: every
-    joint cover covers each axis, so the least size is at least
-    max(|a|, |b|). None when an axis has no cover or that bound exceeds k;
-    the union of a and b when it meets the bound. Which minimum cover an
-    axis gives is fixed by the tie rule of :func:`_cheapest_cover`, so the union
-    and hence the witness are too. Only otherwise is the tree walked, within
-    the z^k bound of :func:`fpt_feasible_selections`. A path of ``depth``
-    components, once the best cover has ``depth + 1``, wins only if it covers
-    q alone, so it is completed from its own q intervals (in ``by_hi_q``
-    order) instead of from all of them.
-    """
-    a, b = _axis_cover(intervals_p, n, tol), _axis_cover(intervals_q, m, tol)
-    if a is None or b is None or max(len(a), len(b)) > k:
-        return None
-    union = tuple(sorted({*a, *b}))
-    if len(union) == max(len(a), len(b)):
-        return union
-    by_hi_q = sorted(intervals_q, key=operator.itemgetter(2))
-    rank = {iv[0]: r for r, iv in enumerate(by_hi_q)}
-    best, size = None, k + 1  # only a cover smaller than size is kept
-    for depth, level in enumerate(_axis_selections(intervals_p, n, tol)):
-        for sel in sorted(set(level)):
-            if size == depth + 1:  # only sel itself can win: try its own q intervals
-                own = [by_hi_q[r] for r in sorted(rank[cid] for cid in sel)]
-                if _cheapest_cover(own, m, tol, sel) is not None:
-                    return sel  # a cover of size depth: no smaller one is left
-                continue
-            cover = _cheapest_cover(by_hi_q, m, tol, sel)  # q has a cover, so this is one
-            if len(cover) < size:
-                best, size = cover, len(cover)
-            if size == depth:
-                return best  # no path of this depth or deeper gives less
-        if size <= depth + 1:
-            break
-    return best
-
-
 def decide_fpt(diagram: FreeSpaceDiagram, k: int, tol: float | None = None) -> tuple | None:
     """A minimum selection covering both axes if it has at most k
-    components, else None.
+    components, else None: :func:`~kfrechet.intervals._min_joint_cover` over
+    the axes (0, n) and (0, m).
 
     First the certificate of the module docstring, from one minimum cover
-    per axis (O(C log C) for C components): None when an axis has no cover
-    or one axis needs more than k components, their union when it is no
-    larger than the larger of the two. Otherwise the search tree of
+    per axis (O(C log C) for C components). Otherwise the search tree of
     :func:`fpt_feasible_selections` on p is walked breadth-first, no deeper
-    than k or the least cover size, and each path S is completed by the q
-    chain with fewest components outside S, in O(C log C). A cover X holds
-    such an S and a q chain, so the least total is the least |X|. Paths go
-    by depth and then in sorted order; a later cover wins only if it is
-    smaller. The z^k bound on the tree's paths holds for this search.
+    than k or the least cover size, and each path is completed by the
+    cheapest q chain, in O(C log C). Paths go by depth and then in sorted
+    order; a later cover wins only if it is smaller. The z^k bound on the
+    tree's paths holds for this search.
     """
     tol = resolve_tol(tol)
     k = _budget(k)
     return _min_joint_cover(_axis_intervals(diagram, "p"), _axis_intervals(diagram, "q"),
-                            diagram.n, diagram.m, k, tol)
+                            (0.0, diagram.n), (0.0, diagram.m), k, tol)
 
 
 def decide_weak_frechet(diagram: FreeSpaceDiagram, tol: float | None = None) -> bool:
@@ -197,7 +104,7 @@ def decide_weak_frechet(diagram: FreeSpaceDiagram, tol: float | None = None) -> 
     """
     tol = resolve_tol(tol)
     return _min_joint_cover(_axis_intervals(diagram, "p"), _axis_intervals(diagram, "q"),
-                            diagram.n, diagram.m, 1, tol) is not None
+                            (0.0, diagram.n), (0.0, diagram.m), 1, tol) is not None
 
 
 def decide_hausdorff(diagram: FreeSpaceDiagram, tol: float | None = None) -> bool:

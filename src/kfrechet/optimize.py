@@ -35,11 +35,11 @@ import math
 
 import numpy as np
 
-from .approx import approximate_k
 from .config import _budget, resolve_tol
 from .curves import PolyCurve
-from .decide import _min_joint_cover, decide_fpt
+from .decide import decide_fpt
 from .freespace import FreeSpaceDiagram, _components, _dot, _PairGeometry, build_diagram
+from .intervals import _min_joint_cover
 
 
 def minimize_k(diagram: FreeSpaceDiagram, tol: float | None = None) -> int | None:
@@ -47,12 +47,10 @@ def minimize_k(diagram: FreeSpaceDiagram, tol: float | None = None) -> int | Non
 
     None exactly when no selection of any size covers (Hausdorff fails).
     The size of the minimum cover of :func:`~kfrechet.decide.decide_fpt`
-    at the budget of :func:`~kfrechet.approx.approximate_k`, whose union of
-    per-axis minimum covers comes from the decider's own cover search and
-    so covers under its rule.
+    at a budget of every component, which is None exactly then.
     """
-    approx = approximate_k(diagram, tol)
-    return None if approx is None else len(decide_fpt(diagram, len(approx), tol))
+    cover = decide_fpt(diagram, len(diagram.components), tol)
+    return None if cover is None else len(cover)
 
 
 def pairwise_vertex_max(P: PolyCurve, Q: PolyCurve) -> float:
@@ -129,7 +127,7 @@ def _cover_exists(geometry: _PairGeometry, eps: float, k: int, tol: float,
     p_lo, p_hi, q_lo, q_hi = _components(geometry.solve(eps, tol), forest)[2].tolist()
     ids = range(len(p_lo))
     return _min_joint_cover(list(zip(ids, p_lo, p_hi)), list(zip(ids, q_lo, q_hi)),
-                            geometry.n, geometry.m, k, tol) is not None
+                            (0.0, geometry.n), (0.0, geometry.m), k, tol) is not None
 
 
 def _bisect(lo: float, hi: float, tol: float, feasible) -> tuple[float, float]:

@@ -11,7 +11,7 @@ import pytest
 
 import kfrechet as kf
 from kfrechet import oracles
-from kfrechet.decide import _axis_cover
+from kfrechet.intervals import _axis_cover
 
 
 @pytest.fixture
@@ -174,11 +174,31 @@ def sweep_z(components, n: int, m: int, tol: float | None = None) -> int:
 
 
 def axis_cover(intervals, target: kf.Interval):
-    """The minimum cover of ``target`` (starting at 0) that
-    :func:`kf.approximate_k` takes on one axis: the cover search of
-    :mod:`kfrechet.decide` over (id, lo, hi) intervals, none of them free."""
-    assert target.lo == 0.0
-    return _axis_cover(intervals, target.hi, kf.default_tol())
+    """The minimum cover of ``target`` that :func:`kf.approximate_k` takes on
+    one axis: the cover search of :mod:`kfrechet.intervals` over (id, lo, hi)
+    intervals, none of them free."""
+    return _axis_cover(intervals, (target.lo, target.hi), kf.default_tol())
+
+
+def reference_union_covers(intervals, target: kf.Interval, gap_tol: float) -> bool:
+    """The sweep of :func:`kf.interval_union_covers` from before it called the
+    cover search of :mod:`kfrechet.intervals`, kept as its reference: sorted by
+    lo, an interval moves the reach when it starts within ``gap_tol`` of it."""
+    if target.is_empty:
+        return True
+    spans = sorted((iv.lo, iv.hi) for iv in intervals if not iv.is_empty)
+    if target.length == 0.0:
+        return any(lo <= target.lo <= hi for lo, hi in spans)
+    reach = target.lo
+    goal = target.hi - gap_tol
+    for lo, hi in spans:
+        if lo > reach + gap_tol:
+            break
+        if hi > reach:
+            reach = hi
+            if reach >= goal:
+                return True
+    return reach >= goal
 
 
 def stub_diagram(n: int, m: int, projections) -> kf.FreeSpaceDiagram:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
-from kfrechet.boxes import _solve_rowwise, _solve_subsets, clause_size_counts
+from kfrechet.boxes import _solve_rowwise, clause_size_counts
+from conftest import reference_union_covers
 
 
 def formula(n, *clauses):
@@ -22,6 +23,36 @@ def random_formula(rng, n_vars, n_clauses, max_size=3):
         signs = rng.choice([-1, 1], size=size)
         clauses.append(tuple(int(v * s) for v, s in zip(lits, signs)))
     return formula(n_vars, *clauses)
+
+
+def reference_subsets(instance, tol):
+    """The first selection, by size and then lexicographically, of at most k
+    boxes covering both boundaries under the reference sweep: the subset
+    enumeration that answered off-grid instances before the joint-cover
+    search did, kept as its reference."""
+    boxes = instance.boxes
+    bottom = kf.Interval(1.0, float(instance.x_max))
+    left = kf.Interval(1.0, float(instance.y_max))
+    for size in range(min(instance.k, len(boxes)) + 1):
+        for combo in itertools.combinations(range(len(boxes)), size):
+            if reference_union_covers([boxes[i].x_interval for i in combo], bottom, tol) and \
+               reference_union_covers([boxes[i].y_interval for i in combo], left, tol):
+                return combo
+    return None
+
+
+def off_grid_instance(rng, tol):
+    """At most 12 boxes on half-unit coordinates in a box with x_max off the
+    grid; some corners sit 0.5 or 1.5 tol past a half unit, so that gaps of
+    either width open between boxes."""
+    x_max = float(rng.integers(2, 6)) + 0.5
+    y_max = float(rng.integers(2, 5)) + float(rng.integers(0, 2)) / 2
+    boxes = []
+    for _ in range(int(rng.integers(1, 13))):
+        x, y = (float(rng.integers(1, 2 * end)) / 2 + float(rng.choice([0, 0, 0.5, 1.5])) * tol
+                for end in (x_max, y_max))
+        boxes.append(kf.LabeledBox(x, y, float(rng.integers(2, 7)) / 2, int(rng.choice([-1, 1]))))
+    return kf.BoxInstance(x_max, y_max, int(rng.integers(0, len(boxes) + 1)), tuple(boxes))
 
 
 def reference_rowwise(instance):
@@ -204,7 +235,7 @@ class TestSolver:
             inst = kf.build_box_instance(f)
             assert len(inst.boxes) <= 14
             row = _solve_rowwise(inst)
-            sub = _solve_subsets(inst, 1e-9)
+            sub = reference_subsets(inst, 1e-9)
             assert (row is None) == (sub is None)
             if row is not None:
                 assert kf.covers_boundaries(inst, row)
@@ -316,6 +347,50 @@ class TestSolver:
         inst = kf.BoxInstance(14.0, 3.0, 23, boxes)
         with pytest.raises(ValueError):
             kf.solve_box_bruteforce(inst)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3])
+    def test_off_grid_matches_subset_enumeration(self, tol):
+        # the joint-cover search returns a minimum cover, the reference the
+        # first one by size: the same size, not always the same boxes
+        rng = np.random.default_rng(18)
+        covered = 0
+        for _ in range(300):
+            inst = off_grid_instance(rng, tol)
+            got, want = kf.solve_box_bruteforce(inst, tol), reference_subsets(inst, tol)
+            assert (got is None) == (want is None), inst
+            if got is not None:
+                assert len(got) == len(want) and got == tuple(sorted(set(got)))
+                chosen = [inst.boxes[i] for i in got]
+                for ivs, end in (([b.x_interval for b in chosen], inst.x_max),
+                                 ([b.y_interval for b in chosen], inst.y_max)):
+                    assert reference_union_covers(ivs, kf.Interval(1.0, end), tol)
+                assert kf.covers_boundaries(inst, got, tol)
+                covered += 1
+        assert 60 <= covered <= 240  # both answers are common
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 5.0, 1.0, -1.0])
+    def test_tolerance_checked_on_every_path(self, tol):
+        grid = kf.build_box_instance(formula(1, (1, -1)))
+        off_grid = kf.BoxInstance(3.0, 2.5, 2, (kf.LabeledBox(1.0, 1.0, 2.0, 1),
+                                                 kf.LabeledBox(1.0, 1.5, 1.0, -1)))
+        assert kf.solve_box_bruteforce(grid) is not None
+        assert kf.solve_box_bruteforce(off_grid) == (0, 1)
+        for inst in (grid, off_grid):
+            with pytest.raises(ValueError, match="tolerance must be a finite number"):
+                kf.solve_box_bruteforce(inst, tol=tol)
+
+    @pytest.mark.parametrize("extra", ["past the right end", "above the left edge"])
+    def test_box_outside_an_edge_stays_on_the_grid(self, extra):
+        # 26 gadget boxes and one more: the subset search took at most 22
+        f = kf.normalize_formula(formula(3, (1, 2, 3), (-1, -2), (2, -3)))
+        base = kf.build_box_instance(f)
+        x_max, y_max = int(base.x_max), int(base.y_max)
+        box = (kf.LabeledBox(x_max - 1, 1, 3, 1) if extra == "past the right end"
+               else kf.LabeledBox(1, y_max, 1, 1))
+        inst = kf.BoxInstance(base.x_max, base.y_max, base.k, base.boxes + (box,))
+        assert len(inst.boxes) == 27 and kf.sat_bruteforce(f) is not None
+        sel = kf.solve_box_bruteforce(inst)
+        assert sel is not None and len(sel) <= inst.k and kf.covers_boundaries(inst, sel)
 
 
 class TestSatBruteforce:

@@ -21,6 +21,19 @@ def curve_files(tmp_path):
     return str(p), str(q)
 
 
+OFF_GRID_BOXES = {"bound": [3, 2.5], "k": 2, "boxes": [{"x": 1, "y": 1, "w": 2, "label": 1},
+                                                       {"x": 1, "y": 1.5, "w": 1, "label": -1}]}
+
+
+def box_file(tmp_path, kind: str) -> str:
+    """A box instance JSON on the integer grid (the gadget of (1 or -1)) or off it."""
+    path = tmp_path / f"{kind}.json"
+    obj = (kf.box_instance_to_json(kf.build_box_instance(kf.CnfFormula(1, ((1, -1),))))
+           if kind == "grid" else OFF_GRID_BOXES)
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -326,6 +339,21 @@ class TestBoxCommands:
         assert code == 2 and report is None
         assert "greater than 1" in err
 
+    @pytest.mark.parametrize("extra", [{"x": 13, "y": 1, "w": 3, "label": 1},  # past the right end
+                                       {"x": 1, "y": 14, "w": 1, "label": 1}])  # above the left edge
+    def test_boxsolve_box_outside_an_edge(self, capsys, tmp_path, extra):
+        # 27 integral boxes: the row search answers; the subset search took at most 22
+        inst = kf.build_box_instance(kf.normalize_formula(
+            kf.CnfFormula(3, ((1, 2, 3), (-1, -2), (2, -3)))))
+        assert (inst.x_max, inst.y_max, len(inst.boxes)) == (14.0, 14.0, 26)
+        obj = kf.box_instance_to_json(inst)
+        obj["boxes"].append(extra)
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps(obj))
+        code, report, _ = run_cli(capsys, "boxsolve", "--in", str(path))
+        assert code == 0 and report["boxes"] == 27
+        assert kf.covers_boundaries(kf.box_instance_from_json(obj), report["selection"])
+
     def test_boxsolve_bad_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -385,6 +413,14 @@ class TestToleranceEnv:
         assert code == 2 and report is None and "KFRECHET_TOL must be a finite number" in err
         assert repr(raw) in err
 
+    @pytest.mark.parametrize("kind", ["grid", "off-grid"])
+    @pytest.mark.parametrize("raw", ["abc", "nan", "-1", "1.5"])
+    def test_boxsolve_env_value_exits_2(self, capsys, monkeypatch, tmp_path, kind, raw):
+        path = box_file(tmp_path, kind)
+        monkeypatch.setenv("KFRECHET_TOL", raw)
+        code, report, err = run_cli(capsys, "boxsolve", "--in", path)
+        assert code == 2 and report is None and "KFRECHET_TOL must be a finite number" in err
+
 
 def test_module_entry_point(curve_files):
     p, q = curve_files
@@ -414,13 +450,15 @@ def test_box_commands_leave_numpy_unloaded(curve_files, tmp_path):
     p, q = curve_files
     cnf, boxes = tmp_path / "f.cnf", tmp_path / "boxes.json"
     cnf.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
+    off_grid = box_file(tmp_path, "off-grid")  # answered by the joint-cover search
     code = f"""
 import sys
 import kfrechet, kfrechet.cli
 assert "numpy" not in sys.modules, "import"
 statuses = [kfrechet.cli.main(["boxgen", "--cnf", {str(cnf)!r}, "--out", {str(boxes)!r}]),
-            kfrechet.cli.main(["boxsolve", "--in", {str(boxes)!r}])]
-assert statuses == [0, 0] and "numpy" not in sys.modules, statuses
+            kfrechet.cli.main(["boxsolve", "--in", {str(boxes)!r}]),
+            kfrechet.cli.main(["boxsolve", "--in", {off_grid!r}])]
+assert statuses == [0, 0, 0] and "numpy" not in sys.modules, statuses
 print("decide", kfrechet.cli.main(["decide", "--p", {p!r}, "--q", {q!r}, "--eps", "1.0", "--k", "1"]))
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

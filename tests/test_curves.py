@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
-from conftest import point_segment_distance, random_curve, segment_distance
+from conftest import point_segment_distance, random_curve, reference_union_covers, segment_distance
 
 
 class TestParseCurve:
@@ -160,6 +160,33 @@ class TestIntervalUnionCovers:
     def test_negative_gap_tol_rejected(self):
         with pytest.raises(ValueError):
             kf.interval_union_covers([], kf.Interval(0, 1), gap_tol=-1.0)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+    def test_matches_the_reference_sweep(self, tol):
+        # chains of intervals over a target starting at 0, 1 or elsewhere, with
+        # gaps of 0.5 and 1.5 tol, overlaps, touching ends, degenerate, empty and
+        # stray intervals, in shuffled order; degenerate targets too
+        rng = np.random.default_rng(18)
+        answers = []
+        for _ in range(2000):
+            start = float(rng.choice([0.0, 1.0, rng.uniform(-3, 3)]))
+            end = start + float(rng.choice([0.0, 0.5 * tol, 1.5 * tol]) if rng.random() < 0.2
+                                else rng.uniform(0, 4))
+            intervals, at = [], start - float(rng.choice([0.0, 0.5 * tol, 1.5 * tol, 0.3]))
+            while at < end + 0.5 and len(intervals) < 8:
+                width = float(rng.choice([0.0, rng.uniform(0, 1.5)]))
+                intervals.append(kf.Interval(at, at + width))
+                gap = float(rng.choice([0.0, 0.5 * tol, tol, 1.5 * tol, -rng.uniform(0, 1), 0.2]))
+                at += width + gap
+            intervals += [kf.EMPTY] * int(rng.integers(0, 2))
+            intervals += [kf.Interval(lo, lo + float(rng.uniform(0, 2)))
+                          for lo in rng.uniform(start - 2, end + 1, size=int(rng.integers(0, 3)))]
+            rng.shuffle(intervals)
+            target = kf.Interval(start, end)
+            got = kf.interval_union_covers(intervals, target, tol)
+            assert got == reference_union_covers(intervals, target, tol), (intervals, target)
+            answers.append(got)
+        assert 600 <= sum(answers) <= 1400
 
 
 class TestDistances:

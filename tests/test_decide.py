@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
-from kfrechet import decide, oracles
+from kfrechet import decide, intervals, oracles
 from kfrechet.freespace import FreeSpaceGrid
 from conftest import (SIX_COMPONENT_PAIR, axis_cover, epsilon_probes, exhaustive_decide,
                       exhaustive_min_selection_size, random_pair, stub_diagram)
@@ -386,13 +386,13 @@ class TestCertificate:
     @pytest.fixture
     def walks(self, monkeypatch):
         """The calls of the search tree walk."""
-        calls, walk = [], decide._axis_selections
+        calls, walk = [], intervals._axis_selections
 
         def recorded(*args):
             calls.append(args)
             return walk(*args)
 
-        monkeypatch.setattr(decide, "_axis_selections", recorded)
+        monkeypatch.setattr(intervals, "_axis_selections", recorded)
         return calls
 
     @pytest.mark.parametrize("projections, k, want, walked", [

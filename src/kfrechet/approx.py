@@ -8,19 +8,19 @@ since the optimum must cover each axis too.
 
 from __future__ import annotations
 
-from .config import resolve_tol
+from .config import default_tol
 from .decide import _axis_intervals
 from .freespace import FreeSpaceDiagram
 from .intervals import _axis_cover
 
 
-def approximate_k(diagram: FreeSpaceDiagram, tol: float | None = None) -> tuple | None:
+def approximate_k(diagram: FreeSpaceDiagram) -> tuple | None:
     """Covering selection at most twice the optimal size, or None.
 
     None exactly when one axis cannot be covered at all, i.e. the
     Hausdorff test fails. Components picked on both axes count once.
     """
-    tol = resolve_tol(tol)
+    tol = default_tol()
     union: set = set()
     for axis, length in (("p", diagram.n), ("q", diagram.m)):
         cover = _axis_cover(_axis_intervals(diagram, axis), (0.0, float(length)), tol)

@@ -21,13 +21,12 @@ same search, :func:`kfrechet.intervals._min_joint_cover`.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import sys
 from dataclasses import dataclass
 
-from .config import _budget, resolve_tol
-from .intervals import Interval, _min_joint_cover, interval_union_covers
+from .config import _budget, default_tol
+from .intervals import Interval, _axis_cover, _min_joint_cover
 
 _MAX = sys.float_info.max  # compares exactly with ints, so one too large for a float fails
 
@@ -244,13 +243,22 @@ def build_box_instance(formula: CnfFormula) -> BoxInstance:
 _OFF_GRID = object()  # _solve_rowwise's answer for an instance off the integer grid
 
 
-def solve_box_bruteforce(instance: BoxInstance, tol: float | None = None):
+def _axes(instance: BoxInstance, boxes) -> tuple:
+    """The (id, lo, hi) x and y projections of ``boxes``, ids by position, and
+    the ends of B's bottom and left edge."""
+    return ([(i, b.x, b.x + b.w) for i, b in enumerate(boxes)],
+            [(i, b.y, b.y + 1.0) for i, b in enumerate(boxes)],
+            (1.0, float(instance.x_max)), (1.0, float(instance.y_max)))
+
+
+def solve_box_bruteforce(instance: BoxInstance):
     """A selection of at most k boxes covering both target boundaries, or None.
 
     Covering means: the x-projections of the selected boxes cover B's
     bottom edge [1, x_max] and their y-projections cover the left edge
-    [1, y_max], with gaps of at most ``tol`` forgiven. Returns a sorted
-    tuple of box indices. For B boxes:
+    [1, y_max], with gaps of at most the tolerance (``KFRECHET_TOL``, see
+    :mod:`kfrechet.config`) forgiven. Returns a sorted tuple of box
+    indices. For B boxes:
 
     - On the integer grid (integral bounds, corners and widths) each of the
       R unit rows of the left edge needs a box of its own, so the row-wise
@@ -259,25 +267,28 @@ def solve_box_bruteforce(instance: BoxInstance, tol: float | None = None):
       the first cover it meets. With C bottom columns (the pieces between
       box ends inside [1, x_max], at most 2B + 1) it remembers each state
       (row, missing columns) that holds no cover, so it visits at most
-      min(product of the earlier row sizes, 2**C) states per row, and
-      patches each last-row state with at most sum_{r <= b} C(B - R, r)
-      combinations. A box outside the rows joins none but may patch.
+      min(product of the earlier row sizes, 2**C) states per row. The
+      patch is one greedy pass, O(C) per last-row state: the box over the
+      lowest missing column that reaches farthest right, again and again.
+      A box outside the rows joins none but may patch.
     - Off the grid, the curve decider's joint-cover search
       :func:`kfrechet.intervals._min_joint_cover`, walking x, returns a
       minimum cover. Each path of its tree is a distinct subset of at most
-      k boxes, so it walks at most 2**22 paths; B > 22 raises ValueError.
+      k boxes, so it walks at most 2**22 paths; B > 22 raises ValueError,
+      unless an axis alone needs more than k boxes or has no cover, which
+      answers None without the search.
     """
-    tol = resolve_tol(tol)
+    tol = default_tol()
     selection = _solve_rowwise(instance)
     if selection is not _OFF_GRID:
         return selection
-    boxes = instance.boxes
-    if len(boxes) > 22:
-        raise ValueError(f"off-grid instance of {len(boxes)} boxes; the cover search takes at most 22")
-    return _min_joint_cover([(i, b.x, b.x + b.w) for i, b in enumerate(boxes)],
-                            [(i, b.y, b.y + 1.0) for i, b in enumerate(boxes)],
-                            (1.0, float(instance.x_max)), (1.0, float(instance.y_max)),
-                            instance.k, tol)
+    xs, ys, ends_x, ends_y = _axes(instance, instance.boxes)
+    if len(xs) > 22:
+        covers = _axis_cover(xs, ends_x, tol), _axis_cover(ys, ends_y, tol)
+        if None in covers or max(map(len, covers)) > instance.k:
+            return None
+        raise ValueError(f"off-grid instance of {len(xs)} boxes; the cover search takes at most 22")
+    return _min_joint_cover(xs, ys, ends_x, ends_y, instance.k, tol)
 
 
 def _solve_rowwise(instance: BoxInstance):
@@ -325,37 +336,28 @@ def _solve_rowwise(instance: BoxInstance):
     target = (1 << (len(column) - 1)) - 1
     if target & ~(later | outside):
         return None
-    farthest = [0] * (len(column) - 1)  # per column, the covering box reaching farthest right
-    for mask in col_masks if budget else ():  # only the spare budget needs it
+    # per column, (reach, box) of the covering box reaching farthest right;
+    # only the spare budget needs it
+    farthest = [(0, None)] * (len(column) - 1)
+    for idx, mask in enumerate(col_masks) if budget else ():
         for c in range((mask & -mask).bit_length() - 1, mask.bit_length()):
-            if mask.bit_length() > farthest[c].bit_length():
-                farthest[c] = mask
+            if mask.bit_length() > farthest[c][0]:
+                farthest[c] = (mask.bit_length(), idx)
 
-    def over_budget(missing: int) -> bool:
-        """Whether covering ``missing`` takes more than ``budget`` boxes. Box
-        masks are runs of columns, so covering the lowest missing column by
-        the box reaching farthest right, again and again, takes fewest."""
-        for _ in range(budget):
-            if not missing:
-                return False
-            missing &= ~farthest[(missing & -missing).bit_length() - 1]
-        return missing != 0
-
-    def patch_gaps(missing: int):
-        """First combination of fewest boxes, at most the spare budget, that
-        covers the bottom columns still missing. A chosen box covers none of
-        them, so it never enters the pool."""
-        if not missing:
-            return ()
-        pool = [i for i, mask in enumerate(col_masks) if mask & missing]
-        for r in range(1, budget + 1):
-            for extra in itertools.combinations(pool, r):
-                left = missing
-                for i in extra:
-                    left &= ~col_masks[i]
-                if not left:
-                    return extra
-        return None
+    def patch(missing: int):
+        """The boxes that cover the bottom columns ``missing``, or None when
+        that takes more than the spare budget. Box masks are runs of columns,
+        so covering the lowest missing column by the box reaching farthest
+        right, again and again, takes fewest. A picked box covers none of the
+        columns left missing, so no box is picked twice, nor one of a row."""
+        extra = []
+        while missing:
+            if len(extra) == budget:
+                return None
+            idx = farthest[(missing & -missing).bit_length() - 1][1]
+            extra.append(idx)
+            missing &= ~col_masks[idx]
+        return extra
 
     # A state is a row and the columns still missing. Whether it holds a
     # cover depends on nothing else, so the states found to hold none are
@@ -365,11 +367,11 @@ def _solve_rowwise(instance: BoxInstance):
 
     def descend(r: int, missing: int):
         if r == n_rows:
-            return patch_gaps(missing)
+            return patch(missing)
         seen, out = failed[r], beyond[r]
         for idx, keep in rows[r]:
             left = missing & keep
-            if left in seen or left & out and (not budget or over_budget(left & out)):
+            if left in seen or left & out and (not budget or patch(left & out) is None):
                 continue
             found = descend(r + 1, left)
             if found is not None:
@@ -409,14 +411,11 @@ def selection_from_assignment(instance: BoxInstance, assignment: dict) -> tuple:
     )
 
 
-def covers_boundaries(instance: BoxInstance, indices, tol: float | None = None) -> bool:
+def covers_boundaries(instance: BoxInstance, indices) -> bool:
     """Whether the given boxes cover B's bottom and left boundary."""
-    tol = resolve_tol(tol)
-    chosen = [instance.boxes[i] for i in indices]
-    return (
-        interval_union_covers([b.x_interval for b in chosen], Interval(1.0, float(instance.x_max)), tol)
-        and interval_union_covers([b.y_interval for b in chosen], Interval(1.0, float(instance.y_max)), tol)
-    )
+    tol = default_tol()
+    xs, ys, ends_x, ends_y = _axes(instance, [instance.boxes[i] for i in indices])
+    return _axis_cover(xs, ends_x, tol) is not None and _axis_cover(ys, ends_y, tol) is not None
 
 
 def parse_dimacs(text: str) -> CnfFormula:

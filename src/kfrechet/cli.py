@@ -3,7 +3,8 @@
 Machine-readable JSON goes to stdout (sorted keys, sorted id lists),
 diagnostics to stderr. Exit status: 0 for a positive answer, 1 for a
 negative one, 2 for any usage or input error. The KFRECHET_TOL
-environment variable overrides the global comparison tolerance.
+environment variable sets the one comparison tolerance; ``minimize-eps
+--tol`` is the width of the eps search, not a comparison tolerance.
 
 Only the box workbench is imported with this module, so ``boxgen`` and
 ``boxsolve`` run without numpy. The curve commands (``decide``,

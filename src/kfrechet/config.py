@@ -1,12 +1,16 @@
 """Global numeric tolerance and budget checks.
 
 All interval-endpoint comparisons and coverage gap checks share a single
-absolute tolerance. It defaults to 1e-9 and can be overridden through the
-``KFRECHET_TOL`` environment variable or per call via the ``tol`` keyword
-that most operations accept. Either must be a finite number in ``[0, 1)``;
-anything else raises ``ValueError``. Comparisons are in parameter units,
-where one cell of a diagram and one column of a box instance are 1 wide: a
-tolerance that wide would forgive a whole uncovered cell.
+absolute tolerance, the one setting ``KFRECHET_TOL``, 1e-9 when unset.
+Every public entry point reads it once, at call time, through
+:func:`default_tol` and hands that float to its helpers, so one question
+is asked at one tolerance. It must be a finite number in ``[0, 1)``;
+anything else raises a ``ValueError`` that names the variable.
+Comparisons are in parameter units, where one cell of a diagram and one
+column of a box instance are 1 wide: a tolerance that wide would forgive a
+whole uncovered cell. The ``tol`` of
+:func:`~kfrechet.optimize.minimize_epsilon` is not a comparison tolerance
+but the width of its search.
 """
 
 from __future__ import annotations
@@ -18,13 +22,6 @@ import os
 DEFAULT_TOL = 1e-9
 
 _ENV_VAR = "KFRECHET_TOL"
-_RULE = "must be a finite number >= 0 and < 1"
-
-
-def _check(name: str, value: float) -> float:
-    if not (math.isfinite(value) and 0.0 <= value < 1.0):
-        raise ValueError(f"{name} {_RULE}, got {value}")
-    return value
 
 
 def default_tol() -> float:
@@ -33,16 +30,12 @@ def default_tol() -> float:
     if raw is None:
         return DEFAULT_TOL
     try:
-        return _check(_ENV_VAR, float(raw))
-    except ValueError:  # not a number, or outside [0, 1)
-        raise ValueError(f"{_ENV_VAR} {_RULE}, got {raw!r}") from None
-
-
-def resolve_tol(tol: float | None) -> float:
-    """Return ``tol`` itself, or the configured default when ``tol`` is None."""
-    if tol is None:
-        return default_tol()
-    return _check("tolerance", tol)
+        tol = float(raw)
+    except ValueError:  # not a number
+        tol = math.nan
+    if not (math.isfinite(tol) and 0.0 <= tol < 1.0):
+        raise ValueError(f"{_ENV_VAR} must be a finite number >= 0 and < 1, got {raw!r}")
+    return tol
 
 
 def _budget(k, least: int = 0) -> int:

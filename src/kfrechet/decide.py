@@ -21,6 +21,9 @@ the one per-axis shape that :mod:`kfrechet.approx` and the eps search of
 :mod:`kfrechet.optimize` read too. Only the strong decision needs the cell
 geometry, and its boundary test is its own; the others need only the
 component projections.
+
+Each public function reads the one comparison tolerance, ``KFRECHET_TOL``
+(see :mod:`kfrechet.config`), once when called and hands it to the search.
 """
 
 from __future__ import annotations
@@ -30,20 +33,19 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import _budget, resolve_tol
+from .config import _budget, default_tol
 from .freespace import FreeSpaceDiagram, FreeSpaceGrid, _picked
-from .intervals import Interval, _axis_selections, _min_joint_cover, interval_union_covers
+from .intervals import _axis_cover, _axis_selections, _min_joint_cover
 
 
-def covers_both(diagram: FreeSpaceDiagram, selection: Iterable[int],
-                tol: float | None = None) -> bool:
+def covers_both(diagram: FreeSpaceDiagram, selection: Iterable[int]) -> bool:
     """Whether the components with the selected ids project onto all of both axes."""
-    tol = resolve_tol(tol)
+    tol = default_tol()
     comps = _picked(diagram, selection)
-    return (
-        interval_union_covers([c.proj_p for c in comps], Interval(0.0, float(diagram.n)), tol)
-        and interval_union_covers([c.proj_q for c in comps], Interval(0.0, float(diagram.m)), tol)
-    )
+    p = [(c.id, c.proj_p.lo, c.proj_p.hi) for c in comps]
+    q = [(c.id, c.proj_q.lo, c.proj_q.hi) for c in comps]
+    return (_axis_cover(p, (0.0, diagram.n), tol) is not None
+            and _axis_cover(q, (0.0, diagram.m), tol) is not None)
 
 
 def _axis_intervals(diagram: FreeSpaceDiagram, axis: str) -> list:
@@ -55,8 +57,7 @@ def _axis_intervals(diagram: FreeSpaceDiagram, axis: str) -> list:
     raise ValueError(f'axis must be "p" or "q", got {axis!r}')
 
 
-def fpt_feasible_selections(diagram: FreeSpaceDiagram, axis: str, k: int,
-                            tol: float | None = None) -> tuple[list, int]:
+def fpt_feasible_selections(diagram: FreeSpaceDiagram, axis: str, k: int) -> tuple[list, int]:
     """All axis-covering selections found by a depth-bounded sweep search.
 
     The search tree holds every covering chain (see :mod:`kfrechet.intervals`)
@@ -69,7 +70,7 @@ def fpt_feasible_selections(diagram: FreeSpaceDiagram, axis: str, k: int,
     most z^k paths. ``diagram.z`` is at most the paper's z (see
     :class:`~kfrechet.freespace.FreeSpaceDiagram`): the paper's FPT bound.
     """
-    tol = resolve_tol(tol)
+    tol = default_tol()
     k = _budget(k)
     axis_len = float(diagram.n if axis == "p" else diagram.m)
     tree = _axis_selections(_axis_intervals(diagram, axis), (0.0, axis_len), tol)
@@ -77,7 +78,7 @@ def fpt_feasible_selections(diagram: FreeSpaceDiagram, axis: str, k: int,
     return sorted({sel for level in levels for sel in level}), sum(map(len, levels))
 
 
-def decide_fpt(diagram: FreeSpaceDiagram, k: int, tol: float | None = None) -> tuple | None:
+def decide_fpt(diagram: FreeSpaceDiagram, k: int) -> tuple | None:
     """A minimum selection covering both axes if it has at most k
     components, else None: :func:`~kfrechet.intervals._min_joint_cover` over
     the axes (0, n) and (0, m).
@@ -90,26 +91,25 @@ def decide_fpt(diagram: FreeSpaceDiagram, k: int, tol: float | None = None) -> t
     order; a later cover wins only if it is smaller. The z^k bound on the
     tree's paths holds for this search.
     """
-    tol = resolve_tol(tol)
+    tol = default_tol()
     k = _budget(k)
     return _min_joint_cover(_axis_intervals(diagram, "p"), _axis_intervals(diagram, "q"),
                             (0.0, diagram.n), (0.0, diagram.m), k, tol)
 
 
-def decide_weak_frechet(diagram: FreeSpaceDiagram, tol: float | None = None) -> bool:
+def decide_weak_frechet(diagram: FreeSpaceDiagram) -> bool:
     """True when a single component projects onto the whole of both axes.
 
     Equivalently: some component touches all four diagram boundaries, and
     :func:`decide_fpt` finds a selection at ``k = 1``.
     """
-    tol = resolve_tol(tol)
     return _min_joint_cover(_axis_intervals(diagram, "p"), _axis_intervals(diagram, "q"),
-                            (0.0, diagram.n), (0.0, diagram.m), 1, tol) is not None
+                            (0.0, diagram.n), (0.0, diagram.m), 1, default_tol()) is not None
 
 
-def decide_hausdorff(diagram: FreeSpaceDiagram, tol: float | None = None) -> bool:
+def decide_hausdorff(diagram: FreeSpaceDiagram) -> bool:
     """True when the union of all components covers both axes."""
-    return covers_both(diagram, range(len(diagram.components)), tol)
+    return covers_both(diagram, range(len(diagram.components)))
 
 
 def _boundary_starts(edges, tol: float) -> list:
@@ -123,7 +123,7 @@ def _boundary_starts(edges, tol: float) -> list:
     return np.where(np.logical_and.accumulate(reached), lo, math.inf).tolist()
 
 
-def decide_strong_frechet(diagram: FreeSpaceDiagram, tol: float | None = None) -> bool:
+def decide_strong_frechet(diagram: FreeSpaceDiagram) -> bool:
     """Monotone reachability from the bottom-left to the top-right corner.
 
     The dynamic program of Alt & Godau over cell edges. A cell's free space
@@ -140,7 +140,7 @@ def decide_strong_frechet(diagram: FreeSpaceDiagram, tol: float | None = None) -
     if not isinstance(grid, FreeSpaceGrid):
         raise ValueError("decide_strong_frechet needs the cell geometry of the diagram; "
                          "this one holds component projections only")
-    tol = resolve_tol(tol)
+    tol = default_tol()
     n, m, inf = diagram.n, diagram.m, math.inf
     # left[j]: start on the left edge of cell (i, j) in column i; bottom[i]: on
     # the bottom edge of cell (i, 0), the only bottom edge entered from outside.

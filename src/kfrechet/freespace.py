@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import resolve_tol
+from .config import default_tol
 from .curves import PolyCurve
 from .intervals import EMPTY, Interval
 
@@ -391,8 +391,7 @@ def _components(solved: _Solved, forest: np.ndarray | None = None):
     return occupied, label, ends[[0, 2, 1, 3]] * _SIGNS
 
 
-def build_diagram(P: PolyCurve, Q: PolyCurve, eps: float,
-                  tol: float | None = None) -> FreeSpaceDiagram:
+def build_diagram(P: PolyCurve, Q: PolyCurve, eps: float) -> FreeSpaceDiagram:
     """Compute the full free space diagram of P and Q at distance eps.
 
     Cells are joined into components when their shared edge carries a
@@ -403,7 +402,7 @@ def build_diagram(P: PolyCurve, Q: PolyCurve, eps: float,
     """
     n, m = P.n, Q.n
     pair = _PairGeometry(P.vertices, Q.vertices)
-    solved = pair.solve(eps, resolve_tol(tol))
+    solved = pair.solve(eps, default_tol())
     occupied, label, ends = _components(solved)
     ii, jj = np.divmod(occupied, m)
     members = [[] for _ in ends[0]]

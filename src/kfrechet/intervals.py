@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable
 
-from .config import resolve_tol
+from .config import default_tol
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,8 @@ class Interval:
     def length(self) -> float:
         return 0.0 if self.is_empty else self.hi - self.lo
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return not self.is_empty and self.lo - tol <= x <= self.hi + tol
+    def contains(self, x: float) -> bool:
+        return not self.is_empty and self.lo <= x <= self.hi
 
     def contains_interval(self, other: "Interval") -> bool:
         """Exact (tolerance-free) containment; empty is contained in anything."""
@@ -75,25 +75,21 @@ class Interval:
 EMPTY = Interval(math.inf, -math.inf)
 
 
-def interval_union_covers(
-    intervals: Iterable[Interval],
-    target: Interval,
-    gap_tol: float | None = None,
-) -> bool:
+def interval_union_covers(intervals: Iterable[Interval], target: Interval) -> bool:
     """Whether the union of ``intervals`` covers ``target``.
 
-    Uncovered gaps of width at most ``gap_tol`` are forgiven: the cover
-    rule of the module docstring, decided by :func:`_axis_cover`. A
-    degenerate target is covered only when some interval actually contains
-    its point.
+    Uncovered gaps of width at most the tolerance (``KFRECHET_TOL``, see
+    :mod:`kfrechet.config`) are forgiven: the cover rule of the module
+    docstring, decided by :func:`_axis_cover`. A degenerate target is
+    covered only when some interval actually contains its point.
     """
-    gap_tol = resolve_tol(gap_tol)
+    tol = default_tol()
     if target.is_empty:
         return True
     spans = [(i, iv.lo, iv.hi) for i, iv in enumerate(intervals) if not iv.is_empty]
     if target.length == 0.0:
         return any(lo <= target.lo <= hi for _, lo, hi in spans)
-    return _axis_cover(spans, (target.lo, target.hi), gap_tol) is not None
+    return _axis_cover(spans, (target.lo, target.hi), tol) is not None
 
 
 def _axis_selections(intervals, ends, tol: float):

@@ -35,21 +35,21 @@ import math
 
 import numpy as np
 
-from .config import _budget, resolve_tol
+from .config import _budget, default_tol
 from .curves import PolyCurve
 from .decide import decide_fpt
 from .freespace import FreeSpaceDiagram, _components, _dot, _PairGeometry, build_diagram
 from .intervals import _min_joint_cover
 
 
-def minimize_k(diagram: FreeSpaceDiagram, tol: float | None = None) -> int | None:
+def minimize_k(diagram: FreeSpaceDiagram) -> int | None:
     """Smallest covering budget k for this diagram, or None.
 
     None exactly when no selection of any size covers (Hausdorff fails).
     The size of the minimum cover of :func:`~kfrechet.decide.decide_fpt`
     at a budget of every component, which is None exactly then.
     """
-    cover = decide_fpt(diagram, len(diagram.components), tol)
+    cover = decide_fpt(diagram, len(diagram.components))
     return None if cover is None else len(cover)
 
 
@@ -121,9 +121,10 @@ def distance_candidates(P: PolyCurve, Q: PolyCurve) -> list[float]:
 
 def _cover_exists(geometry: _PairGeometry, eps: float, k: int, tol: float,
                   forest: np.ndarray | None = None) -> bool:
-    """``decide_fpt(build_diagram(P, Q, eps, tol), k, tol) is not None`` for the
-    prepared pair, from the component projections alone. ``forest`` warm-starts
-    the component labelling as in :func:`~kfrechet.freespace._components`."""
+    """``decide_fpt(build_diagram(P, Q, eps), k) is not None`` at the tolerance
+    ``tol`` for the prepared pair, from the component projections alone.
+    ``forest`` warm-starts the component labelling as in
+    :func:`~kfrechet.freespace._components`."""
     p_lo, p_hi, q_lo, q_hi = _components(geometry.solve(eps, tol), forest)[2].tolist()
     ids = range(len(p_lo))
     return _min_joint_cover(list(zip(ids, p_lo, p_hi)), list(zip(ids, q_lo, q_hi)),
@@ -153,9 +154,9 @@ def minimize_epsilon(P: PolyCurve, Q: PolyCurve, k: int, tol: float = 1e-6) -> f
     A monotone binary search on eps over [0, max vertex distance] that
     returns the upper end once the two ends are within ``tol``. A probe at
     eps decides exactly what ``decide_fpt(build_diagram(P, Q, eps), k) is
-    not None`` decides, comparing interval ends with ``resolve_tol(None)``
-    (``KFRECHET_TOL`` or 1e-9); ``tol`` is only the search width. The pair
-    is prepared once, by the eps = 0 build: every later probe re-solves
+    not None`` decides, comparing interval ends with the one tolerance
+    setting (``KFRECHET_TOL`` or 1e-9), read once per search; ``tol`` is only
+    the search width. The pair is prepared once, by the eps = 0 build: every later probe re-solves
     that build's prepared pair and starts from the components of the
     largest eps found infeasible.
 
@@ -197,7 +198,7 @@ def minimize_epsilon(P: PolyCurve, Q: PolyCurve, k: int, tol: float = 1e-6) -> f
     if decide_fpt(start, k) is not None:
         return 0.0
     geometry = start._pair
-    cmp_tol = resolve_tol(None)
+    cmp_tol = default_tol()
     # Free space only grows with eps, so the cells joined at the largest eps
     # found infeasible so far stay joined at every later probe, which lies
     # above it.

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial.distance import cdist
 
-from .config import _budget, resolve_tol
+from .config import _budget
 from .curves import PolyCurve
 from .decide import covers_both, decide_hausdorff
 from .freespace import FreeSpaceDiagram
@@ -213,7 +213,7 @@ class Preprocessed:
     dropped: tuple
 
 
-def preprocess(diagram: FreeSpaceDiagram, tol: float | None = None) -> Preprocessed:
+def preprocess(diagram: FreeSpaceDiagram) -> Preprocessed:
     """Identify necessary components and prune redundant ones.
 
     A component is redundant when its proj_p x proj_q bounding box is
@@ -221,11 +221,10 @@ def preprocess(diagram: FreeSpaceDiagram, tol: float | None = None) -> Preproces
     keep the smaller id, so mutually-contained components are never both
     dropped). Necessary and redundant sets are disjoint.
     """
-    tol = resolve_tol(tol)
     comps = diagram.components
-    covered = decide_hausdorff(diagram, tol)
+    covered = decide_hausdorff(diagram)
     necessary = tuple(c.id for c in comps if covered and not covers_both(
-        diagram, [other.id for other in comps if other is not c], tol))
+        diagram, [other.id for other in comps if other is not c]))
 
     dropped = []
     for b in comps:
@@ -242,20 +241,19 @@ def preprocess(diagram: FreeSpaceDiagram, tol: float | None = None) -> Preproces
     return Preprocessed(necessary=necessary, kept=kept, dropped=tuple(dropped))
 
 
-def decide_bruteforce(diagram: FreeSpaceDiagram, k: int, use_preprocess: bool = True,
-                      tol: float | None = None) -> tuple | None:
+def decide_bruteforce(diagram: FreeSpaceDiagram, k: int,
+                      use_preprocess: bool = True) -> tuple | None:
     """Search all selections of size <= k for one covering both axes.
 
     The necessary components are seeded into every candidate and the
     remaining slots run through the non-redundant ids in lexicographic
     order; the first covering selection is returned.
     """
-    tol = resolve_tol(tol)
     k = _budget(k)
-    if not decide_hausdorff(diagram, tol):
+    if not decide_hausdorff(diagram):
         return None
     if use_preprocess:
-        pre = preprocess(diagram, tol)
+        pre = preprocess(diagram)
         base = pre.necessary
         pool = [cid for cid in pre.kept if cid not in base]
     else:
@@ -266,6 +264,6 @@ def decide_bruteforce(diagram: FreeSpaceDiagram, k: int, use_preprocess: bool = 
     for extra_count in range(k - len(base) + 1):
         for extra in itertools.combinations(pool, extra_count):
             candidate = tuple(sorted((*base, *extra)))
-            if covers_both(diagram, candidate, tol):
+            if covers_both(diagram, candidate):
                 return candidate
     return None

@@ -19,6 +19,14 @@ def rng():
     return np.random.default_rng(20250809)
 
 
+@pytest.fixture
+def kfrechet_tol(monkeypatch):
+    """Set the one comparison tolerance, ``KFRECHET_TOL``, for this test: a
+    float, or any string the variable may hold."""
+    return lambda tol: monkeypatch.setenv("KFRECHET_TOL", tol if isinstance(tol, str)
+                                          else repr(float(tol)))
+
+
 def random_curve(rng, nseg: int, scale: float = 1.0) -> kf.PolyCurve:
     while True:
         verts = rng.uniform(0.0, scale, size=(nseg + 1, 2))

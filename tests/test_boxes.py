@@ -309,6 +309,13 @@ class TestSolver:
         start = time.perf_counter()
         assert kf.solve_box_bruteforce(kf.BoxInstance(9.0, 7.0, 7, boxes)) is None
         assert time.perf_counter() - start < 1.0
+        # one row over column 1, and 24 boxes above the left edge over columns
+        # 2..25, one each: the spare budget of 24 patches them all; trying the
+        # combinations of fewer boxes first took 15 s
+        boxes = (kf.LabeledBox(1, 1, 1, 1),) + tuple(kf.LabeledBox(c, 5, 1, -1) for c in range(2, 26))
+        start = time.perf_counter()
+        assert kf.solve_box_bruteforce(kf.BoxInstance(26.0, 2.0, 25, boxes)) == tuple(range(25))
+        assert time.perf_counter() - start < 1.0
 
     def test_unsatisfiable_rows_answer_at_once(self):
         # rows 1..21 hold two boxes over the same column each, row 22 one box
@@ -343,20 +350,32 @@ class TestSolver:
         assert kf.covers_boundaries(inst, sel)
 
     def test_non_integral_too_large(self):
+        # every box lies on y in [1.5, 2.5]: the left edge [1, 3] has no cover,
+        # which the per-axis covers show without the search the cap bounds
         boxes = tuple(kf.LabeledBox(1.0 + 0.5 * i, 1.5, 1.0, 1) for i in range(23))
         inst = kf.BoxInstance(14.0, 3.0, 23, boxes)
-        with pytest.raises(ValueError):
-            kf.solve_box_bruteforce(inst)
+        assert kf.solve_box_bruteforce(inst) is None
+
+    def test_non_integral_search_past_the_cap_raises(self):
+        # 23 off-grid boxes whose per-axis covers fit in k: only the search
+        # over subsets can answer, and it takes at most 22 boxes
+        boxes = tuple(kf.LabeledBox(1.0 + 0.5 * i, 1.0 + 0.5 * (i % 2), 1.0, 1)
+                      for i in range(23))
+        with pytest.raises(ValueError, match="at most 22"):
+            kf.solve_box_bruteforce(kf.BoxInstance(12.5, 2.5, 23, boxes))
+        # at k = 5 the bottom edge alone needs more boxes: None, without the search
+        assert kf.solve_box_bruteforce(kf.BoxInstance(12.5, 2.5, 5, boxes)) is None
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-3])
-    def test_off_grid_matches_subset_enumeration(self, tol):
+    def test_off_grid_matches_subset_enumeration(self, tol, kfrechet_tol):
         # the joint-cover search returns a minimum cover, the reference the
         # first one by size: the same size, not always the same boxes
+        kfrechet_tol(tol)
         rng = np.random.default_rng(18)
         covered = 0
         for _ in range(300):
             inst = off_grid_instance(rng, tol)
-            got, want = kf.solve_box_bruteforce(inst, tol), reference_subsets(inst, tol)
+            got, want = kf.solve_box_bruteforce(inst), reference_subsets(inst, tol)
             assert (got is None) == (want is None), inst
             if got is not None:
                 assert len(got) == len(want) and got == tuple(sorted(set(got)))
@@ -364,20 +383,21 @@ class TestSolver:
                 for ivs, end in (([b.x_interval for b in chosen], inst.x_max),
                                  ([b.y_interval for b in chosen], inst.y_max)):
                     assert reference_union_covers(ivs, kf.Interval(1.0, end), tol)
-                assert kf.covers_boundaries(inst, got, tol)
+                assert kf.covers_boundaries(inst, got)
                 covered += 1
         assert 60 <= covered <= 240  # both answers are common
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 5.0, 1.0, -1.0])
-    def test_tolerance_checked_on_every_path(self, tol):
+    def test_tolerance_checked_on_every_path(self, tol, kfrechet_tol):
         grid = kf.build_box_instance(formula(1, (1, -1)))
         off_grid = kf.BoxInstance(3.0, 2.5, 2, (kf.LabeledBox(1.0, 1.0, 2.0, 1),
                                                  kf.LabeledBox(1.0, 1.5, 1.0, -1)))
         assert kf.solve_box_bruteforce(grid) is not None
         assert kf.solve_box_bruteforce(off_grid) == (0, 1)
+        kfrechet_tol(tol)
         for inst in (grid, off_grid):
-            with pytest.raises(ValueError, match="tolerance must be a finite number"):
-                kf.solve_box_bruteforce(inst, tol=tol)
+            with pytest.raises(ValueError, match="KFRECHET_TOL must be a finite number"):
+                kf.solve_box_bruteforce(inst)
 
     @pytest.mark.parametrize("extra", ["past the right end", "above the left edge"])
     def test_box_outside_an_edge_stays_on_the_grid(self, extra):

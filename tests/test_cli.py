@@ -8,7 +8,6 @@ import pytest
 import kfrechet as kf
 from kfrechet import oracles
 from kfrechet.cli import main
-from kfrechet.config import resolve_tol
 from conftest import random_pair
 
 
@@ -380,9 +379,10 @@ class TestToleranceEnv:
             kf.default_tol()
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 1.0, 2.0])
-    def test_bad_tol_argument(self, tol):
-        with pytest.raises(ValueError):
-            resolve_tol(tol)
+    def test_bad_tol_argument(self, tol, kfrechet_tol):
+        kfrechet_tol(tol)
+        with pytest.raises(ValueError, match="KFRECHET_TOL"):
+            kf.default_tol()
 
     @pytest.mark.parametrize("raw", ["nan", "inf"])
     def test_non_finite_env_exits_2(self, capsys, monkeypatch, curve_files, raw):

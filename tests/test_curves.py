@@ -130,9 +130,10 @@ class TestIntervalUnionCovers:
         assert kf.interval_union_covers(
             [kf.Interval(0, 0.6), kf.Interval(0.5, 1)], kf.Interval(0, 1))
 
-    def test_visible_gap(self):
+    def test_visible_gap(self, kfrechet_tol):
+        kfrechet_tol(1e-9)
         assert not kf.interval_union_covers(
-            [kf.Interval(0, 0.4), kf.Interval(0.6, 1)], kf.Interval(0, 1), gap_tol=1e-9)
+            [kf.Interval(0, 0.4), kf.Interval(0.6, 1)], kf.Interval(0, 1))
 
     def test_degenerate_target(self):
         assert not kf.interval_union_covers([], kf.Interval(0, 0))
@@ -157,15 +158,17 @@ class TestIntervalUnionCovers:
             if before:
                 assert after
 
-    def test_negative_gap_tol_rejected(self):
-        with pytest.raises(ValueError):
-            kf.interval_union_covers([], kf.Interval(0, 1), gap_tol=-1.0)
+    def test_negative_gap_tol_rejected(self, kfrechet_tol):
+        kfrechet_tol(-1.0)
+        with pytest.raises(ValueError, match="KFRECHET_TOL"):
+            kf.interval_union_covers([], kf.Interval(0, 1))
 
     @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
-    def test_matches_the_reference_sweep(self, tol):
+    def test_matches_the_reference_sweep(self, tol, kfrechet_tol):
         # chains of intervals over a target starting at 0, 1 or elsewhere, with
         # gaps of 0.5 and 1.5 tol, overlaps, touching ends, degenerate, empty and
         # stray intervals, in shuffled order; degenerate targets too
+        kfrechet_tol(tol)
         rng = np.random.default_rng(18)
         answers = []
         for _ in range(2000):
@@ -183,7 +186,7 @@ class TestIntervalUnionCovers:
                           for lo in rng.uniform(start - 2, end + 1, size=int(rng.integers(0, 3)))]
             rng.shuffle(intervals)
             target = kf.Interval(start, end)
-            got = kf.interval_union_covers(intervals, target, tol)
+            got = kf.interval_union_covers(intervals, target)
             assert got == reference_union_covers(intervals, target, tol), (intervals, target)
             answers.append(got)
         assert 600 <= sum(answers) <= 1400

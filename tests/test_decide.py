@@ -29,13 +29,13 @@ def edge_diagram(vert, horiz):
     return kf.FreeSpaceDiagram(epsilon=1.0, n=n, m=m, cells=grid, components=(), z=0)
 
 
-def strong_both_ways(vert, horiz, tol):
+def strong_both_ways(vert, horiz):
     """The strong decision on the edge diagram and on its transpose (P and Q
     swapped), which must agree."""
     d = edge_diagram(vert, horiz)
     flipped = edge_diagram(d.cells.horiz.transpose(1, 0, 2), d.cells.vert.transpose(1, 0, 2))
-    answer = kf.decide_strong_frechet(d, tol)
-    assert kf.decide_strong_frechet(flipped, tol) == answer
+    answer = kf.decide_strong_frechet(d)
+    assert kf.decide_strong_frechet(flipped) == answer
     return answer
 
 
@@ -304,18 +304,20 @@ class TestToleranceScale:
             assert kf.decide_fpt(d, 3) == (0, 1, 2)
             assert kf.minimize_k(d) == 3
 
-    def test_tolerance_as_wide_as_the_axes(self):
+    def test_tolerance_as_wide_as_the_axes(self, kfrechet_tol):
         # a tolerance one cell wide would let the empty selection cover: rejected
         d = stub_diagram(1, 1, [((0.2, 0.8), (0.2, 0.8))])
         for tol in (1.0, 1.5):
-            for call in (lambda: kf.covers_both(d, (), tol=tol),
-                         lambda: kf.fpt_feasible_selections(d, "p", 0, tol=tol),
-                         lambda: kf.decide_fpt(d, 0, tol=tol),
-                         lambda: kf.minimize_k(d, tol=tol),
-                         lambda: kf.approximate_k(d, tol=tol)):
-                with pytest.raises(ValueError, match="tolerance must be .* < 1"):
+            kfrechet_tol(tol)
+            for call in (lambda: kf.covers_both(d, ()),
+                         lambda: kf.fpt_feasible_selections(d, "p", 0),
+                         lambda: kf.decide_fpt(d, 0),
+                         lambda: kf.minimize_k(d),
+                         lambda: kf.approximate_k(d)):
+                with pytest.raises(ValueError, match="KFRECHET_TOL must be .* < 1"):
                     call()
-        assert kf.decide_fpt(d, 1, tol=np.nextafter(1.0, 0.0)) == (0,)
+        kfrechet_tol(np.nextafter(1.0, 0.0))
+        assert kf.decide_fpt(d, 1) == (0,)
 
     def test_matches_exhaustive_oracle_on_snapped_stubs(self):
         rng = np.random.default_rng(20261018)
@@ -490,47 +492,53 @@ class TestStrongEdgeRules:
     TOLS = (1e-6, 0.125)
 
     @pytest.mark.parametrize("tol", TOLS)
-    def test_first_boundary_edge_starts_within_tol(self, tol):
+    def test_first_boundary_edge_starts_within_tol(self, tol, kfrechet_tol):
         # 1x1, entered only through the left edge, left by the right edge
+        kfrechet_tol(tol)
         for lo, reached in ((tol, True), (2 * tol, False)):
-            assert strong_both_ways([[(lo, 1.0)], [FREE]], [[SHUT, FREE]], tol) == reached
+            assert strong_both_ways([[(lo, 1.0)], [FREE]], [[SHUT, FREE]]) == reached
 
     @pytest.mark.parametrize("tol", TOLS)
-    def test_later_boundary_edge_starts_within_tol(self, tol):
+    def test_later_boundary_edge_starts_within_tol(self, tol, kfrechet_tol):
         # 1x2: cell (0, 1) is entered only through its left boundary edge
+        kfrechet_tol(tol)
         for lo, reached in ((tol, True), (2 * tol, False)):
             vert = [[FREE, (lo, 1.0)], [SHUT, FREE]]
-            assert strong_both_ways(vert, [[SHUT, SHUT, FREE]], tol) == reached
+            assert strong_both_ways(vert, [[SHUT, SHUT, FREE]]) == reached
 
     @pytest.mark.parametrize("tol", TOLS)
-    def test_boundary_edge_before_ends_within_tol(self, tol):
+    def test_boundary_edge_before_ends_within_tol(self, tol, kfrechet_tol):
+        kfrechet_tol(tol)
         for hi, reached in ((1.0 - tol, True), (np.nextafter(1.0 - tol, 0.0), False)):
             vert = [[(0.0, hi), FREE], [SHUT, FREE]]
-            assert strong_both_ways(vert, [[SHUT, SHUT, FREE]], tol) == reached
+            assert strong_both_ways(vert, [[SHUT, SHUT, FREE]]) == reached
 
     @pytest.mark.parametrize("tol", TOLS)
-    def test_corner_through_the_last_top_edge(self, tol):
+    def test_corner_through_the_last_top_edge(self, tol, kfrechet_tol):
         # 3x1 with the last right edge shut: only the top edge of the last cell ends at the corner
+        kfrechet_tol(tol)
         for hi, reached in ((1.0, True), (1.0 - tol, True), (1.0 - 2 * tol, False)):
             vert = [[FREE], [FREE], [FREE], [SHUT]]
             horiz = [[FREE, FREE], [FREE, FREE], [FREE, (0.0, hi)]]
-            assert strong_both_ways(vert, horiz, tol) == reached
+            assert strong_both_ways(vert, horiz) == reached
 
     @pytest.mark.parametrize("tol", TOLS)
-    def test_corner_through_the_last_right_edge(self, tol):
+    def test_corner_through_the_last_right_edge(self, tol, kfrechet_tol):
         # 1x3 with the last top edge shut: only the right edge of the last cell ends at the corner
+        kfrechet_tol(tol)
         for hi, reached in ((1.0, True), (1.0 - tol, True), (1.0 - 2 * tol, False)):
             vert = [[FREE, FREE, FREE], [FREE, FREE, (0.0, hi)]]
             horiz = [[FREE, FREE, FREE, SHUT]]
-            assert strong_both_ways(vert, horiz, tol) == reached
+            assert strong_both_ways(vert, horiz) == reached
 
-    def test_entry_start_carries_into_the_next_cell(self):
+    def test_entry_start_carries_into_the_next_cell(self, kfrechet_tol):
         # 3x1, every top edge shut: cell (1, 0) is entered from the left only, at
         # t >= 0.5, so it reaches its right edge only where that reaches 0.5
+        kfrechet_tol(0.0)
         for hi, reached in ((0.5, True), (0.6, True), (np.nextafter(0.5, 0.0), False)):
             vert = [[FREE], [(0.5, 1.0)], [(0.0, hi)], [FREE]]
             horiz = [[FREE, SHUT], [SHUT, SHUT], [SHUT, SHUT]]
-            assert strong_both_ways(vert, horiz, 0.0) == reached
+            assert strong_both_ways(vert, horiz) == reached
 
 
 class TestStructuralProperties:

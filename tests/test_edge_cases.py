@@ -6,7 +6,7 @@ import pytest
 
 import kfrechet as kf
 from kfrechet import oracles
-from conftest import random_pair
+from conftest import random_pair, stub_diagram
 
 
 class TestDegenerateGeometry:
@@ -68,19 +68,54 @@ class TestDegenerateGeometry:
 
 
 class TestToleranceKnob:
-    def test_gap_tolerance_changes_coverage(self):
+    def test_gap_tolerance_changes_coverage(self, kfrechet_tol):
         spans = [kf.Interval(0.0, 0.5), kf.Interval(0.54, 1.0)]
         target = kf.Interval(0.0, 1.0)
         assert not kf.interval_union_covers(spans, target)
-        assert kf.interval_union_covers(spans, target, gap_tol=0.05)
-
-    def test_env_tolerance_feeds_operations(self, monkeypatch):
-        spans = [kf.Interval(0.0, 0.5), kf.Interval(0.54, 1.0)]
-        target = kf.Interval(0.0, 1.0)
-        monkeypatch.setenv("KFRECHET_TOL", "0.05")
+        kfrechet_tol(0.05)
         assert kf.interval_union_covers(spans, target)
+
+    def test_env_tolerance_feeds_operations(self, monkeypatch, kfrechet_tol):
+        # KFRECHET_TOL is the one comparison tolerance, read at call time: each
+        # entry point meets a shortfall of 0.04 (or a discriminant of -0.0199)
+        # that 0.05 forgives and 1e-9 does not
+        spans = [kf.Interval(0.0, 0.5), kf.Interval(0.54, 1.0)]
+        target = kf.Interval(0.0, 1.0)
+        P, Q = kf.PolyCurve([(0, 0), (1, 0)]), kf.PolyCurve([(0, 1), (1, 1)])  # 1 apart
+        d = stub_diagram(1, 1, [((0.0, 0.96), (0.0, 1.0))])
+        boxes = kf.BoxInstance(3.04, 2.0, 2, (kf.LabeledBox(1.0, 1.0, 1.0, 1),
+                                              kf.LabeledBox(2.04, 1.0, 1.0, -1)))
+        calls = {  # name: (call, answer at 1e-9, answer at 0.05)
+            "interval_union_covers": (lambda: kf.interval_union_covers(spans, target), False, True),
+            "build_diagram": (lambda: len(kf.build_diagram(P, Q, 0.99).components), 0, 1),
+            "decide_strong_frechet": (
+                lambda: kf.decide_strong_frechet(kf.build_diagram(P, Q, 0.99)), False, True),
+            "covers_both": (lambda: kf.covers_both(d, (0,)), False, True),
+            "decide_fpt": (lambda: kf.decide_fpt(d, 1), None, (0,)),
+            "fpt_feasible_selections": (lambda: kf.fpt_feasible_selections(d, "p", 1),
+                                        ([], 0), ([(0,)], 1)),
+            "decide_weak_frechet": (lambda: kf.decide_weak_frechet(d), False, True),
+            "decide_hausdorff": (lambda: kf.decide_hausdorff(d), False, True),
+            "approximate_k": (lambda: kf.approximate_k(d), None, (0,)),
+            "minimize_k": (lambda: kf.minimize_k(d), None, 1),
+            "minimize_epsilon": (lambda: round(kf.minimize_epsilon(P, Q, 1, tol=1e-3), 2),
+                                 1.0, 0.98),
+            "solve_box_bruteforce": (lambda: kf.solve_box_bruteforce(boxes), None, (0, 1)),
+            "covers_boundaries": (lambda: kf.covers_boundaries(boxes, (0, 1)), False, True),
+            "preprocess": (lambda: oracles.preprocess(d).necessary, (), (0,)),
+            "decide_bruteforce": (lambda: oracles.decide_bruteforce(d, 1), None, (0,)),
+        }
+        for tol, column in (("1e-9", 1), ("0.05", 2)):
+            kfrechet_tol(tol)
+            for name, row in calls.items():
+                assert row[0]() == row[column], (name, tol)
         monkeypatch.delenv("KFRECHET_TOL")
-        assert not kf.interval_union_covers(spans, target)
+        assert all(row[0]() == row[1] for row in calls.values())
+        for raw in ("nan", "-1", "1"):
+            kfrechet_tol(raw)
+            for name, row in calls.items():
+                with pytest.raises(ValueError, match="KFRECHET_TOL"):
+                    row[0]()
 
 
 def _pixel_monotone_reachable(pix) -> bool:

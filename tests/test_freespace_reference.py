@@ -372,19 +372,22 @@ def edge_cells(grid, n, m):
 
 
 @pytest.mark.parametrize("chunk", range(4))
-def test_strong_frechet_equals_reference_at_critical_eps(chunk):
+def test_strong_frechet_equals_reference_at_critical_eps(chunk, monkeypatch, kfrechet_tol):
     """At every fourth distance candidate and the floats either side of it,
-    with a strong decision tolerance of 0 and of 1e-6."""
+    with a strong decision tolerance of 0 and of 1e-6, on diagrams built at
+    the default tolerance."""
     answers = [0, 0]
     for P, Q, _ in CASES[chunk::32]:
         for c in kf.distance_candidates(P, Q)[::4]:
             for eps in (math.nextafter(c, -math.inf), float(c), math.nextafter(c, math.inf)):
                 if eps < 0.0:
                     continue
+                monkeypatch.delenv("KFRECHET_TOL", raising=False)
                 d = kf.build_diagram(P, Q, eps)
                 cells = edge_cells(d.cells, d.n, d.m)
                 for tol in (0.0, 1e-6):
-                    got = kf.decide_strong_frechet(d, tol)
+                    kfrechet_tol(tol)
+                    got = kf.decide_strong_frechet(d)
                     assert got == reference_strong_frechet(cells, d.n, d.m, tol), (P, Q, eps, tol)
                     answers[got] += 1
     assert min(answers) >= 100, answers
@@ -464,8 +467,9 @@ def reference_minimize_epsilon(P, Q, k, tol):
 
 
 @pytest.mark.parametrize("chunk", range(4))
-def test_prepared_pair_equals_reference_at_every_eps(chunk):
+def test_prepared_pair_equals_reference_at_every_eps(chunk, kfrechet_tol):
     # one prepared pair serves eps random, at and just off the distance candidates
+    kfrechet_tol(TOL)
     rng = np.random.default_rng(chunk)
     for P, Q, _ in CASES[chunk::20]:
         geometry = _PairGeometry(P.vertices, Q.vertices)
@@ -474,7 +478,7 @@ def test_prepared_pair_equals_reference_at_every_eps(chunk):
             ref, _ = reference_diagram(P, Q, eps)
             assert _as_grid(geometry.solve(eps, TOL)) == ref.cells
             for k in (1, 2, 3, 4):
-                expected = kf.decide_fpt(kf.build_diagram(P, Q, eps, TOL), k, TOL) is not None
+                expected = kf.decide_fpt(kf.build_diagram(P, Q, eps), k) is not None
                 assert _cover_exists(geometry, eps, k, TOL) == expected
 
 

@@ -1,5 +1,6 @@
 """The package's public names: exactly these, each importable."""
 
+import inspect
 import subprocess
 import sys
 
@@ -92,3 +93,16 @@ def test_one_segment_pair_functions_are_deleted():
     for module, names in DELETED.items():
         for name in names:
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_only_the_eps_search_takes_a_tolerance():
+    # KFRECHET_TOL is the one comparison tolerance; the tol of minimize_epsilon
+    # is the width of its search
+    def tolerances(fn):
+        return [name for name in inspect.signature(fn).parameters if "tol" in name]
+
+    takes = [name for name in kf.__all__ if callable(obj := getattr(kf, name))
+             and not (isinstance(obj, type) and issubclass(obj, Exception)) and tolerances(obj)]
+    assert takes == ["minimize_epsilon"]
+    assert tolerances(kf.minimize_epsilon) == ["tol"]
+    assert tolerances(oracles.preprocess) == tolerances(oracles.decide_bruteforce) == []

@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 
 from .config import _budget, default_tol
-from .intervals import Interval, _axis_cover, _min_joint_cover
+from .intervals import _OPEN, Interval, _axis_cover, _certified_cover, _walk_joint_cover
 
 _MAX = sys.float_info.max  # compares exactly with ints, so one too large for a float fails
 
@@ -273,22 +273,21 @@ def solve_box_bruteforce(instance: BoxInstance):
       A box outside the rows joins none but may patch.
     - Off the grid, the curve decider's joint-cover search
       :func:`kfrechet.intervals._min_joint_cover`, walking x, returns a
-      minimum cover. Each path of its tree is a distinct subset of at most
-      k boxes, so it walks at most 2**22 paths; B > 22 raises ValueError,
-      unless an axis alone needs more than k boxes or has no cover, which
-      answers None without the search.
+      minimum cover. Its certificate (the per-axis minimum covers) answers
+      without the tree where it can; each tree path is a distinct subset of
+      at most k boxes, so the tree walks at most 2**22 paths, and B > 22
+      raises ValueError where it would run.
     """
     tol = default_tol()
     selection = _solve_rowwise(instance)
     if selection is not _OFF_GRID:
         return selection
-    xs, ys, ends_x, ends_y = _axes(instance, instance.boxes)
-    if len(xs) > 22:
-        covers = _axis_cover(xs, ends_x, tol), _axis_cover(ys, ends_y, tol)
-        if None in covers or max(map(len, covers)) > instance.k:
-            return None
-        raise ValueError(f"off-grid instance of {len(xs)} boxes; the cover search takes at most 22")
-    return _min_joint_cover(xs, ys, ends_x, ends_y, instance.k, tol)
+    axes = (*_axes(instance, instance.boxes), instance.k, tol)
+    found = _certified_cover(*axes)
+    if found is _OPEN and len(instance.boxes) > 22:
+        raise ValueError(f"off-grid instance of {len(instance.boxes)} boxes; "
+                         "the cover search takes at most 22")
+    return _walk_joint_cover(*axes) if found is _OPEN else found
 
 
 def _solve_rowwise(instance: BoxInstance):

@@ -11,7 +11,6 @@ numpy.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -52,16 +51,8 @@ class PolyCurve:
             raise IndexError(f"segment index {i} out of range [0, {self.n})")
         return self.vertices[i], self.vertices[i + 1]
 
-    def point_at(self, s: float) -> np.ndarray:
-        """Point at parameter ``s`` in ``[0, n]`` by affine interpolation."""
-        if not 0.0 <= s <= self.n:
-            raise ValueError(f"parameter {s} outside [0, {self.n}]")
-        i = min(int(math.floor(s)), self.n - 1)
-        a, b = self.vertices[i], self.vertices[i + 1]
-        return a + (s - i) * (b - a)
-
     def points_at(self, s: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`point_at` for an array of parameters."""
+        """The points at parameters ``s`` in ``[0, n]``; one outside raises."""
         s = np.asarray(s, dtype=float)
         if s.size and (s.min() < 0.0 or s.max() > self.n):
             raise ValueError("parameters outside [0, n]")
@@ -71,11 +62,8 @@ class PolyCurve:
         b = self.vertices[idx + 1]
         return a + frac * (b - a)
 
-    def segment_lengths(self) -> np.ndarray:
-        return np.linalg.norm(np.diff(self.vertices, axis=0), axis=1)
-
     def max_segment_length(self) -> float:
-        return float(self.segment_lengths().max())
+        return float(np.linalg.norm(np.diff(self.vertices, axis=0), axis=1).max())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyCurve) and np.array_equal(self.vertices, other.vertices)

@@ -49,27 +49,11 @@ class Interval:
     def length(self) -> float:
         return 0.0 if self.is_empty else self.hi - self.lo
 
-    def contains(self, x: float) -> bool:
-        return not self.is_empty and self.lo <= x <= self.hi
-
     def contains_interval(self, other: "Interval") -> bool:
         """Exact (tolerance-free) containment; empty is contained in anything."""
         if other.is_empty:
             return True
         return not self.is_empty and self.lo <= other.lo and other.hi <= self.hi
-
-    def shift(self, offset: float) -> "Interval":
-        if self.is_empty:
-            return EMPTY
-        return Interval(self.lo + offset, self.hi + offset)
-
-    def hull(self, other: "Interval") -> "Interval":
-        """Smallest interval containing both."""
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
 
 EMPTY = Interval(math.inf, -math.inf)
@@ -140,30 +124,44 @@ def _axis_cover(intervals, ends, tol: float) -> tuple | None:
     return _cheapest_cover(sorted(intervals, key=operator.itemgetter(2)), ends, tol, ())
 
 
+_OPEN = object()  # _certified_cover's answer when only the tree walk can tell
+
+
 def _min_joint_cover(intervals_p, intervals_q, ends_p, ends_q, k: int, tol: float) -> tuple | None:
     """A minimum selection of at most k ids covering both the p axis
     ``ends_p`` and the q axis ``ends_q``, each a (start, end) pair, else None:
     :func:`~kfrechet.decide.decide_fpt` over (0, n) and (0, m), and off-grid
-    :func:`~kfrechet.boxes.solve_box_bruteforce` over (1, x_max) and (1, y_max).
+    :func:`~kfrechet.boxes.solve_box_bruteforce` over (1, x_max) and (1, y_max):
+    :func:`_certified_cover`, and :func:`_walk_joint_cover` where it cannot tell.
+    """
+    found = _certified_cover(intervals_p, intervals_q, ends_p, ends_q, k, tol)
+    if found is _OPEN:
+        return _walk_joint_cover(intervals_p, intervals_q, ends_p, ends_q, k, tol)
+    return found
 
-    The per-axis minimum covers a and b come first, as a certificate: every
-    joint cover covers each axis, so the least size is at least
-    max(|a|, |b|). None when an axis has no cover or that bound exceeds k;
-    the union of a and b when it meets the bound. Which minimum cover an
-    axis gives is fixed by the tie rule of :func:`_cheapest_cover`, so the union
-    and hence the witness are too. Only otherwise is the tree of
-    :func:`_axis_selections` on p walked, no deeper than k, and each path S
-    completed by the q chain with fewest ids outside S: a cover holds such an
-    S and a q chain. A path of ``depth`` ids, once the best cover has
-    ``depth + 1``, wins only if it covers q alone, so it is completed from
-    its own q intervals (in ``by_hi_q`` order) instead of from all of them.
+
+def _certified_cover(intervals_p, intervals_q, ends_p, ends_q, k: int, tol: float):
+    """The answer of :func:`_min_joint_cover` from the per-axis minimum covers a
+    and b alone, or ``_OPEN``. Every joint cover covers each axis, so the least
+    size is at least max(|a|, |b|): None when an axis has no cover or that bound
+    exceeds k; the union of a and b when it meets the bound. The tie rule of
+    :func:`_cheapest_cover` fixes a and b, so the union and witness are fixed too.
     """
     a, b = _axis_cover(intervals_p, ends_p, tol), _axis_cover(intervals_q, ends_q, tol)
     if a is None or b is None or max(len(a), len(b)) > k:
         return None
     union = tuple(sorted({*a, *b}))
-    if len(union) == max(len(a), len(b)):
-        return union
+    return union if len(union) == max(len(a), len(b)) else _OPEN
+
+
+def _walk_joint_cover(intervals_p, intervals_q, ends_p, ends_q, k: int, tol: float) -> tuple | None:
+    """:func:`_min_joint_cover` by the tree of :func:`_axis_selections` on
+    p, walked no deeper than k, each path S completed by the q chain with
+    fewest ids outside S: a cover holds such an S and a q chain. Needs the q
+    axis to have a cover. A path of ``depth`` ids, once the best cover has
+    ``depth + 1``, wins only if it covers q alone, so it is completed from
+    its own q intervals (in ``by_hi_q`` order) instead of from all of them.
+    """
     by_hi_q = sorted(intervals_q, key=operator.itemgetter(2))
     rank = {iv[0]: r for r, iv in enumerate(by_hi_q)}
     best, size = None, k + 1  # only a cover smaller than size is kept

@@ -5,17 +5,25 @@ cell, one colored <g> per component with the free region of each member
 cell drawn as a convex polygon, selected components outlined, axis ticks
 labelled with parameter values. A <metadata> element carries machine
 readable facts (component count etc.) for downstream checks.
+
+Each cell is sliced at fixed s across the diagram's own s projection of
+it, and the slices' free t-ranges make the polygon, so every member cell
+draws (as a point or segment when thinner than the tolerance). A diagram
+without cell geometry (``cells=()``), or without its curves, draws the
+grid, axes and metadata only.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Iterable
 
 import numpy as np
 
-from .freespace import FreeSpaceDiagram, _picked
+from .config import default_tol
+from .freespace import FreeSpaceDiagram, FreeSpaceGrid, _picked
 
 CANVAS = 1000.0
 MARGIN_LEFT = 70.0
@@ -28,129 +36,77 @@ PALETTE = (
     "#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#aec7e8", "#ffbb78",
 )
 
-_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
-ELLIPSE_SAMPLES = 48  # vertices of the polygon inscribed in a cell's free ellipse
+SLICES = 24  # evenly spaced s values at which each cell's free region is sliced
 
 
-def _clip_halfplane(pts, a: float, b: float, c: float):
-    """Sutherland-Hodgman step: keep a*x + b*y <= c."""
-    if not pts:
-        return []
-    out = []
-    for i in range(len(pts)):
-        p, q = pts[i - 1], pts[i]
-        fp = a * p[0] + b * p[1] - c
-        fq = a * q[0] + b * q[1] - c
-        if fq <= 0.0:
-            if fp > 0.0:
-                out.append(_edge_point(p, q, fp, fq))
-            out.append(q)
-        elif fp <= 0.0:
-            out.append(_edge_point(p, q, fp, fq))
-    return out
+def _cell_shapes(diagram: FreeSpaceDiagram, P, Q) -> dict:
+    """Each member cell's free region by (i, j), in local [0, 1]²; none without cell geometry.
 
-
-def _edge_point(p, q, fp, fq):
-    s = fp / (fp - fq)
-    return (p[0] + s * (q[0] - p[0]), p[1] + s * (q[1] - p[1]))
-
-
-def _clip_to_square(pts):
-    for a, b, c in ((-1.0, 0.0, 0.0), (1.0, 0.0, 1.0), (0.0, -1.0, 0.0), (0.0, 1.0, 1.0)):
-        pts = _clip_halfplane(pts, a, b, c)
-    return pts
-
-
-def cell_region_shape(seg_p, seg_q, eps: float):
-    """Convex shape of one cell's free region, in local coordinates.
-
-    Returns ("polygon", pts), ("segment", (a, b)) or ("point", p) for a
-    proper region, a degenerate tangency line, or a single tangency
-    point; None when the cell is blocked. Ellipse boundaries are sampled
-    (inscribed polygon of :data:`ELLIPSE_SAMPLES` vertices); nearly parallel
-    segments degenerate to a strip and are clipped exactly. Display quality
-    only; decisions never use this.
+    A cell is sliced at fixed s across its own ``s_proj``: :data:`SLICES` even
+    steps and the ends of its bottom and top edge intervals, so the corners are
+    exact. A slice's free t-range is ``|v - t*dq| <= eps``, ``v = w + s*dp``,
+    clipped to [0, 1], its root from ``|dq|²eps² - (v × dq)²``: exactly 0 where
+    the segments are parallel at distance eps. The ``("polygon", pts)`` is the
+    lower chain and then the reversed upper one. A region no wider in s than the
+    tolerance is a ``("point", p)`` or a vertical ``("segment", (a, b))``; one
+    whose every slice is no wider is the segment through the slices.
     """
-    pa, pb = (np.asarray(v, dtype=float) for v in seg_p)
-    qa, qb = (np.asarray(v, dtype=float) for v in seg_q)
-    u = pb - pa
-    v = qb - qa
-    w0 = pa - qa
-    a00 = float(u @ u)
-    a11 = float(v @ v)
-    a01 = -float(u @ v)
-    b0 = float(u @ w0)
-    b1 = -float(v @ w0)
-    c = float(w0 @ w0) - eps * eps
-    det = a00 * a11 - a01 * a01
+    cells = sorted(c for comp in diagram.components for c in comp.cells)
+    if not cells or not isinstance(diagram.cells, FreeSpaceGrid):
+        return {}
+    ii, jj = np.array(cells).T
+    grid = diagram.cells
+    lo, hi = (end[:, None] for end in grid.s_proj[ii, jj].T)
+    step = np.linspace(0.0, 1.0, SLICES)
+    s = np.concatenate((lo * (1.0 - step) + hi * step,  # exactly lo and hi at the ends
+                        grid.horiz[ii, jj], grid.horiz[ii, jj + 1]), axis=1)
+    s = np.sort(np.clip(s, lo, hi), axis=1)  # an empty edge interval (inf, -inf) clips to the ends
 
-    if det > 1e-12 * a00 * a11:
-        cx = (-b0 * a11 + b1 * a01) / det
-        cy = (-a00 * b1 + a01 * b0) / det
-        val = c + b0 * cx + b1 * cy
-        if val > 1e-15:
-            return None
-        if val > -1e-15:
-            if 0.0 <= cx <= 1.0 and 0.0 <= cy <= 1.0:
-                return ("point", (cx, cy))
-            return None
-        r = math.sqrt(-val)
-        evals, evecs = np.linalg.eigh(np.array([[a00, a01], [a01, a11]]))
-        theta = np.linspace(0.0, 2.0 * math.pi, ELLIPSE_SAMPLES, endpoint=False)
-        circle = np.stack([np.cos(theta) / math.sqrt(evals[0]),
-                           np.sin(theta) / math.sqrt(evals[1])])
-        pts = (np.array([cx, cy])[:, None] + r * (evecs @ circle)).T
-        poly = _clip_to_square([tuple(p) for p in pts])
-    else:
-        lam = float(u @ v) / a00
-        norm_u = math.sqrt(a00)
-        unit = u / norm_u
-        perp = float(w0[0] * -unit[1] + w0[1] * unit[0])
-        under = eps * eps - perp * perp
-        if under < 0.0:
-            return None
-        half = math.sqrt(under)
-        along = float(w0 @ unit)
-        mu_lo = (-half - along) / norm_u
-        mu_hi = (half - along) / norm_u
-        poly = list(_SQUARE)
-        poly = _clip_halfplane(poly, 1.0, -lam, mu_hi)
-        poly = _clip_halfplane(poly, -1.0, lam, -mu_lo)
+    pv, qv = P.vertices, Q.vertices
+    dp, dq = (pv[ii + 1] - pv[ii])[:, None], (qv[jj + 1] - qv[jj])[:, None]
+    v = (pv[ii] - qv[jj])[:, None] + s[..., None] * dp
+    cross = v[..., 0] * dq[..., 1] - v[..., 1] * dq[..., 0]
+    along = v[..., 0] * dq[..., 0] + v[..., 1] * dq[..., 1]
+    lq = dq[..., 0] ** 2 + dq[..., 1] ** 2
+    eps = diagram.epsilon
+    root = np.sqrt(np.maximum(lq * eps * eps - cross * cross, 0.0))
+    t_lo = np.clip((along - root) / lq, 0.0, 1.0)
+    t_hi = np.clip((along + root) / lq, 0.0, 1.0)
 
-    deduped = []
-    for p in poly:
-        if not deduped or math.hypot(p[0] - deduped[-1][0], p[1] - deduped[-1][1]) > 1e-9:
-            deduped.append(p)
-    if len(deduped) > 1 and math.hypot(deduped[0][0] - deduped[-1][0],
-                                       deduped[0][1] - deduped[-1][1]) <= 1e-9:
-        deduped.pop()
-    if not deduped:
-        return None
-    if len(deduped) == 1:
-        return ("point", deduped[0])
-    area = 0.0
-    for i in range(len(deduped)):
-        x0, y0 = deduped[i - 1]
-        x1, y1 = deduped[i]
-        area += x0 * y1 - x1 * y0
-    if len(deduped) >= 3 and abs(area) > 1e-9:
-        return ("polygon", deduped)
-    far = max(
-        ((p, q) for p in deduped for q in deduped),
-        key=lambda pq: (pq[0][0] - pq[1][0]) ** 2 + (pq[0][1] - pq[1][1]) ** 2,
-    )
-    return ("segment", far)
+    tol = default_tol()
+    shapes = {}
+    for cell, sk, a, b, keep_a, keep_b in zip(cells, s, t_lo, t_hi, _bends(t_lo), _bends(t_hi)):
+        if sk[-1] - sk[0] <= tol:  # a point or a vertical segment
+            bottom, top = a.min(), b.max()
+            shapes[cell] = (("point", (sk[0], bottom)) if top - bottom <= tol
+                            else ("segment", ((sk[0], bottom), (sk[0], top))))
+        elif (b - a).max() <= tol:
+            shapes[cell] = ("segment", ((sk[0], (a[0] + b[0]) / 2), (sk[-1], (a[-1] + b[-1]) / 2)))
+        else:
+            shapes[cell] = ("polygon", list(zip(
+                np.concatenate((sk[keep_a], sk[keep_b][::-1])).tolist(),
+                np.concatenate((a[keep_a], b[keep_b][::-1])).tolist())))
+    return shapes
+
+
+def _bends(t: np.ndarray) -> np.ndarray:
+    """Per chain, the slices that are not inside a run of equal t (where the
+    chain follows the square's bottom or top edge): the others add no vertex."""
+    keep = np.ones(t.shape, dtype=bool)
+    keep[:, 1:-1] = (t[:, 1:-1] != t[:, :-2]) | (t[:, 1:-1] != t[:, 2:])
+    return keep
 
 
 def render_diagram_svg(diagram: FreeSpaceDiagram, P=None, Q=None,
                        selected: Iterable[int] | None = None) -> str:
     """Render the diagram to an SVG document string.
 
-    ``P``/``Q`` are the source curves; they are required to draw the free
-    regions (cell geometry is not stored in the diagram). Without them
-    only grid, projections metadata and axes are emitted. A given curve
-    whose segment count is not the diagram's (n for P, m for Q) raises
-    ``ValueError``. ``selected`` holds the ids of the components to
+    ``P``/``Q`` are the source curves; each member cell's free region is
+    drawn from them and the diagram's own cell projections (see
+    :func:`_cell_shapes`). Without them, or for a diagram without cell
+    geometry (``cells=()``), only grid, metadata and axes are emitted. A
+    given curve whose segment count is not the diagram's (n for P, m for
+    Q) raises ``ValueError``. ``selected`` holds the ids of the components to
     outline; an id the diagram does not have raises ``KeyError``, as in
     :func:`~kfrechet.decide.covers_both`.
     """
@@ -184,32 +140,29 @@ def render_diagram_svg(diagram: FreeSpaceDiagram, P=None, Q=None,
         f'<rect x="0" y="0" width="{CANVAS:g}" height="{CANVAS:g}" fill="white"/>',
     ]
 
-    if P is not None and Q is not None:
-        for comp in diagram.components:
-            color = PALETTE[comp.id % len(PALETTE)]
-            sel = comp.id in selected_ids
-            style = f'fill="{color}" fill-opacity="0.75"'
-            if sel:
-                style += ' stroke="#000000" stroke-width="3"'
-            parts.append(f'<g class="component{" selected" if sel else ""}" '
-                         f'id="component-{comp.id}" {style}>')
-            for (i, j) in sorted(comp.cells):
-                shape = cell_region_shape(P.segment(i), Q.segment(j), diagram.epsilon)
-                if shape is None:
-                    continue
-                kind, geom = shape
-                if kind == "polygon":
-                    pix = [to_px(i + s, j + t) for s, t in geom]
-                    d = "M " + " L ".join(f"{x:.2f} {y:.2f}" for x, y in pix) + " Z"
-                    parts.append(f'<path d="{d}"/>')
-                elif kind == "segment":
-                    (xa, ya), (xb, yb) = (to_px(i + s, j + t) for s, t in geom)
-                    parts.append(f'<line x1="{xa:.2f}" y1="{ya:.2f}" x2="{xb:.2f}" '
-                                 f'y2="{yb:.2f}" stroke="{color}" stroke-width="2.5"/>')
-                else:
-                    x, y = to_px(i + geom[0], j + geom[1])
-                    parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5"/>')
-            parts.append("</g>")
+    shapes = {} if P is None or Q is None else _cell_shapes(diagram, P, Q)
+    for comp in diagram.components if shapes else ():
+        color = PALETTE[comp.id % len(PALETTE)]
+        sel = comp.id in selected_ids
+        style = f'fill="{color}" fill-opacity="0.75"'
+        if sel:
+            style += ' stroke="#000000" stroke-width="3"'
+        parts.append(f'<g class="component{" selected" if sel else ""}" '
+                     f'id="component-{comp.id}" {style}>')
+        for (i, j) in sorted(comp.cells):
+            kind, geom = shapes[i, j]
+            if kind == "polygon":
+                pix = (f"{x:.2f} {y:.2f}" for x, y in (to_px(i + s, j + t) for s, t in geom))
+                d = "M " + " L ".join(p for p, _ in itertools.groupby(pix)) + " Z"
+                parts.append(f'<path d="{d}"/>')
+            elif kind == "segment":
+                (xa, ya), (xb, yb) = (to_px(i + s, j + t) for s, t in geom)
+                parts.append(f'<line x1="{xa:.2f}" y1="{ya:.2f}" x2="{xb:.2f}" '
+                             f'y2="{yb:.2f}" stroke="{color}" stroke-width="2.5"/>')
+            else:
+                x, y = to_px(i + geom[0], j + geom[1])
+                parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5"/>')
+        parts.append("</g>")
 
     grid = ['<g class="grid" stroke="#999999" stroke-width="1" fill="none">']
     for i in range(n + 1):

@@ -366,6 +366,18 @@ class TestSolver:
         # at k = 5 the bottom edge alone needs more boxes: None, without the search
         assert kf.solve_box_bruteforce(kf.BoxInstance(12.5, 2.5, 5, boxes)) is None
 
+    def test_certified_cover_past_the_cap(self, monkeypatch):
+        # 23 off-grid boxes whose per-axis minimum covers settle the answer:
+        # the bottom edge needs every other box, and any one box covers the
+        # left edge, so the union of the two is a minimum cover and the cap,
+        # which bounds only the tree walk, does not apply
+        from kfrechet import intervals
+        monkeypatch.setattr(intervals, "_axis_selections", None)  # the walk would fail
+        boxes = tuple(kf.LabeledBox(1 + 0.5 * i, 1, 1, 1) for i in range(23))
+        inst = kf.BoxInstance(12.5, 2.0, 23, boxes)
+        assert kf.solve_box_bruteforce(inst) == tuple(range(0, 23, 2))
+        assert kf.covers_boundaries(inst, tuple(range(0, 23, 2)))
+
     @pytest.mark.parametrize("tol", [1e-9, 1e-3])
     def test_off_grid_matches_subset_enumeration(self, tol, kfrechet_tol):
         # the joint-cover search returns a minimum cover, the reference the

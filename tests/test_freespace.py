@@ -103,9 +103,9 @@ class TestCellAxisProjection:
                 p = seg_p[0] + s * (seg_p[1] - seg_p[0])
                 d = point_segment_distance(p, seg_q[0], seg_q[1])
                 if d <= eps - 1e-7:
-                    assert iv.contains(float(s))
+                    assert iv.lo <= s <= iv.hi
                 elif d >= eps + 1e-7:
-                    assert not iv.contains(float(s))
+                    assert not iv.lo <= s <= iv.hi
 
     def test_axis_q_is_swap(self, rng):
         seg_p = rng.uniform(0, 1, size=(2, 2))
@@ -255,10 +255,10 @@ class TestBuildDiagram:
             eps = float(rng.uniform(0.2, 0.8))
             d = kf.build_diagram(P, Q, eps)
             intervals = [c.proj_p for c in d.components]
-            for s in rng.uniform(0, P.n, size=120):
-                dist = min(point_segment_distance(P.point_at(float(s)), *Q.segment(j))
-                           for j in range(Q.n))
-                covered = any(iv.contains(float(s)) for iv in intervals)
+            params = rng.uniform(0, P.n, size=120)
+            for s, point in zip(params, P.points_at(params)):
+                dist = min(point_segment_distance(point, *Q.segment(j)) for j in range(Q.n))
+                covered = any(iv.lo <= s <= iv.hi for iv in intervals)
                 if dist <= eps - 1e-6:
                     assert covered
                 elif dist >= eps + 1e-6:

@@ -60,6 +60,19 @@ def point_free_interval(p, a, b, eps, tol):
     return kf.Interval(max(lo, 0.0), min(hi, 1.0))
 
 
+def hull(a, b):
+    """Smallest interval containing both."""
+    if a.is_empty:
+        return b
+    if b.is_empty:
+        return a
+    return kf.Interval(min(a.lo, b.lo), max(a.hi, b.hi))
+
+
+def shift(iv, offset):
+    return kf.EMPTY if iv.is_empty else kf.Interval(iv.lo + offset, iv.hi + offset)
+
+
 def linear_interval(alpha, beta, lo, hi):
     if beta == 0.0:
         return (-math.inf, math.inf) if lo <= alpha <= hi else (math.inf, -math.inf)
@@ -85,7 +98,7 @@ def capsule_slice(a, b, c0, c1, eps, tol):
         pieces.append(kf.Interval(lo, hi))
     out = kf.EMPTY
     for piece in pieces:
-        out = out.hull(piece)
+        out = hull(out, piece)
     return out
 
 
@@ -137,17 +150,17 @@ def reference_diagram(P, Q, eps, tol=TOL):
             bottom, top = horiz[i][j], horiz[i][j + 1]
             # defensive hulls: the projections must contain every free edge
             if not bottom.is_empty:
-                s_proj = s_proj.hull(bottom)
-                t_proj = t_proj.hull(point0)  # the fix
+                s_proj = hull(s_proj, bottom)
+                t_proj = hull(t_proj, point0)  # the fix
             if not top.is_empty:
-                s_proj = s_proj.hull(top)
-                t_proj = t_proj.hull(point1)  # the fix
+                s_proj = hull(s_proj, top)
+                t_proj = hull(t_proj, point1)  # the fix
             if not left.is_empty:
-                s_proj = s_proj.hull(point0)
-                t_proj = t_proj.hull(left)
+                s_proj = hull(s_proj, point0)
+                t_proj = hull(t_proj, left)
             if not right.is_empty:
-                s_proj = s_proj.hull(point1)
-                t_proj = t_proj.hull(right)
+                s_proj = hull(s_proj, point1)
+                t_proj = hull(t_proj, right)
             column.append(RefCell(
                 left=left, right=right, bottom=bottom, top=top,
                 interior_nonempty=not s_proj.is_empty,
@@ -181,8 +194,8 @@ def reference_diagram(P, Q, eps, tol=TOL):
     for root in sorted(groups):
         proj_p = proj_q = kf.EMPTY
         for (i, j) in groups[root]:
-            proj_p = proj_p.hull(cells[i][j].s_projection.shift(float(i)))
-            proj_q = proj_q.hull(cells[i][j].t_projection.shift(float(j)))
+            proj_p = hull(proj_p, shift(cells[i][j].s_projection, float(i)))
+            proj_q = hull(proj_q, shift(cells[i][j].t_projection, float(j)))
         components.append(kf.Component(
             id=len(components), cells=frozenset(groups[root]), proj_p=proj_p, proj_q=proj_q))
 

@@ -52,7 +52,7 @@ class TestPixelFreespace:
         pix = oracles.pixel_freespace(P, Q, eps, res=32)
         for i in (0, 7, 31):
             for j in (0, 13, 31):
-                d = np.linalg.norm(P.point_at(pix.s_values[i]) - Q.point_at(pix.t_values[j]))
+                d = np.linalg.norm(P.points_at([pix.s_values[i]]) - Q.points_at([pix.t_values[j]]))
                 assert pix.mask[i, j] == (d <= eps)
 
     def test_agreement_with_diagram_away_from_critical(self, rng):

@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
-"""The exact search-tree decider, checked against the subset brute force.
+"""The exact search-tree decider, checked through the public calls.
 
 Uses a fixed 6-component instance. The library's decider is the bounded
-search tree; the brute force of ``kfrechet.oracles`` is its test oracle,
-and both must agree on every budget k. The search-tree route also exposes
-its per-axis feasible selections, which is a good way to see why a budget
-fails. The oracle's preprocessing (necessary / redundant components) is
-shown first.
+search tree: for a budget k it returns a selection of at most k
+components that covers both axes, or None. The checks use public calls
+only: every witness passes ``covers_both``, the budget one below the
+minimum fails, and the factor-2 approximation lies between the minimum
+and twice it. The search-tree route also exposes its per-axis feasible
+selections, which is a good way to see why a budget fails.
 """
 
 import kfrechet as kf
-from kfrechet import oracles
 
 P = kf.PolyCurve([[0.74, 0.052], [0.98, 0.241], [0.999, 0.091],
                   [0.274, 0.705], [0.114, 0.044], [0.899, 0.929]])
@@ -23,20 +23,25 @@ def main():
     d = kf.build_diagram(P, Q, EPS)
     print(f"diagram: {d.n}x{d.m} cells, {len(d.components)} components, z = {d.z}\n")
 
-    pre = oracles.preprocess(d)
-    print(f"preprocessing: necessary={list(pre.necessary)} "
-          f"kept={list(pre.kept)} dropped={list(pre.dropped)}\n")
+    kmin = kf.minimize_k(d)
+    assert kf.decide_fpt(d, kmin - 1) is None
+    print(f"minimum pieces: {kmin}; budget {kmin - 1} -> None\n")
 
     for k in (1, 2, 3):
-        brute = oracles.decide_bruteforce(d, k)
         fpt = kf.decide_fpt(d, k)
-        assert (brute is None) == (fpt is None)
-        print(f"k = {k}: brute-force -> {brute}, search-tree -> {fpt}")
+        assert (fpt is None) == (k < kmin)
+        assert fpt is None or kf.covers_both(d, fpt)
+        print(f"k = {k}: search-tree -> {fpt}")
         for axis in ("p", "q"):
             sels, paths = kf.fpt_feasible_selections(d, axis, k)
             shown = ", ".join(str(list(s)) for s in sels[:4]) or "none"
             print(f"    axis {axis}: {paths} feasible path(s), selections: {shown}")
     print()
+
+    greedy = kf.approximate_k(d)
+    assert kmin <= len(greedy) <= 2 * kmin and kf.covers_both(d, greedy)
+    print(f"factor-2 approximation: {greedy}, {len(greedy)} pieces "
+          f"(between {kmin} and {2 * kmin})\n")
 
     sel = kf.decide_fpt(d, 2)
     print(f"witness for k = 2: {sel}")

@@ -14,8 +14,9 @@ of that submodule are then bound here, so later reads cost nothing
 extra. The box workbench (``boxes``, ``intervals``, ``config``) never
 loads numpy; the curve layers do.
 
-The scipy-backed validation oracles, the subset brute-force decider
-among them, are not reachable from here; use ``from kfrechet import oracles``.
+No module of the package imports scipy. The scipy-backed validation
+oracles, the subset brute-force decider among them, are test code in
+``tests/oracles.py``.
 """
 
 import importlib

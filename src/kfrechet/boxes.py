@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 
 from .config import _budget, default_tol
-from .intervals import _OPEN, Interval, _axis_cover, _certified_cover, _walk_joint_cover
+from .intervals import _OPEN, _axis_cover, _certified_cover, _walk_joint_cover
 
 _MAX = sys.float_info.max  # compares exactly with ints, so one too large for a float fails
 
@@ -107,14 +107,6 @@ class LabeledBox:
                              f"must end within the float range, got ({x}, {y}) wide {w}")
         if not isinstance(self.label, int) or self.label == 0:
             raise ValueError(f"box label must be a nonzero integer, got {self.label!r}")
-
-    @property
-    def x_interval(self) -> Interval:
-        return Interval(self.x, self.x + self.w)
-
-    @property
-    def y_interval(self) -> Interval:
-        return Interval(self.y, self.y + 1.0)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,10 @@ class PolyCurve:
     __slots__ = ("vertices",)
 
     def __init__(self, vertices) -> None:
-        arr = np.array(vertices, dtype=float)
+        try:
+            arr = np.array(vertices, dtype=float)
+        except (OverflowError, TypeError, ValueError) as exc:  # a dict, "x", [1], 10**400
+            raise CurveError(f"vertices must be (x, y) pairs of numbers: {exc}") from exc
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise CurveError("expected a sequence of (x, y) vertices")
         if arr.shape[0] < 2:
@@ -45,25 +48,6 @@ class PolyCurve:
     def n(self) -> int:
         """Segment count; the parameter space is [0, n]."""
         return len(self.vertices) - 1
-
-    def segment(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        if not 0 <= i < self.n:
-            raise IndexError(f"segment index {i} out of range [0, {self.n})")
-        return self.vertices[i], self.vertices[i + 1]
-
-    def points_at(self, s: np.ndarray) -> np.ndarray:
-        """The points at parameters ``s`` in ``[0, n]``; one outside raises."""
-        s = np.asarray(s, dtype=float)
-        if s.size and (s.min() < 0.0 or s.max() > self.n):
-            raise ValueError("parameters outside [0, n]")
-        idx = np.minimum(np.floor(s).astype(int), self.n - 1)
-        frac = (s - idx)[:, None]
-        a = self.vertices[idx]
-        b = self.vertices[idx + 1]
-        return a + frac * (b - a)
-
-    def max_segment_length(self) -> float:
-        return float(np.linalg.norm(np.diff(self.vertices, axis=0), axis=1).max())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyCurve) and np.array_equal(self.vertices, other.vertices)
@@ -104,7 +88,12 @@ def parse_curve_json(text: str) -> PolyCurve:
         raise CurveError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise CurveError('JSON curve must be an object with a "vertices" key')
-    return PolyCurve(obj["vertices"])
+    vertices = obj["vertices"]
+    # JSON true and false, which Python reads as 1 and 0, are not numbers here
+    if isinstance(vertices, list) and any(isinstance(x, bool) for vertex in vertices
+                                          if isinstance(vertex, list) for x in vertex):
+        raise CurveError("vertex coordinates must be numbers, got true or false")
+    return PolyCurve(vertices)
 
 
 def serialize_curve(curve: PolyCurve) -> str:

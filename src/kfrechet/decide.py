@@ -5,7 +5,7 @@ space jointly project onto the whole of both parameter axes? This module
 answers it with one exact decider, :func:`decide_fpt`, and derives the
 classic decisions, Hausdorff / weak / strong matching, from the same
 diagram: the weak one is the decider at k = 1. The subset brute force that
-checks :func:`decide_fpt` lives in :mod:`kfrechet.oracles`.
+checks :func:`decide_fpt` is a test oracle, in ``tests/oracles.py``.
 
 The cover rule and the search live in the numpy-free
 :mod:`kfrechet.intervals`, shared with the box solver of

@@ -113,11 +113,12 @@ class FreeSpaceDiagram:
 
 
 def _picked(diagram: FreeSpaceDiagram, ids) -> list:
-    """The components with the given ids, in order; an id not in the diagram raises KeyError."""
+    """The components with the given ids, in order; an id not in the diagram,
+    such as one that is no integer, raises KeyError."""
     comps = []
     for cid in ids:
-        if not 0 <= cid < len(diagram.components):
-            raise KeyError(f"unknown component id {cid}")
+        if not (hasattr(type(cid), "__index__") and 0 <= cid < len(diagram.components)):
+            raise KeyError(f"unknown component id {cid!r}")
         comps.append(diagram.components[cid])
     return comps
 

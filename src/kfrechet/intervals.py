@@ -49,12 +49,6 @@ class Interval:
     def length(self) -> float:
         return 0.0 if self.is_empty else self.hi - self.lo
 
-    def contains_interval(self, other: "Interval") -> bool:
-        """Exact (tolerance-free) containment; empty is contained in anything."""
-        if other.is_empty:
-            return True
-        return not self.is_empty and self.lo <= other.lo and other.hi <= self.hi
-
 
 EMPTY = Interval(math.inf, -math.inf)
 

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
-from kfrechet import oracles
 from kfrechet.intervals import _axis_cover
+import oracles
 
 
 @pytest.fixture

@@ -1,16 +1,17 @@
-"""Brute-force and sampling oracles.
+"""Brute-force and sampling oracles: the test references of the library.
 
 Slow, independent reference implementations used to validate the
 geometric code paths: a pixel-grid free space, an exhaustive minimum
 interval cover, a sampled Hausdorff distance, and the subset brute force
-that checks :func:`~kfrechet.decide.decide_fpt`. They ship with the
-library so the validation experiments are reproducible, but nothing in
-the production modules depends on them.
-
-This module is not imported by ``import kfrechet``; import it
-explicitly (``from kfrechet import oracles``). It needs scipy, which the
+that checks :func:`kfrechet.decide.decide_fpt`. They live with the tests
+and are not part of the installed package. They need scipy, which the
 runtime install leaves out: install the ``test`` extra
-(``pip install -e ".[test]"``).
+(``pip install -e ".[test]"``). The test files import this module as
+``import oracles``.
+
+The curve and interval helpers below (:func:`points_at`,
+:func:`max_segment_length`, :func:`contains_interval`) are computed here
+because no runtime code needs them.
 """
 
 from __future__ import annotations
@@ -22,11 +23,34 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial.distance import cdist
 
-from .config import _budget
-from .curves import PolyCurve
-from .decide import covers_both, decide_hausdorff
-from .freespace import FreeSpaceDiagram
-from .intervals import Interval
+from kfrechet.config import _budget
+from kfrechet.curves import PolyCurve
+from kfrechet.decide import covers_both, decide_hausdorff
+from kfrechet.freespace import FreeSpaceDiagram
+from kfrechet.intervals import Interval
+
+
+def points_at(curve: PolyCurve, s) -> np.ndarray:
+    """The points of ``curve`` at parameters ``s`` in ``[0, n]``; one outside raises."""
+    s = np.asarray(s, dtype=float)
+    if s.size and (s.min() < 0.0 or s.max() > curve.n):
+        raise ValueError("parameters outside [0, n]")
+    idx = np.minimum(np.floor(s).astype(int), curve.n - 1)
+    frac = (s - idx)[:, None]
+    a = curve.vertices[idx]
+    b = curve.vertices[idx + 1]
+    return a + frac * (b - a)
+
+
+def max_segment_length(curve: PolyCurve) -> float:
+    return float(np.linalg.norm(np.diff(curve.vertices, axis=0), axis=1).max())
+
+
+def contains_interval(outer: Interval, inner: Interval) -> bool:
+    """Exact (tolerance-free) containment; empty is contained in anything."""
+    if inner.is_empty:
+        return True
+    return not outer.is_empty and outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
 @dataclass(frozen=True)
@@ -95,7 +119,7 @@ def pixel_freespace(P: PolyCurve, Q: PolyCurve, eps: float, res: int = 256) -> P
         raise ValueError("eps must be >= 0")
     s = np.linspace(0.0, P.n, res)
     t = np.linspace(0.0, Q.n, res)
-    mask = cdist(P.points_at(s), Q.points_at(t)) <= eps
+    mask = cdist(points_at(P, s), points_at(Q, t)) <= eps
     labels, count = ndimage.label(mask, structure=_FOUR_CONNECTED)
     components = []
     for lab in range(1, count + 1):
@@ -116,8 +140,8 @@ def pixel_margin(P: PolyCurve, Q: PolyCurve, res: int) -> float:
     status of a whole region cannot flip inside that band without the
     raster noticing.
     """
-    lip_p = P.max_segment_length() * P.n
-    lip_q = Q.max_segment_length() * Q.n
+    lip_p = max_segment_length(P) * P.n
+    lip_q = max_segment_length(Q) * Q.n
     return 10.0 * max(lip_p, lip_q) / res
 
 
@@ -161,7 +185,7 @@ def _points_to_curve_distance(points: np.ndarray, curve: PolyCurve) -> np.ndarra
     """Exact distance from each sample point to the whole polygonal curve."""
     best = np.full(len(points), np.inf)
     for i in range(curve.n):
-        a, b = curve.segment(i)
+        a, b = curve.vertices[i], curve.vertices[i + 1]
         d = b - a
         den = float(d @ d)
         u = np.clip(((points - a) @ d) / den, 0.0, 1.0)
@@ -179,8 +203,8 @@ def sampled_hausdorff(P: PolyCurve, Q: PolyCurve, samples: int = 1000) -> float:
     """
     if samples < 100:
         raise ValueError("samples must be >= 100")
-    pts_p = P.points_at(np.linspace(0.0, P.n, samples))
-    pts_q = Q.points_at(np.linspace(0.0, Q.n, samples))
+    pts_p = points_at(P, np.linspace(0.0, P.n, samples))
+    pts_q = points_at(Q, np.linspace(0.0, Q.n, samples))
     d_pq = _points_to_curve_distance(pts_p, Q).max()
     d_qp = _points_to_curve_distance(pts_q, P).max()
     return float(max(d_pq, d_qp))
@@ -195,7 +219,7 @@ def sampled_hausdorff_bound(P: PolyCurve, Q: PolyCurve, samples: int) -> float:
     """
     step_p = P.n / (samples - 1)
     step_q = Q.n / (samples - 1)
-    return max(P.max_segment_length() * step_p, Q.max_segment_length() * step_q) / 2.0
+    return max(max_segment_length(P) * step_p, max_segment_length(Q) * step_q) / 2.0
 
 
 @dataclass(frozen=True)
@@ -231,7 +255,7 @@ def preprocess(diagram: FreeSpaceDiagram) -> Preprocessed:
         for a in comps:
             if a.id == b.id:
                 continue
-            if a.proj_p.contains_interval(b.proj_p) and a.proj_q.contains_interval(b.proj_q):
+            if contains_interval(a.proj_p, b.proj_p) and contains_interval(a.proj_q, b.proj_q):
                 same_box = a.proj_p == b.proj_p and a.proj_q == b.proj_q
                 if same_box and a.id > b.id:
                     continue

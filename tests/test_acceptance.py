@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
-from kfrechet import oracles
 from kfrechet.boxes import clause_size_counts
 from conftest import (Z2_PAIR, axis_cover, exhaustive_min_selection_size, random_curve,
                       raster_stable)
+import oracles
 
 SEED = 987654321
 TOL = kf.DEFAULT_TOL

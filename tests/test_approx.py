@@ -1,9 +1,9 @@
 import math
 
 import kfrechet as kf
-from kfrechet import oracles
 from kfrechet.decide import _axis_intervals
 from conftest import axis_cover, exhaustive_min_selection_size, random_pair
+import oracles
 
 
 def proj(idx, lo, hi):

@@ -25,6 +25,11 @@ def random_formula(rng, n_vars, n_clauses, max_size=3):
     return formula(n_vars, *clauses)
 
 
+def box_spans(boxes):
+    """The x intervals and the y intervals of unit-height boxes."""
+    return [kf.Interval(b.x, b.x + b.w) for b in boxes], [kf.Interval(b.y, b.y + 1.0) for b in boxes]
+
+
 def reference_subsets(instance, tol):
     """The first selection, by size and then lexicographically, of at most k
     boxes covering both boundaries under the reference sweep: the subset
@@ -35,8 +40,8 @@ def reference_subsets(instance, tol):
     left = kf.Interval(1.0, float(instance.y_max))
     for size in range(min(instance.k, len(boxes)) + 1):
         for combo in itertools.combinations(range(len(boxes)), size):
-            if reference_union_covers([boxes[i].x_interval for i in combo], bottom, tol) and \
-               reference_union_covers([boxes[i].y_interval for i in combo], left, tol):
+            xs, ys = box_spans([boxes[i] for i in combo])
+            if reference_union_covers(xs, bottom, tol) and reference_union_covers(ys, left, tol):
                 return combo
     return None
 
@@ -392,8 +397,7 @@ class TestSolver:
             if got is not None:
                 assert len(got) == len(want) and got == tuple(sorted(set(got)))
                 chosen = [inst.boxes[i] for i in got]
-                for ivs, end in (([b.x_interval for b in chosen], inst.x_max),
-                                 ([b.y_interval for b in chosen], inst.y_max)):
+                for ivs, end in zip(box_spans(chosen), (inst.x_max, inst.y_max)):
                     assert reference_union_covers(ivs, kf.Interval(1.0, end), tol)
                 assert kf.covers_boundaries(inst, got)
                 covered += 1

@@ -6,9 +6,9 @@ import sys
 import pytest
 
 import kfrechet as kf
-from kfrechet import oracles
 from kfrechet.cli import main
 from conftest import random_pair
+import oracles
 
 
 @pytest.fixture
@@ -120,6 +120,17 @@ class TestDecide:
         code, report, _ = run_cli(capsys, "decide", "--p", str(j), "--q", q,
                                   "--eps", "1.0", "--k", "1")
         assert code == 0 and report["answer"] is True
+
+    @pytest.mark.parametrize("vertex", ['[0, {}]', '[0, "x"]', '[0, [1]]', '[true, false]'])
+    def test_non_numeric_json_vertex(self, capsys, tmp_path, curve_files, vertex):
+        # an input error, exit 2 with the file named; not exit 1, the status for "no"
+        _, q = curve_files
+        j = tmp_path / "bad.json"
+        j.write_text(f'{{"vertices": [{vertex}, [1, 1]]}}')
+        code, report, err = run_cli(capsys, "decide", "--p", str(j), "--q", q,
+                                    "--eps", "1.0", "--k", "1")
+        assert code == 2 and report is None
+        assert str(j) in err
 
     def test_brute_fpt_agree_on_corpus(self, capsys, tmp_path, rng):
         for trial in range(5):

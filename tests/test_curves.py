@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import kfrechet as kf
 from conftest import point_segment_distance, random_curve, reference_union_covers, segment_distance
+import oracles
 
 
 class TestParseCurve:
@@ -49,6 +51,20 @@ class TestParseCurve:
         with pytest.raises(kf.CurveError):
             kf.parse_curve_json("{nope")
 
+    @pytest.mark.parametrize("vertex", [[0, {}], [0, "x"], [0, [1]], [0, 10**400]])
+    def test_non_numeric_vertex_rejected(self, vertex):
+        # CurveError, not numpy's TypeError or a ValueError without context
+        with pytest.raises(kf.CurveError, match="pairs of numbers"):
+            kf.PolyCurve([vertex, [1, 1]])
+        with pytest.raises(kf.CurveError, match="pairs of numbers"):
+            kf.parse_curve_json(json.dumps({"vertices": [vertex, [1, 1]]}))
+
+    def test_json_booleans_rejected(self):
+        # JSON true and false would read as 1 and 0, as in box_instance_from_json
+        for vertices in ([[True, False], [1, 1]], [[0, 0], [1, True]]):
+            with pytest.raises(kf.CurveError, match="got true or false"):
+                kf.parse_curve_json(json.dumps({"vertices": vertices}))
+
     def test_round_trip(self, rng):
         for _ in range(20):
             c = random_curve(rng, int(rng.integers(1, 6)))
@@ -59,37 +75,37 @@ class TestParseCurve:
 class TestPointAt:
     def test_midpoint(self):
         c = kf.PolyCurve([(0, 0), (2, 0)])
-        assert np.allclose(c.points_at([0.5]), [(1, 0)])
+        assert np.allclose(oracles.points_at(c, [0.5]), [(1, 0)])
 
     def test_endpoints_are_vertices(self):
         c = kf.parse_curve("0 0\n1 0\n1 1\n0 1")
-        assert np.allclose(c.points_at(np.arange(c.n + 1)), c.vertices)
+        assert np.allclose(oracles.points_at(c, np.arange(c.n + 1)), c.vertices)
 
     def test_u_shape_interior(self):
         c = kf.parse_curve("0 0\n1 0\n1 1\n0 1")
-        assert np.allclose(c.points_at([1.5]), [(1, 0.5)])
+        assert np.allclose(oracles.points_at(c, [1.5]), [(1, 0.5)])
 
     def test_out_of_range(self):
         c = kf.PolyCurve([(0, 0), (1, 0)])
         with pytest.raises(ValueError):
-            c.points_at([-0.1])
+            oracles.points_at(c, [-0.1])
         with pytest.raises(ValueError):
-            c.points_at([0.5, 1.1])
+            oracles.points_at(c, [0.5, 1.1])
 
     def test_vectorised_matches_scalar(self, rng):
         c = random_curve(rng, 4)
         params = rng.uniform(0, c.n, size=50)
-        batch = c.points_at(params)
+        batch = oracles.points_at(c, params)
         for s, p in zip(params, batch):
             i = min(int(s), c.n - 1)  # the segment of s, as written out by hand
             assert np.allclose(p, c.vertices[i] + (s - i) * (c.vertices[i + 1] - c.vertices[i]))
 
     def test_lipschitz_continuity(self, rng):
         c = random_curve(rng, 5)
-        L = c.max_segment_length()
+        L = oracles.max_segment_length(c)
         for _ in range(200):
             s, t = rng.uniform(0, c.n, size=2)
-            gap = np.linalg.norm(np.subtract(*c.points_at([s, t])))
+            gap = np.linalg.norm(np.subtract(*oracles.points_at(c, [s, t])))
             assert gap <= L * abs(s - t) + 1e-12
 
     def test_immutable_vertices(self):
@@ -111,10 +127,10 @@ class TestInterval:
 
     def test_containment(self):
         a = kf.Interval(0.0, 1.0)
-        assert a.contains_interval(kf.Interval(0.2, 0.8))
-        assert a.contains_interval(a)
-        assert not kf.Interval(0.2, 0.8).contains_interval(a)
-        assert a.contains_interval(kf.EMPTY)
+        assert oracles.contains_interval(a, kf.Interval(0.2, 0.8))
+        assert oracles.contains_interval(a, a)
+        assert not oracles.contains_interval(kf.Interval(0.2, 0.8), a)
+        assert oracles.contains_interval(a, kf.EMPTY)
 
 
 class TestIntervalUnionCovers:

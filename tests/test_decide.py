@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
-from kfrechet import decide, intervals, oracles
+from kfrechet import decide, intervals
 from kfrechet.freespace import FreeSpaceGrid
 from conftest import (SIX_COMPONENT_PAIR, axis_cover, epsilon_probes, exhaustive_decide,
                       exhaustive_min_selection_size, random_pair, stub_diagram)
+import oracles
 
 
 def diagonal_diagram(eps=1.0):
@@ -57,6 +58,9 @@ class TestCoversBoth:
         d = diagonal_diagram()
         with pytest.raises(KeyError):
             kf.covers_both(d, (5,))
+        for cid in ("0", None, 0.0):  # not an integer: unknown, not a TypeError
+            with pytest.raises(KeyError, match="unknown component id"):
+                kf.covers_both(d, [cid])
 
     def test_two_half_covers_combine(self):
         # each component covers one axis fully and half of the other

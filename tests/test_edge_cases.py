@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
-from kfrechet import oracles
 from conftest import random_pair, stub_diagram
+import oracles
 
 
 class TestDegenerateGeometry:

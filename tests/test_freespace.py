@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
-from kfrechet import oracles
 from kfrechet.freespace import _interval
 from conftest import point_segment_distance, random_pair, touched_sides
+import oracles
 
 UNIT_P = ((0.0, 0.0), (1.0, 0.0))
 UNIT_Q = ((0.0, 1.0), (1.0, 1.0))  # parallel, at distance 1
@@ -256,8 +256,8 @@ class TestBuildDiagram:
             d = kf.build_diagram(P, Q, eps)
             intervals = [c.proj_p for c in d.components]
             params = rng.uniform(0, P.n, size=120)
-            for s, point in zip(params, P.points_at(params)):
-                dist = min(point_segment_distance(point, *Q.segment(j)) for j in range(Q.n))
+            for s, point in zip(params, oracles.points_at(P, params)):
+                dist = min(point_segment_distance(point, *Q.vertices[j:j + 2]) for j in range(Q.n))
                 covered = any(iv.lo <= s <= iv.hi for iv in intervals)
                 if dist <= eps - 1e-6:
                     assert covered

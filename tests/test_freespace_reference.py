@@ -133,8 +133,8 @@ class RefCell(NamedTuple):
 def reference_diagram(P, Q, eps, tol=TOL):
     """Scalar builder; returns (diagram, cells as nested tuples of RefCell)."""
     n, m = P.n, Q.n
-    pseg = [P.segment(i) for i in range(n)]
-    qseg = [Q.segment(j) for j in range(m)]
+    pseg = [P.vertices[i:i + 2] for i in range(n)]
+    qseg = [Q.vertices[j:j + 2] for j in range(m)]
     vert = [[point_free_interval(P.vertices[i], *qseg[j], eps, tol) for j in range(m)]
             for i in range(n + 1)]
     horiz = [[point_free_interval(Q.vertices[j], *pseg[i], eps, tol) for j in range(m + 1)]
@@ -516,12 +516,12 @@ def reference_distance_candidates(P, Q):
             values.add(float(np.linalg.norm(u - v)))
     for u in P.vertices:
         for j in range(Q.n):
-            values.add(point_segment_distance(u, *Q.segment(j)))
+            values.add(point_segment_distance(u, *Q.vertices[j:j + 2]))
     for v in Q.vertices:
         for i in range(P.n):
-            values.add(point_segment_distance(v, *P.segment(i)))
+            values.add(point_segment_distance(v, *P.vertices[i:i + 2]))
     for i, j in itertools.product(range(P.n), range(Q.n)):
-        values.add(segment_distance(*P.segment(i), *Q.segment(j)))
+        values.add(segment_distance(*P.vertices[i:i + 2], *Q.vertices[j:j + 2]))
     return sorted(values)
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
-from kfrechet import freespace, optimize, oracles
+from kfrechet import freespace, optimize
 from conftest import exhaustive_min_selection_size, random_pair, touched_sides
+import oracles
 
 
 def diagonal_pair():

@@ -8,7 +8,7 @@ import kfrechet as kf
 import kfrechet.curves
 import kfrechet.decide
 import kfrechet.freespace
-from kfrechet import oracles
+import oracles
 
 PUBLIC = [
     "BoxInstance", "CnfFormula", "Component", "CurveError", "DEFAULT_TOL", "EMPTY",
@@ -37,7 +37,7 @@ DELETED = {kfrechet.curves: ["_segments_intersect", "point_segment_distance", "s
            kfrechet.freespace: ["_segment_grid", "cell_axis_projection", "cell_edge_interval"]}
 # the public name that carries no __module__ (EMPTY has its class's)
 CONSTANTS = {"DEFAULT_TOL": "kfrechet.config"}
-# what `import kfrechet` makes reachable as attributes; not cli, not oracles
+# what `import kfrechet` makes reachable as attributes; not cli
 SUBMODULES = ["approx", "boxes", "config", "curves", "decide", "freespace", "intervals",
               "optimize", "svg"]
 
@@ -83,9 +83,21 @@ def test_removed_names_are_gone():
         assert name not in kf.__all__
 
 
-def test_brute_force_lives_in_oracles():
+def test_every_module_imports_without_scipy():
+    # scipy is for the test oracles only: with it blocked, importing it raises
+    code = ("import importlib, pkgutil, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import kfrechet\n"
+            "names = [m.name for m in pkgutil.iter_modules(kfrechet.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module(f'kfrechet.{name}')\n"
+            "print(sorted(names))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr(sorted([*SUBMODULES, "cli"]))
+    # the brute force is a test oracle, outside the package
     for name in ORACLES:
-        assert getattr(oracles, name).__module__ == "kfrechet.oracles", name
+        assert getattr(oracles, name).__module__ == "oracles", name
         assert not hasattr(kfrechet.decide, name), name
 
 

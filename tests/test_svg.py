@@ -65,7 +65,7 @@ class TestRenderDiagram:
         # as in covers_both; the metadata used to list ids the diagram lacks
         P, Q = diagonal_pair()
         d = kf.build_diagram(P, Q, 1.0)
-        for selected in ((99, -3), (0, 1), (-1,)):
+        for selected in ((99, -3), (0, 1), (-1,), ("0",), (None,), (0.0,)):
             with pytest.raises(KeyError, match="unknown component id"):
                 kf.render_diagram_svg(d, P, Q, selected=selected)
         assert metadata(kf.render_diagram_svg(d, P, Q, selected=(0,)))["selected"] == [0]

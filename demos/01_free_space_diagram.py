@@ -25,11 +25,12 @@ def describe(diagram):
     print(f"  eps = {diagram.epsilon:.2f}: {len(diagram.components)} component(s), z = {diagram.z}")
     n, m, tol = diagram.n, diagram.m, kf.default_tol()
     for c in diagram.components:
-        sides = (c.proj_p.lo <= tol, c.proj_p.hi >= n - tol, c.proj_q.lo <= tol, c.proj_q.hi >= m - tol)
+        (p_lo, p_hi), (q_lo, q_hi) = c.proj_p, c.proj_q
+        sides = (p_lo <= tol, p_hi >= n - tol, q_lo <= tol, q_hi >= m - tol)
         touch = "".join(ch for ch, on in zip("LRBT", sides) if on)
         print(f"    #{c.id}: cells={len(c.cells):2d}  "
-              f"P-span [{c.proj_p.lo:.3f}, {c.proj_p.hi:.3f}]  "
-              f"Q-span [{c.proj_q.lo:.3f}, {c.proj_q.hi:.3f}]  touches={touch or '-'}")
+              f"P-span [{p_lo:.3f}, {p_hi:.3f}]  "
+              f"Q-span [{q_lo:.3f}, {q_hi:.3f}]  touches={touch or '-'}")
     print(f"    strong={kf.decide_strong_frechet(diagram)}  "
           f"weak={kf.decide_weak_frechet(diagram)}  "
           f"min pieces={kf.minimize_k(diagram)}  "

@@ -38,17 +38,17 @@ def main():
             print(f"    axis {axis}: {paths} feasible path(s), selections: {shown}")
     print()
 
-    greedy = kf.approximate_k(d)
-    assert kmin <= len(greedy) <= 2 * kmin and kf.covers_both(d, greedy)
-    print(f"factor-2 approximation: {greedy}, {len(greedy)} pieces "
+    bound = kf.approximate_k(d)
+    assert kmin <= len(bound) <= 2 * kmin and kf.covers_both(d, bound)
+    print(f"factor-2 approximation: {bound}, {len(bound)} pieces "
           f"(between {kmin} and {2 * kmin})\n")
 
     sel = kf.decide_fpt(d, 2)
     print(f"witness for k = 2: {sel}")
     for cid in sel:
-        c = d.components[cid]
-        print(f"  component {cid}: P-span [{c.proj_p.lo:.3f}, {c.proj_p.hi:.3f}], "
-              f"Q-span [{c.proj_q.lo:.3f}, {c.proj_q.hi:.3f}]")
+        (p_lo, p_hi), (q_lo, q_hi) = d.components[cid].proj_p, d.components[cid].proj_q
+        print(f"  component {cid}: P-span [{p_lo:.3f}, {p_hi:.3f}], "
+              f"Q-span [{q_lo:.3f}, {q_hi:.3f}]")
     print(f"covers both axes: {kf.covers_both(d, sel)}")
 
 

@@ -74,8 +74,7 @@ def main():
     # ((P-axis lo, hi), (Q-axis lo, hi)) of components 0..3 on a 1 x 1 diagram
     projections = [((0.0, 0.6), (0.5, 1.0)), ((0.4, 1.0), (0.0, 0.55)),
                    ((0.0, 0.61), (0.0, 0.05)), ((0.0, 0.05), (0.0, 0.56))]
-    comps = tuple(kf.Component(id=i, cells=frozenset(), proj_p=kf.Interval(*p),
-                               proj_q=kf.Interval(*q))
+    comps = tuple(kf.Component(id=i, cells=frozenset(), proj_p=p, proj_q=q)
                   for i, (p, q) in enumerate(projections))
     # cells=(): projections alone; z = 3, as the line s = 0 meets components 0, 2 and 3
     d = kf.FreeSpaceDiagram(epsilon=1.0, n=1, m=1, cells=(), components=comps, z=3)

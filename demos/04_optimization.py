@@ -19,9 +19,9 @@ def main():
     for eps in (0.8, 0.45, 0.3):
         d = kf.build_diagram(P, Q, eps)
         exact = kf.minimize_k(d)
-        greedy = kf.approximate_k(d)
-        approx = None if greedy is None else len(greedy)
-        print(f"  eps = {eps:4}: exact min k = {exact}, greedy upper bound = {approx}")
+        bound = kf.approximate_k(d)
+        approx = None if bound is None else len(bound)
+        print(f"  eps = {eps:4}: exact min k = {exact}, factor-2 bound = {approx}")
 
     print("\nbest eps at fixed piece budget (tol 1e-5):")
     values = {}

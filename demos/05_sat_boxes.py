@@ -45,7 +45,7 @@ def main():
     (OUT / "sat_formula.cnf").write_text(kf.write_dimacs(norm))
     (OUT / "sat_boxes.json").write_text(
         json.dumps(kf.box_instance_to_json(inst), sort_keys=True, indent=2))
-    print(f"    wrote {OUT / 'sat_formula.cnf'} and {OUT / 'sat_boxes.json'}")
+    print(f"    wrote {OUT.name}/sat_formula.cnf and {OUT.name}/sat_boxes.json")
 
     print()
     unsat = kf.CnfFormula(2, ((1,), (-1,), (2, -2)))

@@ -35,7 +35,7 @@ _HOMES = {
     "decide": ("covers_both", "decide_fpt", "decide_hausdorff", "decide_strong_frechet",
                "decide_weak_frechet", "fpt_feasible_selections"),
     "freespace": ("Component", "FreeSpaceDiagram", "build_diagram"),
-    "intervals": ("EMPTY", "Interval", "interval_union_covers"),
+    "intervals": (),
     "optimize": ("distance_candidates", "minimize_epsilon", "minimize_k", "pairwise_vertex_max"),
     "svg": ("render_diagram_svg",),
 }

@@ -21,6 +21,7 @@ same search, :func:`kfrechet.intervals._min_joint_cover`.
 
 from __future__ import annotations
 
+import json
 import operator
 import sys
 from dataclasses import dataclass
@@ -465,9 +466,10 @@ def box_instance_to_json(instance: BoxInstance) -> dict:
 
 
 def _number(value, name: str):
-    """``value``, unless it is a JSON true or false, which Python reads as 1 or 0."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {str(value).lower()}")
+    """``value`` if it is a JSON number: not true or false, which Python reads as
+    1 or 0, nor a string, which ``float`` would parse as the number it spells."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {json.dumps(value, default=repr)}")
     return value
 
 

@@ -33,7 +33,7 @@ def _load_curve(path: str):
 
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read curve file {path}: {exc}") from exc
     try:
         if text.lstrip().startswith("{"):
@@ -163,7 +163,7 @@ def _cmd_svg(args) -> tuple[bool, dict]:
 def _cmd_boxgen(args) -> tuple[bool, dict]:
     try:
         text = Path(args.cnf).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {args.cnf}: {exc}") from exc
     try:
         formula = normalize_formula(parse_dimacs(text))
@@ -189,14 +189,14 @@ def _cmd_boxgen(args) -> tuple[bool, dict]:
 def _cmd_boxsolve(args) -> tuple[bool, dict]:
     try:
         obj = json.loads(Path(args.infile).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {args.infile}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{args.infile}: invalid JSON: {exc}") from exc
     try:
         instance = box_instance_from_json(obj)
     except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise CliError(f"{args.infile}: {exc}") from exc
     picked = solve_box_bruteforce(instance)
     report = {
         "answer": picked is not None,

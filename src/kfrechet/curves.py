@@ -3,9 +3,8 @@
 A curve with ``n`` segments is parameterised over ``[0, n]``: parameter
 ``s`` maps to the affine point on segment ``floor(s)``, so integer
 parameters land exactly on vertices. Points are plain length-2 numpy
-arrays, and a curve is immutable once built. The closed intervals of
-parameter space live in :mod:`kfrechet.intervals`, which does not need
-numpy.
+arrays, and a curve is immutable once built. Intervals of parameter
+space are plain (lo, hi) pairs of floats.
 """
 
 from __future__ import annotations
@@ -89,10 +88,15 @@ def parse_curve_json(text: str) -> PolyCurve:
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise CurveError('JSON curve must be an object with a "vertices" key')
     vertices = obj["vertices"]
-    # JSON true and false, which Python reads as 1 and 0, are not numbers here
-    if isinstance(vertices, list) and any(isinstance(x, bool) for vertex in vertices
-                                          if isinstance(vertex, list) for x in vertex):
-        raise CurveError("vertex coordinates must be numbers, got true or false")
+    # only JSON numbers are coordinates: not true or false, which Python reads
+    # as 1 or 0, nor a string, which numpy would parse as the number it spells
+    for i, vertex in enumerate(vertices if isinstance(vertices, list) else ()):
+        for x in vertex if isinstance(vertex, list) else ():
+            if isinstance(x, bool):
+                raise CurveError(f"vertex {i}: coordinates must be numbers, got true or false")
+            if not isinstance(x, (int, float)):
+                raise CurveError(f"vertex {i}: vertices must be (x, y) pairs of numbers, "
+                                 f"got {json.dumps(x)}")
     return PolyCurve(vertices)
 
 

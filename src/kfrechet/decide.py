@@ -17,10 +17,10 @@ where the union is larger go to the bounded search tree.
 
 A selection is a sorted, duplicate-free tuple of component ids. The
 decider reads each axis as (id, lo, hi) triples from :func:`_axis_intervals`,
-the one per-axis shape that :mod:`kfrechet.approx` and the eps search of
-:mod:`kfrechet.optimize` read too. Only the strong decision needs the cell
-geometry, and its boundary test is its own; the others need only the
-component projections.
+each component's id and (lo, hi) projection pair, the one per-axis shape
+that :mod:`kfrechet.approx` and the eps search of :mod:`kfrechet.optimize`
+read too. Only the strong decision needs the cell geometry, and its
+boundary test is its own; the others need only the component projections.
 
 Each public function reads the one comparison tolerance, ``KFRECHET_TOL``
 (see :mod:`kfrechet.config`), once when called and hands it to the search.
@@ -42,8 +42,8 @@ def covers_both(diagram: FreeSpaceDiagram, selection: Iterable[int]) -> bool:
     """Whether the components with the selected ids project onto all of both axes."""
     tol = default_tol()
     comps = _picked(diagram, selection)
-    p = [(c.id, c.proj_p.lo, c.proj_p.hi) for c in comps]
-    q = [(c.id, c.proj_q.lo, c.proj_q.hi) for c in comps]
+    p = [(c.id, *c.proj_p) for c in comps]
+    q = [(c.id, *c.proj_q) for c in comps]
     return (_axis_cover(p, (0.0, diagram.n), tol) is not None
             and _axis_cover(q, (0.0, diagram.m), tol) is not None)
 
@@ -51,9 +51,9 @@ def covers_both(diagram: FreeSpaceDiagram, selection: Iterable[int]) -> bool:
 def _axis_intervals(diagram: FreeSpaceDiagram, axis: str) -> list:
     """The (id, lo, hi) projections of every component onto axis "p" or "q", by id."""
     if axis == "p":
-        return [(c.id, c.proj_p.lo, c.proj_p.hi) for c in diagram.components]
+        return [(c.id, *c.proj_p) for c in diagram.components]
     if axis == "q":
-        return [(c.id, c.proj_q.lo, c.proj_q.hi) for c in diagram.components]
+        return [(c.id, *c.proj_q) for c in diagram.components]
     raise ValueError(f'axis must be "p" or "q", got {axis!r}')
 
 

@@ -43,7 +43,6 @@ import numpy as np
 
 from .config import default_tol
 from .curves import PolyCurve
-from .intervals import EMPTY, Interval
 
 _INF = math.inf
 
@@ -52,14 +51,17 @@ _INF = math.inf
 class Component:
     """One connected region of free space.
 
-    ``proj_p``/``proj_q`` are single intervals: the projection of a
-    connected planar set onto an axis is connected.
+    ``proj_p``/``proj_q`` are its projections onto the axes as (lo, hi)
+    pairs of floats, each a single interval: the projection of a connected
+    planar set onto an axis is connected. Empty is (inf, -inf), as in
+    :class:`FreeSpaceGrid`; a component of a built diagram is never empty,
+    and its projections lie inside [0, n] and [0, m].
     """
 
     id: int
     cells: frozenset
-    proj_p: Interval
-    proj_q: Interval
+    proj_p: tuple
+    proj_q: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,11 +123,6 @@ def _picked(diagram: FreeSpaceDiagram, ids) -> list:
             raise KeyError(f"unknown component id {cid!r}")
         comps.append(diagram.components[cid])
     return comps
-
-
-def _interval(pair) -> Interval:
-    lo, hi = (float(x) for x in pair)
-    return EMPTY if lo > hi else Interval(lo, hi)
 
 
 def _dot(x, y):
@@ -411,8 +408,7 @@ def build_diagram(P: PolyCurve, Q: PolyCurve, eps: float) -> FreeSpaceDiagram:
         members[c].append((i, j))
 
     components = tuple(
-        Component(id=c, cells=frozenset(members[c]),
-                  proj_p=_interval((plo, phi)), proj_q=_interval((qlo, qhi)))
+        Component(id=c, cells=frozenset(members[c]), proj_p=(plo, phi), proj_q=(qlo, qhi))
         for c, (plo, phi, qlo, qhi) in enumerate(zip(*ends.tolist())))
     diagram = FreeSpaceDiagram(epsilon=eps, n=n, m=m, cells=_as_grid(solved),
                                components=components, z=_stab_number(ends))

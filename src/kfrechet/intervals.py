@@ -1,4 +1,4 @@
-"""Closed intervals, the one rule for covering an interval with a union,
+"""The one rule for covering an axis with a union of closed intervals,
 and the one search for the fewest intervals that cover two axes at once.
 
 "Do at most k components (boxes) cover both axes (boundaries)?" is one
@@ -11,63 +11,14 @@ an interval joins a chain when ``lo <= frontier + tol`` and ``hi >
 frontier``; the chain covers once the frontier reaches ``end - tol``. The
 intervals of a cover that move the frontier form a chain, so every cover
 holds one. The searches take (id, lo, hi) triples and return selections:
-sorted, duplicate-free tuples of ids.
+sorted, duplicate-free tuples of ids. The empty interval, (inf, -inf),
+joins no chain.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 import operator
-from dataclasses import dataclass
-from typing import Iterable
-
-from .config import default_tol
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval ``[lo, hi]``; ``EMPTY`` is the canonical empty value.
-
-    A degenerate interval (``lo == hi``) is a single point. Construction
-    with ``lo > hi`` is only used for the empty sentinel. Any other interval
-    needs finite ends; a NaN end raises ``ValueError`` too.
-    """
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo > self.hi and not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
-
-    @property
-    def is_empty(self) -> bool:
-        return self.lo > self.hi
-
-    @property
-    def length(self) -> float:
-        return 0.0 if self.is_empty else self.hi - self.lo
-
-
-EMPTY = Interval(math.inf, -math.inf)
-
-
-def interval_union_covers(intervals: Iterable[Interval], target: Interval) -> bool:
-    """Whether the union of ``intervals`` covers ``target``.
-
-    Uncovered gaps of width at most the tolerance (``KFRECHET_TOL``, see
-    :mod:`kfrechet.config`) are forgiven: the cover rule of the module
-    docstring, decided by :func:`_axis_cover`. A degenerate target is
-    covered only when some interval actually contains its point.
-    """
-    tol = default_tol()
-    if target.is_empty:
-        return True
-    spans = [(i, iv.lo, iv.hi) for i, iv in enumerate(intervals) if not iv.is_empty]
-    if target.length == 0.0:
-        return any(lo <= target.lo <= hi for _, lo, hi in spans)
-    return _axis_cover(spans, (target.lo, target.hi), tol) is not None
 
 
 def _axis_selections(intervals, ends, tol: float):

@@ -158,8 +158,8 @@ def _segments_intersect(a0, a1, b0, b1) -> bool:
 
 def touched_sides(comp, n: int, m: int, tol: float = 1e-9) -> str:
     """The diagram boundaries a component's projections reach, as letters of "LRBT"."""
-    flags = (comp.proj_p.lo <= tol, comp.proj_p.hi >= n - tol,
-             comp.proj_q.lo <= tol, comp.proj_q.hi >= m - tol)
+    (p_lo, p_hi), (q_lo, q_hi) = comp.proj_p, comp.proj_q
+    flags = (p_lo <= tol, p_hi >= n - tol, q_lo <= tol, q_hi >= m - tol)
     return "".join(side for side, on in zip("LRBT", flags) if on)
 
 
@@ -168,7 +168,7 @@ def sweep_z(components, n: int, m: int, tol: float | None = None) -> int:
     over every projection end, each also shifted by -tol and +tol, that lies
     on the axis: the reference for the start-only count of ``build_diagram``."""
     tol = kf.default_tol() if tol is None else tol
-    ends = np.array([(c.proj_p.lo, c.proj_p.hi, c.proj_q.lo, c.proj_q.hi) for c in components],
+    ends = np.array([(*c.proj_p, *c.proj_q) for c in components],
                     dtype=float).reshape(-1, 4).T
     best = 0
     for lo, hi, length in ((ends[0], ends[1], n), (ends[2], ends[3], m)):
@@ -181,24 +181,21 @@ def sweep_z(components, n: int, m: int, tol: float | None = None) -> int:
     return best
 
 
-def axis_cover(intervals, target: kf.Interval):
-    """The minimum cover of ``target`` that :func:`kf.approximate_k` takes on
-    one axis: the cover search of :mod:`kfrechet.intervals` over (id, lo, hi)
-    intervals, none of them free."""
-    return _axis_cover(intervals, (target.lo, target.hi), kf.default_tol())
+def axis_cover(intervals, target):
+    """The minimum cover of the (lo, hi) ``target`` that :func:`kf.approximate_k`
+    takes on one axis: the cover search of :mod:`kfrechet.intervals` over
+    (id, lo, hi) intervals, none of them free."""
+    return _axis_cover(intervals, target, kf.default_tol())
 
 
-def reference_union_covers(intervals, target: kf.Interval, gap_tol: float) -> bool:
-    """The sweep of :func:`kf.interval_union_covers` from before it called the
-    cover search of :mod:`kfrechet.intervals`, kept as its reference: sorted by
-    lo, an interval moves the reach when it starts within ``gap_tol`` of it."""
-    if target.is_empty:
-        return True
-    spans = sorted((iv.lo, iv.hi) for iv in intervals if not iv.is_empty)
-    if target.length == 0.0:
-        return any(lo <= target.lo <= hi for lo, hi in spans)
-    reach = target.lo
-    goal = target.hi - gap_tol
+def reference_union_covers(intervals, target, gap_tol: float) -> bool:
+    """Whether (lo, hi) ``intervals`` cover the (lo, hi) ``target`` with gaps
+    of at most ``gap_tol`` forgiven, by a sweep independent of the cover search
+    of :mod:`kfrechet.intervals`: sorted by lo, an interval moves the reach when
+    it starts within ``gap_tol`` of it. A target no longer than ``gap_tol`` is
+    covered by no interval at all."""
+    spans = sorted((lo, hi) for lo, hi in intervals if lo <= hi)
+    reach, goal = target[0], target[1] - gap_tol
     for lo, hi in spans:
         if lo > reach + gap_tol:
             break
@@ -216,8 +213,8 @@ def stub_diagram(n: int, m: int, projections) -> kf.FreeSpaceDiagram:
     usable with operations that work off component projections.
     """
     comps = tuple(
-        kf.Component(id=idx, cells=frozenset(), proj_p=kf.Interval(float(plo), float(phi)),
-                     proj_q=kf.Interval(float(qlo), float(qhi)))
+        kf.Component(id=idx, cells=frozenset(), proj_p=(float(plo), float(phi)),
+                     proj_q=(float(qlo), float(qhi)))
         for idx, ((plo, phi), (qlo, qhi)) in enumerate(projections))
     return kf.FreeSpaceDiagram(epsilon=1.0, n=n, m=m, cells=(), components=comps,
                                z=sweep_z(comps, n, m))

@@ -11,7 +11,8 @@ runtime install leaves out: install the ``test`` extra
 
 The curve and interval helpers below (:func:`points_at`,
 :func:`max_segment_length`, :func:`contains_interval`) are computed here
-because no runtime code needs them.
+because no runtime code needs them. Intervals are (lo, hi) pairs, and one
+with lo > hi, such as (inf, -inf), is empty.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from kfrechet.config import _budget
 from kfrechet.curves import PolyCurve
 from kfrechet.decide import covers_both, decide_hausdorff
 from kfrechet.freespace import FreeSpaceDiagram
-from kfrechet.intervals import Interval
 
 
 def points_at(curve: PolyCurve, s) -> np.ndarray:
@@ -46,11 +46,13 @@ def max_segment_length(curve: PolyCurve) -> float:
     return float(np.linalg.norm(np.diff(curve.vertices, axis=0), axis=1).max())
 
 
-def contains_interval(outer: Interval, inner: Interval) -> bool:
-    """Exact (tolerance-free) containment; empty is contained in anything."""
-    if inner.is_empty:
+def contains_interval(outer, inner) -> bool:
+    """Exact (tolerance-free) containment of (lo, hi) pairs; empty is contained
+    in anything."""
+    (olo, ohi), (ilo, ihi) = outer, inner
+    if ilo > ihi:
         return True
-    return not outer.is_empty and outer.lo <= inner.lo and inner.hi <= outer.hi
+    return olo <= ohi and olo <= ilo and ihi <= ohi
 
 
 @dataclass(frozen=True)
@@ -149,18 +151,14 @@ def exhaustive_min_cover(intervals, target, gap_tol: float = 0.0):
     """Minimum number of the given intervals needed to cover ``target``.
 
     Checks all subsets by increasing size, with its own sweep (kept
-    independent of the production interval code on purpose). Accepts
-    Interval objects or (lo, hi) pairs; returns None when even the full
-    set leaves a gap wider than ``gap_tol``.
+    independent of the production interval code on purpose). Takes (lo, hi)
+    pairs; returns None when even the full set leaves a gap wider than
+    ``gap_tol``.
     """
-    spans = []
-    for iv in intervals:
-        lo, hi = (iv.lo, iv.hi) if isinstance(iv, Interval) else (float(iv[0]), float(iv[1]))
-        if lo <= hi:
-            spans.append((lo, hi))
+    spans = [(float(lo), float(hi)) for lo, hi in intervals if lo <= hi]
     if len(spans) > 20:
         raise ValueError(f"too many intervals for exhaustive search: {len(spans)} > 20")
-    tlo, thi = (target.lo, target.hi) if isinstance(target, Interval) else (float(target[0]), float(target[1]))
+    tlo, thi = (float(x) for x in target)
 
     def covered(chosen) -> bool:
         if thi == tlo:

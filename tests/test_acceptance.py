@@ -117,7 +117,7 @@ def test_criterion_4_greedy_optimality():
         los = rng.uniform(-0.1, 1.0, size=count)
         widths = rng.uniform(0.0, 0.7, size=count)
         intervals = [(i, float(lo), float(lo + w)) for i, (lo, w) in enumerate(zip(los, widths))]
-        greedy = axis_cover(intervals, kf.Interval(0.0, 1.0))
+        greedy = axis_cover(intervals, (0.0, 1.0))
         opt = oracles.exhaustive_min_cover([(lo, hi) for _, lo, hi in intervals],
                                            (0.0, 1.0), gap_tol=TOL)
         if opt is None:

@@ -15,32 +15,32 @@ class TestGreedyAxisCover:
 
     def test_two_interval_optimum(self):
         intervals = [proj(0, 0.0, 0.5), proj(1, 0.4, 1.0), proj(2, 0.0, 0.3), proj(3, 0.25, 0.8)]
-        sel = axis_cover(intervals, kf.Interval(0.0, 1.0))
+        sel = axis_cover(intervals, (0.0, 1.0))
         assert sel == (0, 1)
         # brute-force minimum cover is also 2
         spans = [(0, 0.5), (0.4, 1), (0, 0.3), (0.25, 0.8)]
         assert oracles.exhaustive_min_cover(spans, (0, 1)) == 2
 
     def test_single_interval(self):
-        assert axis_cover([proj(0, 0.0, 1.0)], kf.Interval(0.0, 1.0)) == (0,)
+        assert axis_cover([proj(0, 0.0, 1.0)], (0.0, 1.0)) == (0,)
 
     def test_gap_returns_none(self):
         intervals = [proj(0, 0.0, 0.4), proj(1, 0.6, 1.0)]
-        assert axis_cover(intervals, kf.Interval(0.0, 1.0)) is None
+        assert axis_cover(intervals, (0.0, 1.0)) is None
 
     def test_tie_breaks_to_last_in_input_order(self):
         # of intervals with equal hi, the last one given wins, whatever its id
-        assert axis_cover([proj(5, 0.0, 1.0), proj(2, 0.0, 1.0)], kf.Interval(0.0, 1.0)) == (2,)
-        assert axis_cover([proj(2, 0.0, 1.0), proj(5, 0.0, 1.0)], kf.Interval(0.0, 1.0)) == (5,)
+        assert axis_cover([proj(5, 0.0, 1.0), proj(2, 0.0, 1.0)], (0.0, 1.0)) == (2,)
+        assert axis_cover([proj(2, 0.0, 1.0), proj(5, 0.0, 1.0)], (0.0, 1.0)) == (5,)
 
     def test_empty_interval_skipped(self):
-        # an empty interval (lo > hi) is skipped, as kf.EMPTY is
+        # an empty interval, (inf, -inf) as a diagram holds it, is skipped
         empty = proj(1, math.inf, -math.inf)
-        assert axis_cover([proj(0, 0.0, 1.0), empty], kf.Interval(0.0, 1.0)) == (0,)
+        assert axis_cover([proj(0, 0.0, 1.0), empty], (0.0, 1.0)) == (0,)
 
     def test_tangent_chain_is_covering(self):
         intervals = [proj(0, 0.0, 0.5), proj(1, 0.5, 1.0)]
-        assert axis_cover(intervals, kf.Interval(0.0, 1.0)) == (0, 1)
+        assert axis_cover(intervals, (0.0, 1.0)) == (0, 1)
 
     def test_optimal_size_on_random_inputs(self, rng):
         for _ in range(1000):
@@ -49,7 +49,7 @@ class TestGreedyAxisCover:
             widths = rng.uniform(0.0, 0.7, size=count)
             intervals = [proj(i, float(lo), float(lo + w))
                          for i, (lo, w) in enumerate(zip(los, widths))]
-            sel = axis_cover(intervals, kf.Interval(0.0, 1.0))
+            sel = axis_cover(intervals, (0.0, 1.0))
             opt = oracles.exhaustive_min_cover(
                 [(lo, hi) for _, lo, hi in intervals], (0.0, 1.0),
                 gap_tol=kf.default_tol())
@@ -87,8 +87,8 @@ class TestApproximateK:
             assert kf.covers_both(d, sel)
             assert opt is not None
             assert len(sel) <= 2 * opt
-            cover_p = axis_cover(_axis_intervals(d, "p"), kf.Interval(0.0, float(d.n)))
-            cover_q = axis_cover(_axis_intervals(d, "q"), kf.Interval(0.0, float(d.m)))
+            cover_p = axis_cover(_axis_intervals(d, "p"), (0.0, float(d.n)))
+            cover_q = axis_cover(_axis_intervals(d, "q"), (0.0, float(d.m)))
             assert max(len(cover_p), len(cover_q)) <= len(sel)
             assert len(sel) <= len(cover_p) + len(cover_q)
             assert opt >= max(len(cover_p), len(cover_q))

@@ -27,7 +27,7 @@ def random_formula(rng, n_vars, n_clauses, max_size=3):
 
 def box_spans(boxes):
     """The x intervals and the y intervals of unit-height boxes."""
-    return [kf.Interval(b.x, b.x + b.w) for b in boxes], [kf.Interval(b.y, b.y + 1.0) for b in boxes]
+    return [(b.x, b.x + b.w) for b in boxes], [(b.y, b.y + 1.0) for b in boxes]
 
 
 def reference_subsets(instance, tol):
@@ -36,8 +36,8 @@ def reference_subsets(instance, tol):
     enumeration that answered off-grid instances before the joint-cover
     search did, kept as its reference."""
     boxes = instance.boxes
-    bottom = kf.Interval(1.0, float(instance.x_max))
-    left = kf.Interval(1.0, float(instance.y_max))
+    bottom = (1.0, float(instance.x_max))
+    left = (1.0, float(instance.y_max))
     for size in range(min(instance.k, len(boxes)) + 1):
         for combo in itertools.combinations(range(len(boxes)), size):
             xs, ys = box_spans([boxes[i] for i in combo])
@@ -398,7 +398,7 @@ class TestSolver:
                 assert len(got) == len(want) and got == tuple(sorted(set(got)))
                 chosen = [inst.boxes[i] for i in got]
                 for ivs, end in zip(box_spans(chosen), (inst.x_max, inst.y_max)):
-                    assert reference_union_covers(ivs, kf.Interval(1.0, end), tol)
+                    assert reference_union_covers(ivs, (1.0, end), tol)
                 assert kf.covers_boundaries(inst, got)
                 covered += 1
         assert 60 <= covered <= 240  # both answers are common
@@ -613,6 +613,20 @@ class TestIo:
         else:
             obj["boxes"][0][field] = value
         with pytest.raises(ValueError, match=f"{field} must be a number"):
+            kf.box_instance_from_json(obj)
+
+    @pytest.mark.parametrize("field", ["bound", "k", "x", "y", "w", "label"])
+    @pytest.mark.parametrize("value", ["2", "1e0", "nan", None])
+    def test_box_json_rejects_non_numbers(self, field, value):
+        # float() would parse "2" as 2.0: a JSON string or null is no number
+        obj = {"bound": [3, 3], "k": 2, "boxes": [{"x": 1, "y": 1, "w": 1, "label": 1}]}
+        if field == "bound":
+            obj["bound"][1] = value
+        elif field == "k":
+            obj["k"] = value
+        else:
+            obj["boxes"][0][field] = value
+        with pytest.raises(ValueError, match=f"{field} must be a number, got {json.dumps(value)}"):
             kf.box_instance_from_json(obj)
 
     def test_box_json_malformed(self):

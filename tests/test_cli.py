@@ -121,7 +121,8 @@ class TestDecide:
                                   "--eps", "1.0", "--k", "1")
         assert code == 0 and report["answer"] is True
 
-    @pytest.mark.parametrize("vertex", ['[0, {}]', '[0, "x"]', '[0, [1]]', '[true, false]'])
+    @pytest.mark.parametrize("vertex", ['[0, {}]', '[0, "x"]', '[0, [1]]', '[true, false]',
+                                        '[0, "1"]', '["0", 1]'])
     def test_non_numeric_json_vertex(self, capsys, tmp_path, curve_files, vertex):
         # an input error, exit 2 with the file named; not exit 1, the status for "no"
         _, q = curve_files
@@ -131,6 +132,15 @@ class TestDecide:
                                     "--eps", "1.0", "--k", "1")
         assert code == 2 and report is None
         assert str(j) in err
+
+    def test_non_utf8_file(self, capsys, tmp_path, curve_files):
+        _, q = curve_files
+        bad = tmp_path / "latin.txt"
+        bad.write_bytes(b"\xff0 0\n1 1\n")
+        code, report, err = run_cli(capsys, "decide", "--p", str(bad), "--q", q,
+                                    "--eps", "1.0", "--k", "1")
+        assert code == 2 and report is None
+        assert f"cannot read curve file {bad}" in err
 
     def test_brute_fpt_agree_on_corpus(self, capsys, tmp_path, rng):
         for trial in range(5):
@@ -326,6 +336,38 @@ class TestBoxCommands:
         code, report, err = run_cli(capsys, "boxsolve", "--in", str(path))
         assert code == 2 and report is None
         assert "must be a number, got true" in err
+
+    @pytest.mark.parametrize("field", ["bound", "k", "x", "w", "label"])
+    def test_boxsolve_string_field(self, capsys, tmp_path, field):
+        # a JSON string is no number, even one that spells a number
+        obj = {"bound": [3, 3], "k": 2, "boxes": [{"x": 1, "y": 1, "w": 2, "label": 1}]}
+        if field == "bound":
+            obj["bound"][0] = "3"
+        elif field == "k":
+            obj["k"] = "2"
+        else:
+            obj["boxes"][0][field] = str(obj["boxes"][0][field])
+        path = tmp_path / "strings.json"
+        path.write_text(json.dumps(obj))
+        code, report, err = run_cli(capsys, "boxsolve", "--in", str(path))
+        assert code == 2 and report is None
+        assert str(path) in err and f"{field} must be a number, got \"" in err
+
+    def test_boxsolve_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'\xff{"bound": [3, 3], "k": 0, "boxes": []}')
+        code, report, err = run_cli(capsys, "boxsolve", "--in", str(path))
+        assert code == 2 and report is None
+        assert f"cannot read {path}" in err
+
+    def test_boxgen_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "latin.cnf"
+        path.write_bytes(b"\xffp cnf 1 1\n1 0\n")
+        code, report, err = run_cli(capsys, "boxgen", "--cnf", str(path),
+                                    "--out", str(tmp_path / "out.json"))
+        assert code == 2 and report is None
+        assert f"cannot read {path}" in err
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("field", ["bound", "x", "w"])
     def test_boxsolve_beyond_float_range(self, capsys, tmp_path, field):

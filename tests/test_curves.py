@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
-from conftest import point_segment_distance, random_curve, reference_union_covers, segment_distance
+from conftest import (point_segment_distance, random_curve, reference_union_covers,
+                      segment_distance, stub_diagram)
+from kfrechet.intervals import _axis_cover
 import oracles
 
 
@@ -65,6 +67,13 @@ class TestParseCurve:
             with pytest.raises(kf.CurveError, match="got true or false"):
                 kf.parse_curve_json(json.dumps({"vertices": vertices}))
 
+    @pytest.mark.parametrize("vertex", [[0, "1"], ["0", 1], [0, "1e3"], [0, "nan"]])
+    def test_json_strings_rejected(self, vertex):
+        # numpy would parse "1" as 1.0: a JSON string is no number
+        text = json.dumps(next(x for x in vertex if isinstance(x, str)))
+        with pytest.raises(kf.CurveError, match=f"vertex 1: .*got {text}"):
+            kf.parse_curve_json(json.dumps({"vertices": [[1, 1], vertex]}))
+
     def test_round_trip(self, rng):
         for _ in range(20):
             c = random_curve(rng, int(rng.integers(1, 6)))
@@ -115,68 +124,54 @@ class TestPointAt:
 
 
 class TestInterval:
-    def test_empty_sentinel(self):
-        assert kf.EMPTY.is_empty
-        assert not kf.EMPTY.lo <= 0.0 <= kf.EMPTY.hi
-        assert kf.EMPTY.length == 0.0
-
-    def test_non_finite_rejected(self):
-        for lo, hi in ((0.0, math.inf), (math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)):
-            with pytest.raises(ValueError):
-                kf.Interval(lo, hi)
-
     def test_containment(self):
-        a = kf.Interval(0.0, 1.0)
-        assert oracles.contains_interval(a, kf.Interval(0.2, 0.8))
+        a = (0.0, 1.0)
+        assert oracles.contains_interval(a, (0.2, 0.8))
         assert oracles.contains_interval(a, a)
-        assert not oracles.contains_interval(kf.Interval(0.2, 0.8), a)
-        assert oracles.contains_interval(a, kf.EMPTY)
+        assert not oracles.contains_interval((0.2, 0.8), a)
+        assert oracles.contains_interval(a, (math.inf, -math.inf))
+
+
+def union_covers(spans, target, tol: float = 1e-9) -> bool:
+    """Whether (lo, hi) ``spans`` cover the (lo, hi) ``target`` by the cover rule."""
+    return _axis_cover([(i, lo, hi) for i, (lo, hi) in enumerate(spans)], target, tol) is not None
 
 
 class TestIntervalUnionCovers:
+    """The cover rule of :mod:`kfrechet.intervals`, through its per-axis search."""
+
     def test_overlapping_pair(self):
-        assert kf.interval_union_covers(
-            [kf.Interval(0, 0.6), kf.Interval(0.5, 1)], kf.Interval(0, 1))
+        assert union_covers([(0, 0.6), (0.5, 1)], (0, 1))
 
-    def test_visible_gap(self, kfrechet_tol):
-        kfrechet_tol(1e-9)
-        assert not kf.interval_union_covers(
-            [kf.Interval(0, 0.4), kf.Interval(0.6, 1)], kf.Interval(0, 1))
-
-    def test_degenerate_target(self):
-        assert not kf.interval_union_covers([], kf.Interval(0, 0))
-        assert kf.interval_union_covers([kf.Interval(-1, 2)], kf.Interval(0, 0))
+    def test_visible_gap(self):
+        assert not union_covers([(0, 0.4), (0.6, 1)], (0, 1))
 
     def test_interval_left_of_target_does_not_help(self):
-        assert not kf.interval_union_covers(
-            [kf.Interval(-5, -1), kf.Interval(0.5, 1)], kf.Interval(0, 1))
+        assert not union_covers([(-5, -1), (0.5, 1)], (0, 1))
 
     def test_gap_within_tolerance(self):
-        assert kf.interval_union_covers(
-            [kf.Interval(0, 0.5), kf.Interval(0.5 + 5e-10, 1)], kf.Interval(0, 1))
+        assert union_covers([(0, 0.5), (0.5 + 5e-10, 1)], (0, 1))
 
     def test_monotone_under_additions(self, rng):
         for _ in range(200):
-            base = [kf.Interval(lo, lo + w) for lo, w in
-                    zip(rng.uniform(0, 1, 5), rng.uniform(0, 0.5, 5))]
-            target = kf.Interval(0.0, 1.0)
-            before = kf.interval_union_covers(base, target)
-            extra = kf.Interval(float(rng.uniform(0, 1)), 1.5)
-            after = kf.interval_union_covers(base + [extra], target)
+            base = [(lo, lo + w) for lo, w in zip(rng.uniform(0, 1, 5), rng.uniform(0, 0.5, 5))]
+            target = (0.0, 1.0)
+            before = union_covers(base, target)
+            extra = (float(rng.uniform(0, 1)), 1.5)
+            after = union_covers(base + [extra], target)
             if before:
                 assert after
 
     def test_negative_gap_tol_rejected(self, kfrechet_tol):
         kfrechet_tol(-1.0)
         with pytest.raises(ValueError, match="KFRECHET_TOL"):
-            kf.interval_union_covers([], kf.Interval(0, 1))
+            kf.covers_both(stub_diagram(1, 1, []), [])
 
     @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
-    def test_matches_the_reference_sweep(self, tol, kfrechet_tol):
+    def test_matches_the_reference_sweep(self, tol):
         # chains of intervals over a target starting at 0, 1 or elsewhere, with
         # gaps of 0.5 and 1.5 tol, overlaps, touching ends, degenerate, empty and
-        # stray intervals, in shuffled order; degenerate targets too
-        kfrechet_tol(tol)
+        # stray intervals, in shuffled order; targets no longer than 1.5 tol too
         rng = np.random.default_rng(18)
         answers = []
         for _ in range(2000):
@@ -186,15 +181,15 @@ class TestIntervalUnionCovers:
             intervals, at = [], start - float(rng.choice([0.0, 0.5 * tol, 1.5 * tol, 0.3]))
             while at < end + 0.5 and len(intervals) < 8:
                 width = float(rng.choice([0.0, rng.uniform(0, 1.5)]))
-                intervals.append(kf.Interval(at, at + width))
+                intervals.append((at, at + width))
                 gap = float(rng.choice([0.0, 0.5 * tol, tol, 1.5 * tol, -rng.uniform(0, 1), 0.2]))
                 at += width + gap
-            intervals += [kf.EMPTY] * int(rng.integers(0, 2))
-            intervals += [kf.Interval(lo, lo + float(rng.uniform(0, 2)))
+            intervals += [(math.inf, -math.inf)] * int(rng.integers(0, 2))
+            intervals += [(lo, lo + float(rng.uniform(0, 2)))
                           for lo in rng.uniform(start - 2, end + 1, size=int(rng.integers(0, 3)))]
             rng.shuffle(intervals)
-            target = kf.Interval(start, end)
-            got = kf.interval_union_covers(intervals, target)
+            target = (start, end)
+            got = union_covers(intervals, target, tol)
             assert got == reference_union_covers(intervals, target, tol), (intervals, target)
             answers.append(got)
         assert 600 <= sum(answers) <= 1400

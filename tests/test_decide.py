@@ -250,8 +250,8 @@ class TestFpt:
         for seed in (1, 2, 3):
             for item in workloads.MatchDecide().generate(seed):
                 d = kf.build_diagram(kf.parse_curve(item.p), kf.parse_curve(item.q), item.eps)
-                ends = [np.sort([e for c in d.components for e in (c.proj_p.lo, c.proj_p.hi)]),
-                        np.sort([e for c in d.components for e in (c.proj_q.lo, c.proj_q.hi)])]
+                ends = [np.sort([e for c in d.components for e in c.proj_p]),
+                        np.sort([e for c in d.components for e in c.proj_q])]
                 if any((np.diff(e) <= tol).any() for e in ends):
                     continue
                 for axis in ("p", "q"):
@@ -283,7 +283,7 @@ def forty_component_stub() -> kf.FreeSpaceDiagram:
 
 
 class TestToleranceScale:
-    """One rule, that of ``interval_union_covers``: an interval joins a chain
+    """One rule, that of :mod:`kfrechet.intervals`: an interval joins a chain
     when it starts within tol of the frontier and moves it; the axis is
     covered once the frontier is within tol of its end."""
 
@@ -436,7 +436,7 @@ class TestCertificate:
         # the q cover takes one box per row, so the union is larger than either cover
         formula = kf.normalize_formula(kf.CnfFormula(3, clauses))
         d, k = gadget_diagram(formula), kf.build_box_instance(formula).k
-        covers = [axis_cover(decide._axis_intervals(d, axis), kf.Interval(0.0, float(length)))
+        covers = [axis_cover(decide._axis_intervals(d, axis), (0.0, float(length)))
                   for axis, length in (("p", d.n), ("q", d.m))]
         assert max(map(len, covers)) <= k < len(set(covers[0]) | set(covers[1]))
         sel = kf.decide_fpt(d, k)

@@ -24,7 +24,8 @@ class TestDegenerateGeometry:
         Q = kf.PolyCurve([(0, 2), (2, 0)])
         d = kf.build_diagram(P, Q, 0.0)
         assert len(d.components) == 1
-        assert d.components[0].proj_p.length == pytest.approx(0.0, abs=1e-9)
+        p_lo, p_hi = d.components[0].proj_p
+        assert p_hi - p_lo == pytest.approx(0.0, abs=1e-9)
         assert not kf.decide_hausdorff(d)
         assert kf.decide_fpt(d, 3) is None
         assert kf.approximate_k(d) is None
@@ -69,24 +70,20 @@ class TestDegenerateGeometry:
 
 class TestToleranceKnob:
     def test_gap_tolerance_changes_coverage(self, kfrechet_tol):
-        spans = [kf.Interval(0.0, 0.5), kf.Interval(0.54, 1.0)]
-        target = kf.Interval(0.0, 1.0)
-        assert not kf.interval_union_covers(spans, target)
+        d = stub_diagram(1, 1, [((0.0, 0.5), (0.0, 1.0)), ((0.54, 1.0), (0.0, 1.0))])
+        assert not kf.covers_both(d, (0, 1))
         kfrechet_tol(0.05)
-        assert kf.interval_union_covers(spans, target)
+        assert kf.covers_both(d, (0, 1))
 
     def test_env_tolerance_feeds_operations(self, monkeypatch, kfrechet_tol):
         # KFRECHET_TOL is the one comparison tolerance, read at call time: each
         # entry point meets a shortfall of 0.04 (or a discriminant of -0.0199)
         # that 0.05 forgives and 1e-9 does not
-        spans = [kf.Interval(0.0, 0.5), kf.Interval(0.54, 1.0)]
-        target = kf.Interval(0.0, 1.0)
         P, Q = kf.PolyCurve([(0, 0), (1, 0)]), kf.PolyCurve([(0, 1), (1, 1)])  # 1 apart
         d = stub_diagram(1, 1, [((0.0, 0.96), (0.0, 1.0))])
         boxes = kf.BoxInstance(3.04, 2.0, 2, (kf.LabeledBox(1.0, 1.0, 1.0, 1),
                                               kf.LabeledBox(2.04, 1.0, 1.0, -1)))
         calls = {  # name: (call, answer at 1e-9, answer at 0.05)
-            "interval_union_covers": (lambda: kf.interval_union_covers(spans, target), False, True),
             "build_diagram": (lambda: len(kf.build_diagram(P, Q, 0.99).components), 0, 1),
             "decide_strong_frechet": (
                 lambda: kf.decide_strong_frechet(kf.build_diagram(P, Q, 0.99)), False, True),

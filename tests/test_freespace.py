@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
-from kfrechet.freespace import _interval
 from conftest import point_segment_distance, random_pair, touched_sides
 import oracles
 
@@ -23,25 +22,26 @@ def one_cell(seg_p, seg_q, eps: float):
 
 
 def cell_edges(grid):
-    """The left, right, bottom and top edge intervals of the grid's cell (0, 0)."""
-    return [_interval(e) for e in (grid.vert[0, 0], grid.vert[1, 0],
-                                   grid.horiz[0, 0], grid.horiz[0, 1])]
+    """The left, right, bottom and top edge intervals of the grid's cell (0, 0),
+    as (lo, hi) pairs: (inf, -inf) where empty."""
+    return [tuple(e.tolist()) for e in (grid.vert[0, 0], grid.vert[1, 0],
+                                        grid.horiz[0, 0], grid.horiz[0, 1])]
 
 
 class TestCellEdgeInterval:
     def test_tangency_single_point(self):
-        iv = _interval(one_cell(UNIT_P, UNIT_Q, 1.0).horiz[0, 0])
-        assert iv.lo == pytest.approx(0.0, abs=1e-9)
-        assert iv.hi == pytest.approx(0.0, abs=1e-9)
+        lo, hi = one_cell(UNIT_P, UNIT_Q, 1.0).horiz[0, 0]
+        assert lo == pytest.approx(0.0, abs=1e-9)
+        assert hi == pytest.approx(0.0, abs=1e-9)
 
     def test_whole_edge_free(self):
-        for iv in cell_edges(one_cell(UNIT_P, UNIT_Q, math.sqrt(2))):
-            assert iv.lo == pytest.approx(0.0, abs=1e-9)
-            assert iv.hi == pytest.approx(1.0, abs=1e-9)
+        for lo, hi in cell_edges(one_cell(UNIT_P, UNIT_Q, math.sqrt(2))):
+            assert lo == pytest.approx(0.0, abs=1e-9)
+            assert hi == pytest.approx(1.0, abs=1e-9)
 
     def test_below_min_distance_empty(self):
         for iv in cell_edges(one_cell(UNIT_P, UNIT_Q, 0.5)):
-            assert iv.is_empty
+            assert iv == (math.inf, -math.inf)
 
     def test_malformed_segment_rejected(self):
         with pytest.raises(ValueError):
@@ -56,62 +56,62 @@ class TestCellEdgeInterval:
             edges = cell_edges(one_cell(seg_p, seg_q, eps))
             # left and right fix a P endpoint and run along seg_q, bottom and top
             # fix a Q endpoint and run along seg_p
-            for iv, fixed, seg in zip(edges, (*seg_p, *seg_q), (seg_q, seg_q, seg_p, seg_p)):
+            for (lo, hi), fixed, seg in zip(edges, (*seg_p, *seg_q), (seg_q, seg_q, seg_p, seg_p)):
                 pts = seg[0] + u[:, None] * (seg[1] - seg[0])
                 free = np.linalg.norm(pts - fixed, axis=1) <= eps
-                if iv.is_empty:
+                if lo > hi:
                     assert not (np.linalg.norm(pts - fixed, axis=1) <= eps - 1e-6).any()
                 else:
                     inside = u[free]
                     if inside.size:
-                        assert iv.lo <= inside.min() + 1e-3
-                        assert iv.hi >= inside.max() - 1e-3
+                        assert lo <= inside.min() + 1e-3
+                        assert hi >= inside.max() - 1e-3
 
 
 class TestCellAxisProjection:
     def test_parallel_at_exact_distance(self):
-        iv = _interval(one_cell(UNIT_P, UNIT_Q, 1.0).s_proj[0, 0])
-        assert iv.lo == pytest.approx(0.0, abs=1e-9)
-        assert iv.hi == pytest.approx(1.0, abs=1e-9)
+        lo, hi = one_cell(UNIT_P, UNIT_Q, 1.0).s_proj[0, 0]
+        assert lo == pytest.approx(0.0, abs=1e-9)
+        assert hi == pytest.approx(1.0, abs=1e-9)
 
     def test_parallel_below_distance(self):
-        assert _interval(one_cell(UNIT_P, UNIT_Q, 0.9).s_proj[0, 0]).is_empty
+        assert one_cell(UNIT_P, UNIT_Q, 0.9).s_proj[0, 0].tolist() == [math.inf, -math.inf]
 
     def test_short_segment_oracle_value(self):
         # frozen from a 10^4-point sampling of dist(P(s), segQ):
         # footprint of the eps-capsule around the short top segment
         seg_p = ((0.0, 0.0), (2.0, 0.0))
         seg_q = ((1.0, 1.0), (1.05, 1.0))
-        iv = _interval(one_cell(seg_p, seg_q, 1.0).s_proj[0, 0])
-        assert iv.lo == pytest.approx(0.5, abs=1e-4)
-        assert iv.hi == pytest.approx(0.525, abs=1e-4)
+        lo, hi = one_cell(seg_p, seg_q, 1.0).s_proj[0, 0]
+        assert lo == pytest.approx(0.5, abs=1e-4)
+        assert hi == pytest.approx(0.525, abs=1e-4)
         # live oracle at coarser resolution agrees
         s = np.linspace(0, 1, 2001)
         pts = np.array(seg_p[0]) + s[:, None] * (np.array(seg_p[1]) - np.array(seg_p[0]))
         dist = [point_segment_distance(p, np.array(seg_q[0]), np.array(seg_q[1])) for p in pts]
         inside = s[np.array(dist) <= 1.0]
-        assert iv.lo == pytest.approx(inside.min(), abs=1e-3)
-        assert iv.hi == pytest.approx(inside.max(), abs=1e-3)
+        assert lo == pytest.approx(inside.min(), abs=1e-3)
+        assert hi == pytest.approx(inside.max(), abs=1e-3)
 
     def test_membership_matches_sampling(self, rng):
         for _ in range(40):
             seg_p = rng.uniform(0, 1, size=(2, 2))
             seg_q = rng.uniform(0, 1, size=(2, 2))
             eps = float(rng.uniform(0.05, 0.8))
-            iv = _interval(one_cell(seg_p, seg_q, eps).s_proj[0, 0])
+            lo, hi = one_cell(seg_p, seg_q, eps).s_proj[0, 0]
             for s in rng.uniform(0, 1, size=60):
                 p = seg_p[0] + s * (seg_p[1] - seg_p[0])
                 d = point_segment_distance(p, seg_q[0], seg_q[1])
                 if d <= eps - 1e-7:
-                    assert iv.lo <= s <= iv.hi
+                    assert lo <= s <= hi
                 elif d >= eps + 1e-7:
-                    assert not iv.lo <= s <= iv.hi
+                    assert not lo <= s <= hi
 
     def test_axis_q_is_swap(self, rng):
         seg_p = rng.uniform(0, 1, size=(2, 2))
         seg_q = rng.uniform(0, 1, size=(2, 2))
-        a = _interval(one_cell(seg_p, seg_q, 0.4).t_proj[0, 0])
-        b = _interval(one_cell(seg_q, seg_p, 0.4).s_proj[0, 0])
+        a = one_cell(seg_p, seg_q, 0.4).t_proj[0, 0].tolist()
+        b = one_cell(seg_q, seg_p, 0.4).s_proj[0, 0].tolist()
         assert a == b
 
 
@@ -121,10 +121,8 @@ class TestBuildDiagram:
         d = kf.build_diagram(P, Q, 1.0)
         assert len(d.components) == 1
         c = d.components[0]
-        assert c.proj_p.lo == pytest.approx(0.0, abs=1e-9)
-        assert c.proj_p.hi == pytest.approx(1.0, abs=1e-9)
-        assert c.proj_q.lo == pytest.approx(0.0, abs=1e-9)
-        assert c.proj_q.hi == pytest.approx(1.0, abs=1e-9)
+        assert c.proj_p == pytest.approx((0.0, 1.0), abs=1e-9)
+        assert c.proj_q == pytest.approx((0.0, 1.0), abs=1e-9)
         assert touched_sides(c, d.n, d.m) == "LRBT"
         assert d.z == 1
 
@@ -183,8 +181,9 @@ class TestBuildDiagram:
         (comp,) = [c for c in d.components if c.cells == {(1, 2)}]
         top_lo, top_hi = d.cells.horiz[1, 3]  # the top edge of cell (1, 2)
         assert top_lo <= top_hi
-        assert comp.proj_p.lo == comp.proj_p.hi == pytest.approx(1.1802, abs=1e-4)
-        assert comp.proj_q == kf.Interval(3.0, 3.0)
+        p_lo, p_hi = comp.proj_p
+        assert p_lo == p_hi == pytest.approx(1.1802, abs=1e-4)
+        assert comp.proj_q == (3.0, 3.0)
         assert "T" in touched_sides(comp, d.n, d.m)
 
     def test_interior_only_component(self):
@@ -200,8 +199,7 @@ class TestBuildDiagram:
             assert lo > hi  # left, right, bottom and top edge all empty
         assert grid.s_proj[0, 0, 0] <= grid.s_proj[0, 0, 1]  # the interior is not
         half = 0.3 * math.sqrt(2) / 4.0
-        assert c.proj_p.lo == pytest.approx(0.5 - half, abs=1e-9)
-        assert c.proj_p.hi == pytest.approx(0.5 + half, abs=1e-9)
+        assert c.proj_p == pytest.approx((0.5 - half, 0.5 + half), abs=1e-9)
         assert touched_sides(c, d.n, d.m) == ""
 
     def test_single_point_tangency_joins_cells(self):
@@ -244,10 +242,8 @@ class TestBuildDiagram:
                     phis.append(s_hi + i)
                     qlos.append(t_lo + j)
                     qhis.append(t_hi + j)
-                assert comp.proj_p.lo == pytest.approx(min(plos), abs=1e-12)
-                assert comp.proj_p.hi == pytest.approx(max(phis), abs=1e-12)
-                assert comp.proj_q.lo == pytest.approx(min(qlos), abs=1e-12)
-                assert comp.proj_q.hi == pytest.approx(max(qhis), abs=1e-12)
+                assert comp.proj_p == pytest.approx((min(plos), max(phis)), abs=1e-12)
+                assert comp.proj_q == pytest.approx((min(qlos), max(qhis)), abs=1e-12)
 
     def test_projection_union_matches_sampling(self, rng):
         for _ in range(8):
@@ -258,7 +254,7 @@ class TestBuildDiagram:
             params = rng.uniform(0, P.n, size=120)
             for s, point in zip(params, oracles.points_at(P, params)):
                 dist = min(point_segment_distance(point, *Q.vertices[j:j + 2]) for j in range(Q.n))
-                covered = any(iv.lo <= s <= iv.hi for iv in intervals)
+                covered = any(lo <= s <= hi for lo, hi in intervals)
                 if dist <= eps - 1e-6:
                     assert covered
                 elif dist >= eps + 1e-6:
@@ -279,10 +275,9 @@ class TestBuildDiagram:
                 owners = {cell_owner[cell] for cell in comp.cells}
                 assert len(owners) == 1
                 big = d2.components[owners.pop()]
-                assert big.proj_p.lo <= comp.proj_p.lo + 1e-9
-                assert big.proj_p.hi >= comp.proj_p.hi - 1e-9
-                assert big.proj_q.lo <= comp.proj_q.lo + 1e-9
-                assert big.proj_q.hi >= comp.proj_q.hi - 1e-9
+                for grown, proj in ((big.proj_p, comp.proj_p), (big.proj_q, comp.proj_q)):
+                    assert grown[0] <= proj[0] + 1e-9
+                    assert grown[1] >= proj[1] - 1e-9
 
     def test_symmetry_transpose(self, rng):
         for _ in range(10):
@@ -294,7 +289,7 @@ class TestBuildDiagram:
             assert d1.z == d2.z
 
             def key(iv):
-                return (round(iv.lo, 9), round(iv.hi, 9))
+                return (round(iv[0], 9), round(iv[1], 9))
 
             bag1 = collections.Counter((key(c.proj_p), key(c.proj_q)) for c in d1.components)
             bag2 = collections.Counter((key(c.proj_q), key(c.proj_p)) for c in d2.components)
@@ -313,8 +308,7 @@ class TestBuildDiagram:
         assert pix.component_count == 3
         # projections agree within one pixel per axis
         step = 3.0 / 511
-        diagram_spans = sorted((c.proj_p.lo, c.proj_p.hi, c.proj_q.lo, c.proj_q.hi)
-                               for c in d.components)
+        diagram_spans = sorted((*c.proj_p, *c.proj_q) for c in d.components)
         pixel_spans = sorted((pc.s_min, pc.s_max, pc.t_min, pc.t_max)
                              for pc in pix.components)
         for ds, ps in zip(diagram_spans, pixel_spans):
@@ -357,6 +351,6 @@ class TestComputeZ:
             for axis_len, proj in ((d.n, lambda c: c.proj_p), (d.m, lambda c: c.proj_q)):
                 for pos in np.linspace(0, axis_len, 1000):
                     best = max(best, sum(1 for c in d.components
-                                         if proj(c).lo <= pos <= proj(c).hi))
+                                         if proj(c)[0] <= pos <= proj(c)[1]))
             assert d.z >= best
             assert d.z >= 1

@@ -30,13 +30,13 @@ import pytest
 
 import kfrechet as kf
 from kfrechet import optimize
-from kfrechet.freespace import (FreeSpaceGrid, _as_grid, _components, _interval, _PairGeometry,
-                                _stab_number)
+from kfrechet.freespace import FreeSpaceGrid, _as_grid, _components, _PairGeometry, _stab_number
 from kfrechet.optimize import _bisect, _cover_exists
 
 from conftest import point_segment_distance, random_curve, segment_distance, sweep_z
 
 TOL = 1e-9
+EMPTY = (math.inf, -math.inf)  # intervals are (lo, hi) pairs; empty is any lo > hi
 
 
 # ----------------------------------------------------------- scalar reference
@@ -50,27 +50,31 @@ def point_free_interval(p, a, b, eps, tol):
     disc = qb * qb - qa * qc
     if disc < 0.0:
         if disc < -tol:
-            return kf.EMPTY
+            return EMPTY
         disc = 0.0
     root = math.sqrt(disc)
     lo = (-qb - root) / qa
     hi = (-qb + root) / qa
     if hi < 0.0 or lo > 1.0:
-        return kf.EMPTY
-    return kf.Interval(max(lo, 0.0), min(hi, 1.0))
+        return EMPTY
+    return (max(lo, 0.0), min(hi, 1.0))
+
+
+def is_empty(iv) -> bool:
+    return iv[0] > iv[1]
 
 
 def hull(a, b):
     """Smallest interval containing both."""
-    if a.is_empty:
+    if is_empty(a):
         return b
-    if b.is_empty:
+    if is_empty(b):
         return a
-    return kf.Interval(min(a.lo, b.lo), max(a.hi, b.hi))
+    return (min(a[0], b[0]), max(a[1], b[1]))
 
 
 def shift(iv, offset):
-    return kf.EMPTY if iv.is_empty else kf.Interval(iv.lo + offset, iv.hi + offset)
+    return EMPTY if is_empty(iv) else (iv[0] + offset, iv[1] + offset)
 
 
 def linear_interval(alpha, beta, lo, hi):
@@ -95,8 +99,8 @@ def capsule_slice(a, b, c0, c1, eps, tol):
     lo = max(foot_lo, perp_lo, 0.0)
     hi = min(foot_hi, perp_hi, 1.0)
     if lo <= hi:
-        pieces.append(kf.Interval(lo, hi))
-    out = kf.EMPTY
+        pieces.append((lo, hi))
+    out = EMPTY
     for piece in pieces:
         out = hull(out, piece)
     return out
@@ -107,27 +111,27 @@ def stab_number(components, n, m, tol):
     for axis_len, proj in ((float(n), lambda c: c.proj_p), (float(m), lambda c: c.proj_q)):
         positions = set()
         for c in components:
-            iv = proj(c)
-            for e in (iv.lo, iv.hi):
+            for e in proj(c):
                 for pos in (e - tol, e, e + tol):
                     if 0.0 <= pos <= axis_len:
                         positions.add(pos)
         for pos in positions:
-            count = sum(1 for c in components if proj(c).lo <= pos <= proj(c).hi)
+            count = sum(1 for c in components if proj(c)[0] <= pos <= proj(c)[1])
             best = max(best, count)
     return best
 
 
 class RefCell(NamedTuple):
-    """Free space of one cell as the scalar reference computes it, in local [0, 1]."""
+    """Free space of one cell as the scalar reference computes it, in local [0, 1],
+    each interval a (lo, hi) pair."""
 
-    left: kf.Interval
-    right: kf.Interval
-    bottom: kf.Interval
-    top: kf.Interval
+    left: tuple
+    right: tuple
+    bottom: tuple
+    top: tuple
     interior_nonempty: bool
-    s_projection: kf.Interval
-    t_projection: kf.Interval
+    s_projection: tuple
+    t_projection: tuple
 
 
 def reference_diagram(P, Q, eps, tol=TOL):
@@ -139,7 +143,7 @@ def reference_diagram(P, Q, eps, tol=TOL):
             for i in range(n + 1)]
     horiz = [[point_free_interval(Q.vertices[j], *pseg[i], eps, tol) for j in range(m + 1)]
              for i in range(n)]
-    point0, point1 = kf.Interval(0.0, 0.0), kf.Interval(1.0, 1.0)
+    point0, point1 = (0.0, 0.0), (1.0, 1.0)
     cells = []
     for i in range(n):
         column = []
@@ -149,21 +153,21 @@ def reference_diagram(P, Q, eps, tol=TOL):
             left, right = vert[i][j], vert[i + 1][j]
             bottom, top = horiz[i][j], horiz[i][j + 1]
             # defensive hulls: the projections must contain every free edge
-            if not bottom.is_empty:
+            if not is_empty(bottom):
                 s_proj = hull(s_proj, bottom)
                 t_proj = hull(t_proj, point0)  # the fix
-            if not top.is_empty:
+            if not is_empty(top):
                 s_proj = hull(s_proj, top)
                 t_proj = hull(t_proj, point1)  # the fix
-            if not left.is_empty:
+            if not is_empty(left):
                 s_proj = hull(s_proj, point0)
                 t_proj = hull(t_proj, left)
-            if not right.is_empty:
+            if not is_empty(right):
                 s_proj = hull(s_proj, point1)
                 t_proj = hull(t_proj, right)
             column.append(RefCell(
                 left=left, right=right, bottom=bottom, top=top,
-                interior_nonempty=not s_proj.is_empty,
+                interior_nonempty=not is_empty(s_proj),
                 s_projection=s_proj, t_projection=t_proj))
         cells.append(tuple(column))
 
@@ -181,9 +185,9 @@ def reference_diagram(P, Q, eps, tol=TOL):
 
     for i in range(n):
         for j in range(m):
-            if i + 1 < n and not vert[i + 1][j].is_empty:
+            if i + 1 < n and not is_empty(vert[i + 1][j]):
                 union(i * m + j, (i + 1) * m + j)
-            if j + 1 < m and not horiz[i][j + 1].is_empty:
+            if j + 1 < m and not is_empty(horiz[i][j + 1]):
                 union(i * m + j, i * m + j + 1)
     groups = {}
     for i in range(n):
@@ -192,7 +196,7 @@ def reference_diagram(P, Q, eps, tol=TOL):
                 groups.setdefault(find(i * m + j), []).append((i, j))
     components = []
     for root in sorted(groups):
-        proj_p = proj_q = kf.EMPTY
+        proj_p = proj_q = EMPTY
         for (i, j) in groups[root]:
             proj_p = hull(proj_p, shift(cells[i][j].s_projection, float(i)))
             proj_q = hull(proj_q, shift(cells[i][j].t_projection, float(j)))
@@ -200,7 +204,7 @@ def reference_diagram(P, Q, eps, tol=TOL):
             id=len(components), cells=frozenset(groups[root]), proj_p=proj_p, proj_q=proj_q))
 
     def pairs(rows):
-        return np.array([[(iv.lo, iv.hi) for iv in row] for row in rows], dtype=float)
+        return np.array(rows, dtype=float)
 
     grid = FreeSpaceGrid(
         vert=pairs(vert), horiz=pairs(horiz),
@@ -217,31 +221,33 @@ def reference_strong_frechet(cells, n, m, tol=TOL):
     empty = (1.0, -1.0)
 
     def clip_from(iv, lo):
-        if iv.is_empty or iv.hi < lo:
+        if is_empty(iv) or iv[1] < lo:
             return empty
-        return (max(iv.lo, lo), iv.hi)
+        return (max(iv[0], lo), iv[1])
 
     reach_left = [empty] * m
     first = cells[0][0].left
-    if not first.is_empty and first.lo <= tol:
-        reach_left[0] = (first.lo, first.hi)
+    if not is_empty(first) and first[0] <= tol:
+        reach_left[0] = first
         for j in range(1, m):
             below = reach_left[j - 1]
             edge = cells[0][j].left
-            if below[0] <= below[1] and below[1] >= 1.0 - tol and not edge.is_empty and edge.lo <= tol:
-                reach_left[j] = (edge.lo, edge.hi)
+            if (below[0] <= below[1] and below[1] >= 1.0 - tol
+                    and edge[0] <= edge[1] and edge[0] <= tol):
+                reach_left[j] = edge
             else:
                 break
 
     reach_bottom = [empty] * n
     first = cells[0][0].bottom
-    if not first.is_empty and first.lo <= tol:
-        reach_bottom[0] = (first.lo, first.hi)
+    if not is_empty(first) and first[0] <= tol:
+        reach_bottom[0] = first
         for i in range(1, n):
             left_of = reach_bottom[i - 1]
             edge = cells[i][0].bottom
-            if left_of[0] <= left_of[1] and left_of[1] >= 1.0 - tol and not edge.is_empty and edge.lo <= tol:
-                reach_bottom[i] = (edge.lo, edge.hi)
+            if (left_of[0] <= left_of[1] and left_of[1] >= 1.0 - tol
+                    and edge[0] <= edge[1] and edge[0] <= tol):
+                reach_bottom[i] = edge
             else:
                 break
 
@@ -367,8 +373,8 @@ def test_build_diagram_equals_reference(chunk):
         ref, ref_cells = reference_diagram(P, Q, eps)
         assert d == ref and hash(d) == hash(ref)
         for c in d.components:
-            ends = (c.proj_p.lo, c.proj_p.hi, c.proj_q.lo, c.proj_q.hi)
-            assert all(type(x) is float for x in ends)
+            assert type(c.proj_p) is type(c.proj_q) is tuple
+            assert all(type(x) is float for x in (*c.proj_p, *c.proj_q))
         assert kf.decide_strong_frechet(d) == reference_strong_frechet(ref_cells, d.n, d.m)
         assert sweep_z(d.components, d.n, d.m, TOL) == d.z
 
@@ -379,8 +385,9 @@ def test_blocked_cases_have_no_strong_matching():
 
 def edge_cells(grid, n, m):
     """The edges of a :class:`FreeSpaceGrid` as the reference's nested RefCells."""
-    return tuple(tuple(RefCell(*map(_interval, (grid.vert[i, j], grid.vert[i + 1, j],
-                                                grid.horiz[i, j], grid.horiz[i, j + 1])),
+    vert, horiz = grid.vert.tolist(), grid.horiz.tolist()
+    return tuple(tuple(RefCell(*map(tuple, (vert[i][j], vert[i + 1][j],
+                                            horiz[i][j], horiz[i][j + 1])),
                                None, None, None) for j in range(m)) for i in range(n))
 
 
@@ -409,7 +416,26 @@ def test_strong_frechet_equals_reference_at_critical_eps(chunk, monkeypatch, kfr
 def test_no_component_with_one_empty_projection():
     for P, Q, eps in CASES:
         d = kf.build_diagram(P, Q, eps)
-        assert all(not (c.proj_p.is_empty or c.proj_q.is_empty) for c in d.components)
+        assert all(not (is_empty(c.proj_p) or is_empty(c.proj_q)) for c in d.components)
+
+
+def test_component_projections_lie_on_the_axes():
+    """Each projection of a built component is (inf, -inf), or a (lo, hi) pair
+    with 0 <= lo <= hi <= n on p and <= m on q: at every third distance
+    candidate and the floats either side of it, where a rounding slip in the
+    kernel would show."""
+    checked = 0
+    for P, Q, _ in CASES[::8]:
+        for c in kf.distance_candidates(P, Q)[::3]:
+            for eps in (math.nextafter(c, -math.inf), float(c), math.nextafter(c, math.inf)):
+                if eps < 0.0:
+                    continue
+                d = kf.build_diagram(P, Q, eps)
+                for comp in d.components:
+                    for (lo, hi), length in ((comp.proj_p, d.n), (comp.proj_q, d.m)):
+                        assert (lo, hi) == EMPTY or 0.0 <= lo <= hi <= length, (P, Q, eps, comp)
+                    checked += 1
+    assert checked >= 10000, checked
 
 
 def test_sweep_z_matches_pair_count_on_stubs():
@@ -421,11 +447,11 @@ def test_sweep_z_matches_pair_count_on_stubs():
             proj = []
             for length in (n, m):
                 if rng.random() < 0.15:
-                    proj.append(kf.EMPTY)
+                    proj.append(EMPTY)
                     continue
                 # endpoints on a coarse grid so ties and tolerance-close ends occur
                 lo, hi = sorted(np.round(rng.uniform(0, length, size=2), 1).tolist())
-                proj.append(kf.Interval(lo, hi + float(rng.choice([0.0, 0.5e-9, 2e-9]))))
+                proj.append((lo, hi + float(rng.choice([0.0, 0.5e-9, 2e-9]))))
             comps.append(kf.Component(id=idx, cells=frozenset(), proj_p=proj[0], proj_q=proj[1]))
         assert sweep_z(comps, n, m, TOL) == stab_number(comps, n, m, TOL)
 
@@ -445,13 +471,13 @@ def test_start_count_equals_sweep_on_stubs():
             proj = []
             for length in (n, m):
                 if rng.random() < 0.1:
-                    proj.append(kf.EMPTY)
+                    proj.append(EMPTY)
                     continue
                 # ends on a coarse grid, some moved within a few tol
                 ends = np.round(rng.uniform(0, length, size=2), 1) + rng.choice(near, size=2)
-                proj.append(kf.Interval(*sorted(np.clip(ends, 0.0, length).tolist())))
+                proj.append(tuple(sorted(np.clip(ends, 0.0, length).tolist())))
             comps.append(kf.Component(id=idx, cells=frozenset(), proj_p=proj[0], proj_q=proj[1]))
-        ends = np.array([(c.proj_p.lo, c.proj_p.hi, c.proj_q.lo, c.proj_q.hi) for c in comps],
+        ends = np.array([(*c.proj_p, *c.proj_q) for c in comps],
                         dtype=float).reshape(-1, 4).T
         assert _stab_number(ends) == sweep_z(comps, n, m, TOL), comps
         touching += bool(set(ends[0]) & set(ends[1]) - {math.inf, -math.inf})

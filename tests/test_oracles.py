@@ -83,9 +83,6 @@ class TestExhaustiveMinCover:
         spans = [(0.0, 0.5), (0.45, 1.0), (0.0, 1.0)]
         assert oracles.exhaustive_min_cover(spans, (0.0, 1.0)) == 1
 
-    def test_accepts_interval_objects(self):
-        assert oracles.exhaustive_min_cover([kf.Interval(0, 1)], kf.Interval(0, 1)) == 1
-
     def test_guard(self):
         with pytest.raises(ValueError):
             oracles.exhaustive_min_cover([(0, 1)] * 21, (0, 1))

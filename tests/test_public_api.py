@@ -8,34 +8,37 @@ import kfrechet as kf
 import kfrechet.curves
 import kfrechet.decide
 import kfrechet.freespace
+import kfrechet.intervals
 import oracles
 
 PUBLIC = [
-    "BoxInstance", "CnfFormula", "Component", "CurveError", "DEFAULT_TOL", "EMPTY",
-    "FormulaError", "FreeSpaceDiagram", "Interval", "LabeledBox", "PolyCurve",
+    "BoxInstance", "CnfFormula", "Component", "CurveError", "DEFAULT_TOL",
+    "FormulaError", "FreeSpaceDiagram", "LabeledBox", "PolyCurve",
     "approximate_k", "box_instance_from_json", "box_instance_to_json",
     "build_box_instance", "build_diagram", "covers_both", "covers_boundaries",
     "decide_fpt", "decide_hausdorff", "decide_strong_frechet", "decide_weak_frechet",
     "default_tol", "distance_candidates", "fpt_feasible_selections",
-    "interval_union_covers", "minimize_epsilon", "minimize_k",
+    "minimize_epsilon", "minimize_k",
     "normalize_formula", "pairwise_vertex_max", "parse_curve", "parse_curve_json",
     "parse_dimacs", "render_diagram_svg", "sat_bruteforce", "selection_from_assignment",
     "serialize_curve", "solve_box_bruteforce", "write_dimacs",
 ]
 
-# views and wrappers that only repackaged component data, the brute-force
-# decider, which is a test oracle now (see ORACLES), and the one-segment-pair
-# functions that no runtime code called (see DELETED)
-REMOVED = ["BoundaryTouch", "CellFreeSpace", "Preprocessed", "ProjectedInterval",
-           "Selection", "axis_projections", "cell_axis_projection", "cell_edge_interval",
-           "compute_z", "decide_bruteforce", "greedy_axis_cover", "point_segment_distance",
-           "preprocess", "segment_distance"]
+# views and wrappers that only repackaged component data, the interval type
+# whose place (lo, hi) pairs took (see PAIRS), the brute-force decider, which is
+# a test oracle now (see ORACLES), and the one-segment-pair functions that no
+# runtime code called (see DELETED)
+REMOVED = ["BoundaryTouch", "CellFreeSpace", "EMPTY", "Interval", "Preprocessed",
+           "ProjectedInterval", "Selection", "axis_projections", "cell_axis_projection",
+           "cell_edge_interval", "compute_z", "decide_bruteforce", "greedy_axis_cover",
+           "interval_union_covers", "point_segment_distance", "preprocess", "segment_distance"]
+PAIRS = ["EMPTY", "Interval", "interval_union_covers"]
 ORACLES = ["Preprocessed", "decide_bruteforce", "preprocess"]
 # the scalar distances are the test reference in conftest; build_diagram on two
 # one-segment curves gives the cell arrays; the private helpers went with them
 DELETED = {kfrechet.curves: ["_segments_intersect", "point_segment_distance", "segment_distance"],
            kfrechet.freespace: ["_segment_grid", "cell_axis_projection", "cell_edge_interval"]}
-# the public name that carries no __module__ (EMPTY has its class's)
+# the public name that carries no __module__
 CONSTANTS = {"DEFAULT_TOL": "kfrechet.config"}
 # what `import kfrechet` makes reachable as attributes; not cli
 SUBMODULES = ["approx", "boxes", "config", "curves", "decide", "freespace", "intervals",
@@ -43,7 +46,7 @@ SUBMODULES = ["approx", "boxes", "config", "curves", "decide", "freespace", "int
 
 
 def test_all_is_the_sorted_public_list():
-    assert len(PUBLIC) == 39
+    assert len(PUBLIC) == 36
     assert PUBLIC == sorted(set(PUBLIC))
     assert kf.__all__ == PUBLIC
 
@@ -81,6 +84,9 @@ def test_removed_names_are_gone():
     for name in REMOVED:
         assert not hasattr(kf, name), name
         assert name not in kf.__all__
+    for name in PAIRS:
+        assert not hasattr(kfrechet.intervals, name), name
+    assert not hasattr(kfrechet.freespace, "_interval")
 
 
 def test_every_module_imports_without_scipy():

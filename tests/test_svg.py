@@ -139,7 +139,7 @@ class TestCellRegionShape:
         P, Q = kf.PolyCurve([(0, 0), (2, 0)]), kf.PolyCurve([(1, 1), (1.5, 3)])
         d = kf.build_diagram(P, Q, 1.0)
         assert len(d.components) == 1 and d.components[0].cells == {(0, 0)}
-        assert d.components[0].proj_p == kf.Interval(0.5, 0.5)
+        assert d.components[0].proj_p == (0.5, 0.5)
         assert _cell_shapes(d, P, Q)[0, 0] == ("point", (0.5, 0.0))
         (group,) = groups(kf.render_diagram_svg(d, P, Q))
         scale = min(CANVAS - MARGIN_LEFT - MARGIN_RIGHT, CANVAS - MARGIN_TOP - MARGIN_BOTTOM)

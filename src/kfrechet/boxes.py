@@ -259,11 +259,21 @@ def solve_box_bruteforce(instance: BoxInstance):
       patching bottom-edge gaps with the spare budget b = k - R; it returns
       the first cover it meets. With C bottom columns (the pieces between
       box ends inside [1, x_max], at most 2B + 1) it remembers each state
-      (row, missing columns) that holds no cover, so it visits at most
-      min(product of the earlier row sizes, 2**C) states per row. The
-      patch is one greedy pass, O(C) per last-row state: the box over the
-      lowest missing column that reaches farthest right, again and again.
-      A box outside the rows joins none but may patch.
+      (row, allowed boxes, missing columns) that holds no cover. With
+      b > 0 every box stays allowed, so it visits at most min(product of
+      the earlier row sizes, 2**C) states per row. The patch is one greedy
+      pass, O(C) per last-row state: the box over the lowest missing column
+      that reaches farthest right, again and again. A box outside the rows
+      joins none but may patch.
+    - At b = 0, which every :func:`build_box_instance` gadget has, it
+      forces rows: the boxes of the rows not yet chosen stay allowed, a
+      choice drops the other boxes of its row, and each missing column
+      that lost a box is rechecked. One with no allowed box left prunes the
+      choice; one with a single allowed box forces that box's row to it,
+      whose dropped boxes are rechecked in turn. This prunes only choices
+      that hold no cover, so the first cover is the same. States per row
+      are still at most the product of the earlier row sizes, and every
+      forced row is decided without branching.
     - Off the grid, the curve decider's joint-cover search
       :func:`kfrechet.intervals._min_joint_cover`, walking x, returns a
       minimum cover. Its certificate (the per-axis minimum covers) answers
@@ -290,7 +300,9 @@ def _solve_rowwise(instance: BoxInstance):
     lefts, rights, ys = [], [], []
     for b in boxes:
         x, y, w = b.x, b.y, b.w
-        if not (float(x).is_integer() and float(y).is_integer() and float(w).is_integer()):
+        # an int is on the grid: LabeledBox keeps it within the float range
+        if not (type(x) is type(y) is type(w) is int or float(x).is_integer()
+                and float(y).is_integer() and float(w).is_integer()):
             return _OFF_GRID
         right = x + w  # x >= 1: the box's columns inside [1, x_max] end at x_max
         lefts.append(x if x < x_max else x_max)
@@ -298,27 +310,50 @@ def _solve_rowwise(instance: BoxInstance):
         ys.append(y)
     n_rows = int(y_max) - 1
     n_cols = int(x_max) - 1
-    if n_rows > len(boxes):  # more rows than boxes: one is empty
+    budget = instance.k - n_rows
+    if n_rows > len(boxes) or budget < 0:  # a row is empty, or k is short of a box per row
         return None
 
     # Columns are the pieces of the bottom edge between consecutive box ends:
     # a box covers a piece whole or not at all, so covering every piece covers
     # the edge, with at most 2*boxes + 1 columns whatever the bound.
     column = {cut: k for k, cut in enumerate(sorted({1, n_cols + 1, *lefts, *rights}))}
-    col_masks = [(1 << column[hi]) - (1 << column[lo]) for lo, hi in zip(lefts, rights)]
+    col_masks = []
     rows = [[] for _ in range(n_rows)]  # per row, (box, the columns it leaves)
     covers = [0] * n_rows  # per row, the columns its boxes cover
+    row_bits = [0] * n_rows  # per row, its boxes as bits of their indices
     outside = 0  # the columns of boxes above the left edge: they join no row but may patch
-    for idx, (y, mask) in enumerate(zip(ys, col_masks)):
+    # per column: with spare budget, (reach, box) of the covering box reaching
+    # farthest right, for patch; without, the row boxes covering it, as bits
+    farthest = [(0, None)] * (len(column) - 1)
+    over = [0] * (len(column) - 1)
+    once = shared = 0  # the columns under at least one row box, and under two
+    for idx, (y, start, end) in enumerate(zip(ys, lefts, rights)):
+        lo, hi = column[start], column[end]
+        mask = (1 << hi) - (1 << lo)
+        col_masks.append(mask)
+        if budget:
+            for c in range(lo, hi):
+                if hi > farthest[c][0]:
+                    farthest[c] = (hi, idx)
         if y > n_rows:  # y >= 1 on the grid
             outside |= mask
             continue
         row = int(y) - 1
         rows[row].append((idx, ~mask))
         covers[row] |= mask
-    if not all(rows) or instance.k < n_rows:
+        bit = 1 << idx
+        row_bits[row] |= bit
+        if not budget:
+            if hi - lo == 1:  # most boxes: the loop below costs more
+                over[lo] |= bit
+            else:
+                for c in range(lo, hi):
+                    over[c] |= bit
+            shared |= once & mask
+            once |= mask
+    if not all(rows):
         return None
-    budget = instance.k - n_rows
 
     beyond = [0] * n_rows  # per row, the columns no later row covers
     later = 0
@@ -328,13 +363,6 @@ def _solve_rowwise(instance: BoxInstance):
     target = (1 << (len(column) - 1)) - 1
     if target & ~(later | outside):
         return None
-    # per column, (reach, box) of the covering box reaching farthest right;
-    # only the spare budget needs it
-    farthest = [(0, None)] * (len(column) - 1)
-    for idx, mask in enumerate(col_masks) if budget else ():
-        for c in range((mask & -mask).bit_length() - 1, mask.bit_length()):
-            if mask.bit_length() > farthest[c][0]:
-                farthest[c] = (mask.bit_length(), idx)
 
     def patch(missing: int):
         """The boxes that cover the bottom columns ``missing``, or None when
@@ -351,27 +379,74 @@ def _solve_rowwise(instance: BoxInstance):
             missing &= ~col_masks[idx]
         return extra
 
-    # A state is a row and the columns still missing. Whether it holds a
-    # cover depends on nothing else, so the states found to hold none are
-    # remembered per row. A child is not entered when the columns no later
-    # row covers need more boxes than the spare budget: at budget 0, any.
-    failed = [set() for _ in range(n_rows)]  # per row, such states left after it
+    def force(allowed: int, missing: int, check: int):
+        """At spare budget 0, every missing column needs an allowed box. Recheck
+        the columns ``check``: one with no allowed box over it answers None; one
+        with a single box forces that box's row to it, which drops the row's
+        other boxes, so their columns are rechecked too. Returns the allowed
+        boxes and missing columns after forcing."""
+        check &= missing
+        while check:
+            low = check & -check
+            check ^= low
+            if not missing & low:  # covered by a row forced since
+                continue
+            left = over[low.bit_length() - 1] & allowed
+            if not left:
+                return None
+            if left & (left - 1):
+                continue
+            idx = left.bit_length() - 1
+            row = int(ys[idx]) - 1
+            allowed &= ~row_bits[row] | left
+            missing &= ~col_masks[idx]
+            check |= covers[row] & missing
+        return allowed, missing
 
-    def descend(r: int, missing: int):
+    # A state is a row, the boxes still allowed and the columns still missing.
+    # Whether it holds a cover depends on nothing else, so the states found to
+    # hold none are remembered. With spare budget every box stays allowed, and
+    # a child is not entered when the columns no later row covers need more
+    # boxes than the budget; at budget 0 the boxes of a row not yet reached are
+    # allowed until a choice forces the row, and a child is not entered when
+    # some missing column has no allowed box left.
+    failed = set()
+
+    def descend(r: int, allowed: int, missing: int):
         if r == n_rows:
             return patch(missing)
-        seen, out = failed[r], beyond[r]
+        mine = allowed & row_bits[r]
+        rest = allowed ^ mine
+        # a choice drops the row's other boxes; a forced row has dropped them
+        lost = covers[r] if mine == row_bits[r] else 0
+        out = beyond[r]
         for idx, keep in rows[r]:
             left = missing & keep
-            if left in seen or left & out and (not budget or patch(left & out) is None):
+            if budget:
+                if left & out and patch(left & out) is None:
+                    continue
+                after = rest
+            elif not mine >> idx & 1:  # dropped when the row was forced
                 continue
-            found = descend(r + 1, left)
+            else:
+                forced = force(rest, left, lost)
+                if forced is None:
+                    continue
+                after, left = forced
+            state = (r, after, left)
+            if state in failed:
+                continue
+            found = descend(r + 1, after, left)
             if found is not None:
                 return (idx, *found)
-            seen.add(left)
+            failed.add(state)
         return None
 
-    found = descend(0, target)
+    if budget:
+        found = descend(0, 0, target)
+    else:
+        start = force((1 << len(boxes)) - 1, target, target & ~shared)
+        found = None if start is None else descend(0, *start)
     return None if found is None else tuple(sorted(found))
 
 
@@ -415,10 +490,14 @@ def parse_dimacs(text: str) -> CnfFormula:
     num_vars = None
     declared = None
     tokens: list[int] = []
+    underscores = "_" in text  # int() reads "1_0" as 10
     for line in text.splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith("c") or stripped.startswith("%"):
             continue
+        if underscores and "_" in stripped:
+            raise FormulaError(f"bad {'problem' if stripped.startswith('p') else 'clause'} "
+                               f"line: {stripped!r}")
         if stripped.startswith("p"):
             parts = stripped.split()
             try:

@@ -65,6 +65,7 @@ def parse_curve(text: str) -> PolyCurve:
     blank lines and lines starting with ``#`` are ignored.
     """
     vertices = []
+    underscores = "_" in text  # float() reads "1_0" as 10
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -72,6 +73,8 @@ def parse_curve(text: str) -> PolyCurve:
         parts = stripped.split()
         if len(parts) != 2:
             raise CurveError(f"line {lineno}: expected two numbers, got {stripped!r}")
+        if underscores and "_" in stripped:
+            raise CurveError(f"line {lineno}: malformed number in {stripped!r}")
         try:
             vertices.append((float(parts[0]), float(parts[1])))
         except ValueError as exc:

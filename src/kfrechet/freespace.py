@@ -55,13 +55,31 @@ class Component:
     pairs of floats, each a single interval: the projection of a connected
     planar set onto an axis is connected. Empty is (inf, -inf), as in
     :class:`FreeSpaceGrid`; a component of a built diagram is never empty,
-    and its projections lie inside [0, n] and [0, m].
+    and its projections lie inside [0, n] and [0, m]. The ends are stored as
+    floats; a projection that is no such tuple of numbers, or has a NaN end,
+    raises ``ValueError``.
     """
 
     id: int
     cells: frozenset
     proj_p: tuple
     proj_q: tuple
+
+    def __post_init__(self):
+        # a list would not hash, and the cover search would read a NaN end as a match
+        for name in ("proj_p", "proj_q"):
+            pair = getattr(self, name)
+            numbers = (isinstance(pair, tuple) and len(pair) == 2
+                       and hasattr(type(pair[0]), "__float__")
+                       and hasattr(type(pair[1]), "__float__"))
+            try:
+                lo, hi = (float(pair[0]), float(pair[1])) if numbers else (math.nan,) * 2
+            except OverflowError:  # an int past the float range
+                lo = hi = math.nan
+            if lo != lo or hi != hi:
+                raise ValueError(f"{name} must be a (lo, hi) tuple of two numbers, "
+                                 f"neither NaN, got {pair!r}")
+            object.__setattr__(self, name, (lo, hi))
 
 
 @dataclass(frozen=True, eq=False)

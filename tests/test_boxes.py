@@ -126,6 +126,87 @@ def reference_rowwise(instance):
     return descend(0, 0)
 
 
+def sat_boxes_formula(rng, n_vars, n_clauses):
+    """A random formula shaped like the sat-boxes benchmark's: clauses of 1, 2
+    and 3 distinct variables drawn 20/30/50%, with random signs."""
+    clauses = []
+    for _ in range(n_clauses):
+        size = int(rng.choice([1, 2, 3], p=[0.2, 0.3, 0.5]))
+        lits = rng.choice(np.arange(1, n_vars + 1), size=size, replace=False)
+        clauses.append(tuple(int(v * s) for v, s in zip(lits, rng.choice([-1, 1], size=size))))
+    return formula(n_vars, *clauses)
+
+
+def reference_compressed_rowwise(instance):
+    """The row-wise solver on compressed columns as it was before rows were
+    forced: it skips a choice only when the columns no later row covers need
+    more than the spare budget, and remembers the failed (row, missing columns)
+    states. Kept as the reference the forcing search must reproduce selection
+    for selection; integer instances only."""
+    x_max, boxes = instance.x_max, instance.boxes
+    lefts = [b.x if b.x < x_max else x_max for b in boxes]
+    rights = [b.x + b.w if b.x + b.w < x_max else x_max for b in boxes]
+    n_rows = int(instance.y_max) - 1
+    if n_rows > len(boxes):
+        return None
+    column = {cut: k for k, cut in enumerate(sorted({1, int(x_max), *lefts, *rights}))}
+    col_masks = [(1 << column[hi]) - (1 << column[lo]) for lo, hi in zip(lefts, rights)]
+    rows = [[] for _ in range(n_rows)]
+    covers = [0] * n_rows
+    outside = 0
+    for idx, (b, mask) in enumerate(zip(boxes, col_masks)):
+        if b.y > n_rows:
+            outside |= mask
+            continue
+        rows[int(b.y) - 1].append((idx, ~mask))
+        covers[int(b.y) - 1] |= mask
+    if not all(rows) or instance.k < n_rows:
+        return None
+    budget = instance.k - n_rows
+    beyond = [0] * n_rows
+    later = 0
+    for r in range(n_rows - 1, -1, -1):
+        beyond[r] = ~later
+        later |= covers[r]
+    target = (1 << (len(column) - 1)) - 1
+    if target & ~(later | outside):
+        return None
+    farthest = [(0, None)] * (len(column) - 1)
+    for idx, mask in enumerate(col_masks):
+        for c in range((mask & -mask).bit_length() - 1, mask.bit_length()):
+            if mask.bit_length() > farthest[c][0]:
+                farthest[c] = (mask.bit_length(), idx)
+
+    def patch(missing):
+        extra = []
+        while missing:
+            if len(extra) == budget:
+                return None
+            idx = farthest[(missing & -missing).bit_length() - 1][1]
+            extra.append(idx)
+            missing &= ~col_masks[idx]
+        return extra
+
+    failed = [set() for _ in range(n_rows)]
+
+    def descend(r, missing):
+        if r == n_rows:
+            return patch(missing)
+        seen, out = failed[r], beyond[r]
+        for idx, keep in rows[r]:
+            left = missing & keep
+            if left in seen or left & out and (not budget or patch(left & out) is None):
+                continue
+            found = descend(r + 1, left)
+            if found is not None:
+                return (idx, *found)
+            seen.add(left)
+        return None
+
+    found = descend(0, target)
+    return None if found is None else tuple(sorted(found))
+
+
 class TestFormula:
     def test_validation(self):
         with pytest.raises(kf.FormulaError):
@@ -293,6 +374,44 @@ class TestSolver:
                     assert got == reference_rowwise(inst)
                     spare += got is not None and len(got) > base.k
         assert spare > 0  # some selections spend the spare budget
+
+    def test_selections_equal_the_compressed_row_search(self):
+        # forcing rows only prunes: on 2,000 4-variable gadgets of 3..6 clauses
+        # drawn like the sat-boxes benchmark's, each also with one box dropped
+        # (a row of one box, or a column fewer boxes cover), and on 5-variable
+        # formulas, the first cover is the one the search without forcing finds
+        rng = np.random.default_rng(23)
+        unsat = 0
+        for n_vars, count, clauses in ((4, 2000, (3, 7)), (5, 60, (5, 13))):
+            for _ in range(count):
+                f = kf.normalize_formula(sat_boxes_formula(rng, n_vars, int(rng.integers(*clauses))))
+                base = kf.build_box_instance(f)
+                got = _solve_rowwise(base)
+                assert got == reference_compressed_rowwise(base)
+                assert (got is None) == (kf.sat_bruteforce(f) is None)
+                unsat += n_vars == 4 and got is None
+                drop = int(rng.integers(len(base.boxes)))
+                inst = kf.BoxInstance(base.x_max, base.y_max, base.k,
+                                      base.boxes[:drop] + base.boxes[drop + 1:])
+                assert _solve_rowwise(inst) == reference_compressed_rowwise(inst)
+        assert 60 <= unsat <= 250  # about one in 16, as in the benchmark
+
+    def test_six_variable_gadget_answers_at_once(self):
+        # 6 variables, 24 three-literal clauses: 168 boxes and k = 84; the
+        # search without forcing took 1.7 s to 21 s on each of these
+        for s in range(4):
+            rng = np.random.default_rng(s)
+            clauses = []
+            for _ in range(24):
+                lits = rng.choice(np.arange(1, 7), 3, replace=False)
+                clauses.append(tuple(int(v * sign) for v, sign in zip(lits, rng.choice([-1, 1], 3))))
+            f = kf.normalize_formula(formula(6, *clauses))
+            inst = kf.build_box_instance(f)
+            start = time.perf_counter()
+            got = kf.solve_box_bruteforce(inst)
+            assert time.perf_counter() - start < 1.0
+            assert (got is None) == (kf.sat_bruteforce(f) is None)
+            assert got is None or (len(got) <= inst.k and kf.covers_boundaries(inst, got))
 
     def test_spare_budget_answers_at_once(self):
         # the first 4-variable formula drawn above (25 unit rows) at one more
@@ -503,6 +622,16 @@ class TestIo:
     def test_dimacs_non_integer_header(self, header):
         with pytest.raises(kf.FormulaError, match="bad problem line"):
             kf.parse_dimacs(header + "\n1 0\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("p cnf 1_0 1\n1 0\n", "bad problem line: 'p cnf 1_0 1'"),
+        ("p cnf 12 1\n1_0 0\n", "bad clause line: '1_0 0'"),
+    ])
+    def test_dimacs_underscore_rejected(self, text, message):
+        # int() reads "1_0" as 10; a comment may hold an underscore
+        with pytest.raises(kf.FormulaError, match=message):
+            kf.parse_dimacs(text)
+        assert kf.parse_dimacs("c my_formula\np cnf 1 1\n1 0\n").num_vars == 1
 
     def test_box_json_round_trip(self):
         inst = kf.build_box_instance(formula(1, (1, -1)))

@@ -133,6 +133,16 @@ class TestDecide:
         assert code == 2 and report is None
         assert str(j) in err
 
+    def test_underscore_in_number(self, capsys, tmp_path, curve_files):
+        # "1_0" is no decimal number, though float() reads it as 10
+        _, q = curve_files
+        p = tmp_path / "under.txt"
+        p.write_text("0 0\n1_0 0\n")
+        code, report, err = run_cli(capsys, "decide", "--p", str(p), "--q", q,
+                                    "--eps", "1.0", "--k", "1")
+        assert code == 2 and report is None
+        assert str(p) in err and "line 2" in err
+
     def test_non_utf8_file(self, capsys, tmp_path, curve_files):
         _, q = curve_files
         bad = tmp_path / "latin.txt"
@@ -305,6 +315,16 @@ class TestBoxCommands:
         code, _, err = run_cli(capsys, "boxgen", "--cnf", str(cnf),
                                "--out", str(tmp_path / "x.json"))
         assert code == 2 and "bad problem line" in err
+
+    @pytest.mark.parametrize("text", ["p cnf 1_0 1\n1 0\n", "p cnf 12 1\n1_0 0\n"])
+    def test_boxgen_underscore_in_number(self, capsys, tmp_path, text):
+        # int() reads "1_0" as 10: the header would make a 10-variable formula
+        cnf = tmp_path / "under.cnf"
+        cnf.write_text(text)
+        code, report, err = run_cli(capsys, "boxgen", "--cnf", str(cnf),
+                                    "--out", str(tmp_path / "x.json"))
+        assert code == 2 and report is None
+        assert "1_0" in err and not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("bad", ['"x": NaN', '"w": Infinity', '"y": NaN'])
     def test_boxsolve_non_finite_box(self, capsys, tmp_path, bad):

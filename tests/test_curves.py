@@ -37,6 +37,12 @@ class TestParseCurve:
         with pytest.raises(kf.CurveError, match="malformed"):
             kf.parse_curve("0 0\n1 x")
 
+    def test_underscore_in_number_rejected(self):
+        # float() reads "1_0" as 10; a comment may hold an underscore
+        with pytest.raises(kf.CurveError, match=r"line 3: malformed number in '1_0 0'"):
+            kf.parse_curve("# my_curve\n0 0\n1_0 0\n")
+        assert kf.parse_curve("# my_curve\n0 0\n1 0\n").n == 1
+
     def test_wrong_token_count(self):
         with pytest.raises(kf.CurveError, match="two numbers"):
             kf.parse_curve("0 0 0\n1 0")

@@ -330,6 +330,25 @@ class TestBuildDiagram:
         assert checked >= 10
 
 
+class TestComponent:
+    @pytest.mark.parametrize("proj", [(math.nan, 1.0), (0.0, math.nan), [0.0, 1.0], (0.0,),
+                                      (0.0, 1.0, 2.0), (0.0, "1"), (0, 10**400)])
+    def test_projection_must_be_a_tuple_of_two_numbers(self, proj):
+        # the cover search would read a NaN end as a match (covers_both and
+        # decide_hausdorff True on a 1 x 1 diagram), and a list does not hash
+        for proj_p, proj_q in ((proj, (0.0, 1.0)), ((0.0, 1.0), proj)):
+            with pytest.raises(ValueError, match="tuple of two numbers"):
+                kf.Component(id=0, cells=frozenset(), proj_p=proj_p, proj_q=proj_q)
+
+    def test_projection_ends_stored_as_floats(self):
+        comp = kf.Component(id=0, cells=frozenset(), proj_p=(np.float64(0.5), 1),
+                            proj_q=(math.inf, -math.inf))
+        assert comp.proj_p == (0.5, 1.0) and comp.proj_q == (math.inf, -math.inf)
+        assert all(type(end) is float for end in (*comp.proj_p, *comp.proj_q))
+        d = kf.FreeSpaceDiagram(epsilon=1.0, n=1, m=1, cells=(), components=(comp,), z=1)
+        assert hash(d) == hash(d)
+
+
 class TestComputeZ:
     def test_single_component(self):
         P, Q = diagonal_pair()

@@ -255,25 +255,22 @@ def solve_box_bruteforce(instance: BoxInstance):
 
     - On the integer grid (integral bounds, corners and widths) each of the
       R unit rows of the left edge needs a box of its own, so the row-wise
-      search picks one box per row and backtracks over those choices,
-      patching bottom-edge gaps with the spare budget b = k - R; it returns
-      the first cover it meets. With C bottom columns (the pieces between
-      box ends inside [1, x_max], at most 2B + 1) it remembers each state
-      (row, allowed boxes, missing columns) that holds no cover. With
-      b > 0 every box stays allowed, so it visits at most min(product of
-      the earlier row sizes, 2**C) states per row. The patch is one greedy
-      pass, O(C) per last-row state: the box over the lowest missing column
-      that reaches farthest right, again and again. A box outside the rows
-      joins none but may patch.
-    - At b = 0, which every :func:`build_box_instance` gadget has, it
-      forces rows: the boxes of the rows not yet chosen stay allowed, a
-      choice drops the other boxes of its row, and each missing column
-      that lost a box is rechecked. One with no allowed box left prunes the
-      choice; one with a single allowed box forces that box's row to it,
-      whose dropped boxes are rechecked in turn. This prunes only choices
-      that hold no cover, so the first cover is the same. States per row
-      are still at most the product of the earlier row sizes, and every
-      forced row is decided without branching.
+      search picks one box per row, rows and boxes in order, and returns the
+      first cover it meets; the spare budget b = k - R patches the C bottom
+      columns the rows leave (the pieces between box ends, at most 2B + 1).
+      It forces rows: a choice drops the other boxes of its row, and each
+      missing column that lost a box is rechecked. One that no allowed box
+      covers must be patched, and prunes the choice when the columns to
+      patch would need more than b boxes; one with a single allowed box
+      forces that box's row to it when patching it too would. At b = 0, as
+      in every :func:`build_box_instance` gadget, both happen at once. Only
+      choices that hold no cover are pruned, so the first cover is the
+      plain row search's. The patch is one O(C) greedy pass: the box over
+      the lowest column to patch that reaches farthest right, again and
+      again; a box above the rows may patch. Each state (allowed boxes,
+      missing columns, columns to patch) found to hold no cover is
+      remembered; at every budget the states per row are at most the
+      product of the earlier row sizes.
     - Off the grid, the curve decider's joint-cover search
       :func:`kfrechet.intervals._min_joint_cover`, walking x, returns a
       minimum cover. Its certificate (the per-axis minimum covers) answers
@@ -322,131 +319,123 @@ def _solve_rowwise(instance: BoxInstance):
     rows = [[] for _ in range(n_rows)]  # per row, (box, the columns it leaves)
     covers = [0] * n_rows  # per row, the columns its boxes cover
     row_bits = [0] * n_rows  # per row, its boxes as bits of their indices
-    outside = 0  # the columns of boxes above the left edge: they join no row but may patch
-    # per column: with spare budget, (reach, box) of the covering box reaching
-    # farthest right, for patch; without, the row boxes covering it, as bits
-    farthest = [(0, None)] * (len(column) - 1)
-    over = [0] * (len(column) - 1)
+    over = [0] * (len(column) - 1)  # per column, the row boxes covering it, as bits
     once = shared = 0  # the columns under at least one row box, and under two
     for idx, (y, start, end) in enumerate(zip(ys, lefts, rights)):
         lo, hi = column[start], column[end]
         mask = (1 << hi) - (1 << lo)
         col_masks.append(mask)
-        if budget:
-            for c in range(lo, hi):
-                if hi > farthest[c][0]:
-                    farthest[c] = (hi, idx)
-        if y > n_rows:  # y >= 1 on the grid
-            outside |= mask
+        if y > n_rows:  # above the left edge (y >= 1 on the grid): in no row, but may patch
             continue
         row = int(y) - 1
         rows[row].append((idx, ~mask))
         covers[row] |= mask
         bit = 1 << idx
         row_bits[row] |= bit
-        if not budget:
-            if hi - lo == 1:  # most boxes: the loop below costs more
-                over[lo] |= bit
-            else:
-                for c in range(lo, hi):
-                    over[c] |= bit
-            shared |= once & mask
-            once |= mask
+        if hi - lo == 1:  # most boxes: the loop below costs more
+            over[lo] |= bit
+        else:
+            for c in range(lo, hi):
+                over[c] |= bit
+        shared |= once & mask
+        once |= mask
     if not all(rows):
         return None
 
-    beyond = [0] * n_rows  # per row, the columns no later row covers
-    later = 0
-    for r in range(n_rows - 1, -1, -1):
-        beyond[r] = ~later
-        later |= covers[r]
-    target = (1 << (len(column) - 1)) - 1
-    if target & ~(later | outside):
-        return None
+    farthest = []  # per column, (reach, -box) of the box over it reaching farthest right
 
-    def patch(missing: int):
-        """The boxes that cover the bottom columns ``missing``, or None when
-        that takes more than the spare budget. Box masks are runs of columns,
-        so covering the lowest missing column by the box reaching farthest
-        right, again and again, takes fewest. A picked box covers none of the
-        columns left missing, so no box is picked twice, nor one of a row."""
-        extra = []
-        while missing:
-            if len(extra) == budget:
-                return None
-            idx = farthest[(missing & -missing).bit_length() - 1][1]
-            extra.append(idx)
-            missing &= ~col_masks[idx]
-        return extra
-
-    def force(allowed: int, missing: int, check: int):
-        """At spare budget 0, every missing column needs an allowed box. Recheck
-        the columns ``check``: one with no allowed box over it answers None; one
-        with a single box forces that box's row to it, which drops the row's
-        other boxes, so their columns are rechecked too. Returns the allowed
-        boxes and missing columns after forcing."""
+    def force(allowed: int, missing: int, must: int, spare: tuple, check: int):
+        """Recheck the missing columns ``check`` and return the state after
+        forcing: the allowed boxes, the missing columns, ``must`` (the columns
+        no allowed box covers, no longer missing) and ``spare`` (their patch,
+        at most the spare budget of boxes). A column with at most one allowed
+        box needs it or the patch. While the patch of ``must`` and the column
+        fits, one with no box joins ``must`` and one with a box waits (it fits
+        while the patch has room, so every missing column is rechecked when it
+        fills). Otherwise one with no box answers None, and one with a box
+        forces that box's row to it, whose dropped boxes are rechecked too."""
         check &= missing
         while check:
             low = check & -check
             check ^= low
-            if not missing & low:  # covered by a row forced since
+            if not missing & low:  # covered by a row forced since, or patched
                 continue
             left = over[low.bit_length() - 1] & allowed
-            if not left:
-                return None
             if left & (left - 1):
                 continue
+            if left and len(spare) < budget:  # one more patch box, such as that box
+                continue
+            # The patch: box masks are runs of columns, so covering the lowest
+            # column by the box reaching farthest right, again and again,
+            # takes fewest boxes. Each box of the patch of ``must`` covers a
+            # column of it, which no allowed box covers, so no row picks it.
+            patched, extra = must | low, ()
+            while patched and len(extra) < budget:
+                if not farthest:  # one sweep, on the first patch that needs it
+                    starts = [(0, 0)] * len(over)  # per column, the best box starting there
+                    for idx, mask in enumerate(col_masks):
+                        # (0, -idx) of a box past x_max, which covers no column, never wins
+                        lo, here = (mask & -mask).bit_length() - 1, (mask.bit_length(), -idx)
+                        if here > starts[lo]:
+                            starts[lo] = here
+                    best = (0, 0)  # ties go to the lowest box index
+                    for here in starts:
+                        if here > best:
+                            best = here
+                        farthest.append(best)
+                c = (patched & -patched).bit_length() - 1
+                reach, idx = farthest[c]
+                if reach <= c:  # no box over column c
+                    break
+                extra += (-idx,)
+                patched &= ~col_masks[-idx]
+            if not patched:
+                if not left:
+                    missing ^= low
+                    must |= low
+                    spare = extra
+                    if len(spare) == budget:  # a column with one box may not fit now
+                        check |= missing
+                continue
+            if not left:
+                return None
             idx = left.bit_length() - 1
             row = int(ys[idx]) - 1
             allowed &= ~row_bits[row] | left
             missing &= ~col_masks[idx]
             check |= covers[row] & missing
-        return allowed, missing
+        return allowed, missing, must, spare
 
-    # A state is a row, the boxes still allowed and the columns still missing.
-    # Whether it holds a cover depends on nothing else, so the states found to
-    # hold none are remembered. With spare budget every box stays allowed, and
-    # a child is not entered when the columns no later row covers need more
-    # boxes than the budget; at budget 0 the boxes of a row not yet reached are
-    # allowed until a choice forces the row, and a child is not entered when
-    # some missing column has no allowed box left.
+    # A state is what force returns. The boxes of the rows not yet reached stay
+    # allowed until a choice forces their row, and a choice drops the other
+    # boxes of its row, so the allowed boxes also name the row. Whether a state
+    # holds a cover depends on nothing else, so the states found to hold none
+    # are remembered. After the last row no row box is allowed, so every column
+    # is covered or patched.
     failed = set()
 
-    def descend(r: int, allowed: int, missing: int):
+    def descend(r: int, allowed: int, missing: int, must: int, spare: tuple):
         if r == n_rows:
-            return patch(missing)
+            return spare
         mine = allowed & row_bits[r]
         rest = allowed ^ mine
         # a choice drops the row's other boxes; a forced row has dropped them
         lost = covers[r] if mine == row_bits[r] else 0
-        out = beyond[r]
         for idx, keep in rows[r]:
-            left = missing & keep
-            if budget:
-                if left & out and patch(left & out) is None:
-                    continue
-                after = rest
-            elif not mine >> idx & 1:  # dropped when the row was forced
+            if not mine >> idx & 1:  # dropped when the row was forced
                 continue
-            else:
-                forced = force(rest, left, lost)
-                if forced is None:
-                    continue
-                after, left = forced
-            state = (r, after, left)
-            if state in failed:
+            state = force(rest, missing & keep, must, spare, lost)
+            if state is None or state in failed:
                 continue
-            found = descend(r + 1, after, left)
+            found = descend(r + 1, *state)
             if found is not None:
                 return (idx, *found)
             failed.add(state)
         return None
 
-    if budget:
-        found = descend(0, 0, target)
-    else:
-        start = force((1 << len(boxes)) - 1, target, target & ~shared)
-        found = None if start is None else descend(0, *start)
+    target = (1 << (len(column) - 1)) - 1
+    start = force((1 << len(boxes)) - 1, target, 0, (), target & ~shared)
+    found = None if start is None else descend(0, *start)
     return None if found is None else tuple(sorted(found))
 
 
@@ -470,8 +459,12 @@ def selection_from_assignment(instance: BoxInstance, assignment: dict) -> tuple:
 
     Picks every box labelled v with v true and every box labelled -v with
     v false; for a satisfying assignment of the source formula this
-    selection has size exactly k and covers both boundaries.
+    selection has size exactly k and covers both boundaries. A variable
+    that a box label names and the assignment lacks raises ``ValueError``.
     """
+    lacking = {abs(b.label) for b in instance.boxes}.difference(assignment)
+    if lacking:
+        raise ValueError(f"the assignment has no value for variable {min(lacking)}")
     return tuple(
         idx for idx, b in enumerate(instance.boxes)
         if assignment[abs(b.label)] == (b.label > 0)
@@ -479,9 +472,15 @@ def selection_from_assignment(instance: BoxInstance, assignment: dict) -> tuple:
 
 
 def covers_boundaries(instance: BoxInstance, indices) -> bool:
-    """Whether the given boxes cover B's bottom and left boundary."""
+    """Whether the given boxes cover B's bottom and left boundary. An index
+    that is no box's, such as one that is no integer, raises KeyError."""
     tol = default_tol()
-    xs, ys, ends_x, ends_y = _axes(instance, [instance.boxes[i] for i in indices])
+    picked = []
+    for i in indices:
+        if not (hasattr(type(i), "__index__") and 0 <= i < len(instance.boxes)):
+            raise KeyError(f"unknown box index {i!r}")
+        picked.append(instance.boxes[i])
+    xs, ys, ends_x, ends_y = _axes(instance, picked)
     return _axis_cover(xs, ends_x, tol) is not None and _axis_cover(ys, ends_y, tol) is not None
 
 

@@ -335,6 +335,18 @@ class TestSolver:
         assert kf.solve_box_bruteforce(inst) == (0, 1)
         tight = kf.BoxInstance(3.0, 2.0, 1, boxes)
         assert kf.solve_box_bruteforce(tight) is None
+        # boxes 1 and 2 reach as far right over column 2, and box 2 starts
+        # further left: the patch takes box 1, the lowest index
+        boxes = (kf.LabeledBox(1, 1, 1, 1), kf.LabeledBox(2, 2, 2, 1), kf.LabeledBox(1, 2, 3, 1))
+        assert kf.solve_box_bruteforce(kf.BoxInstance(4.0, 2.0, 2, boxes)) == (0, 1)
+        # spare budget 1, columns 1..3: row 1 holds a box over column 1 and one
+        # past x_max, row 2 one over column 2 and one over column 3, and one box
+        # above the left edge covers each column. Column 1 could take the patch,
+        # but counting it against the budget would force row 2 to column 2 and
+        # leave column 3 to patch as well; the cover takes row 1's box instead
+        boxes = (kf.LabeledBox(1, 1, 1, 1), kf.LabeledBox(4, 1, 1, 1), kf.LabeledBox(2, 2, 1, 1),
+                 kf.LabeledBox(3, 2, 1, 1), *(kf.LabeledBox(c, 3, 1, 1) for c in (1, 2, 3)))
+        assert kf.solve_box_bruteforce(kf.BoxInstance(4.0, 3.0, 3, boxes)) == (0, 2, 3)
 
     def test_selections_equal_the_unit_column_solver(self):
         # 4-variable formulas of 3..6 clauses as in the sat-boxes benchmark, at
@@ -379,26 +391,32 @@ class TestSolver:
         # forcing rows only prunes: on 2,000 4-variable gadgets of 3..6 clauses
         # drawn like the sat-boxes benchmark's, each also with one box dropped
         # (a row of one box, or a column fewer boxes cover), and on 5-variable
-        # formulas, the first cover is the one the search without forcing finds
+        # formulas, the first cover is the one the search without forcing
+        # finds, at the gadget budget and with spare budget 1 and 2
         rng = np.random.default_rng(23)
-        unsat = 0
+        unsat = spare = 0
         for n_vars, count, clauses in ((4, 2000, (3, 7)), (5, 60, (5, 13))):
             for _ in range(count):
                 f = kf.normalize_formula(sat_boxes_formula(rng, n_vars, int(rng.integers(*clauses))))
                 base = kf.build_box_instance(f)
                 got = _solve_rowwise(base)
-                assert got == reference_compressed_rowwise(base)
                 assert (got is None) == (kf.sat_bruteforce(f) is None)
                 unsat += n_vars == 4 and got is None
                 drop = int(rng.integers(len(base.boxes)))
-                inst = kf.BoxInstance(base.x_max, base.y_max, base.k,
-                                      base.boxes[:drop] + base.boxes[drop + 1:])
-                assert _solve_rowwise(inst) == reference_compressed_rowwise(inst)
+                for boxes in (base.boxes, base.boxes[:drop] + base.boxes[drop + 1:]):
+                    for k in (base.k, base.k + 1, base.k + 2):
+                        inst = kf.BoxInstance(base.x_max, base.y_max, k, boxes)
+                        got = _solve_rowwise(inst)
+                        assert got == reference_compressed_rowwise(inst)
+                        spare += got is not None and len(got) > base.k
         assert 60 <= unsat <= 250  # about one in 16, as in the benchmark
+        assert spare > 0  # some selections spend the spare budget
 
     def test_six_variable_gadget_answers_at_once(self):
         # 6 variables, 24 three-literal clauses: 168 boxes and k = 84; the
-        # search without forcing took 1.7 s to 21 s on each of these
+        # search without forcing took 1.7 s to 21 s on each of these, and
+        # the search that forced rows at spare budget 0 only took up to 9 s
+        # at k + 1; here each answers at k to k + 3
         for s in range(4):
             rng = np.random.default_rng(s)
             clauses = []
@@ -406,12 +424,38 @@ class TestSolver:
                 lits = rng.choice(np.arange(1, 7), 3, replace=False)
                 clauses.append(tuple(int(v * sign) for v, sign in zip(lits, rng.choice([-1, 1], 3))))
             f = kf.normalize_formula(formula(6, *clauses))
-            inst = kf.build_box_instance(f)
-            start = time.perf_counter()
+            base = kf.build_box_instance(f)
+            sat = kf.sat_bruteforce(f) is not None
+            for k in range(base.k, base.k + 4):
+                inst = kf.BoxInstance(base.x_max, base.y_max, k, base.boxes)
+                start = time.perf_counter()
+                got = kf.solve_box_bruteforce(inst)
+                assert time.perf_counter() - start < 1.0, (s, k - base.k)
+                if k == base.k:
+                    assert (got is not None) == sat
+                assert got is not None or not sat  # a cover within the gadget budget fits in k
+                assert got is None or (len(got) <= k and kf.covers_boundaries(inst, got))
+
+    def test_random_small_instances_match_subset_enumeration(self):
+        # boxes above the left edge, boxes past x_max and every budget at once:
+        # the row search finds a cover exactly when one of at most k boxes exists
+        rng = np.random.default_rng(24)
+        found = spare = 0
+        for _ in range(4000):
+            x_max, y_max = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+            boxes = tuple(kf.LabeledBox(int(rng.integers(1, x_max + 1)),
+                                        int(rng.integers(1, y_max + 1)),  # y_max: above the edge
+                                        int(rng.integers(1, x_max + 1)), 1)
+                          for _ in range(int(rng.integers(1, 8))))
+            inst = kf.BoxInstance(float(x_max), float(y_max), int(rng.integers(0, len(boxes) + 1)),
+                                  boxes)
             got = kf.solve_box_bruteforce(inst)
-            assert time.perf_counter() - start < 1.0
-            assert (got is None) == (kf.sat_bruteforce(f) is None)
-            assert got is None or (len(got) <= inst.k and kf.covers_boundaries(inst, got))
+            assert (got is None) == (reference_subsets(inst, 1e-9) is None), inst
+            if got is not None:
+                assert len(got) <= inst.k and kf.covers_boundaries(inst, got)
+                found += 1
+                spare += len(got) > y_max - 1
+        assert found > 600 and spare > 400
 
     def test_spare_budget_answers_at_once(self):
         # the first 4-variable formula drawn above (25 unit rows) at one more
@@ -596,6 +640,22 @@ class TestReductionEquivalence:
             assert sat == boxed
             # normalization preserves satisfiability
             assert sat == (kf.sat_bruteforce(f) is not None)
+
+
+class TestSelectionChecks:
+    @pytest.mark.parametrize("index", [-1, 2, 0.0, "1", None])
+    def test_covers_boundaries_rejects_unknown_indices(self, index):
+        # -1 once checked the last box, and box 1 alone covers
+        inst = kf.BoxInstance(2.0, 2.0, 1, (kf.LabeledBox(1, 2, 1, 1), kf.LabeledBox(1, 1, 1, -1)))
+        assert kf.covers_boundaries(inst, (1,)) and kf.covers_boundaries(inst, (np.int64(1),))
+        with pytest.raises(KeyError, match="unknown box index"):
+            kf.covers_boundaries(inst, (index,))
+
+    def test_selection_from_assignment_names_the_missing_variable(self):
+        inst = kf.build_box_instance(kf.normalize_formula(formula(2, (1, -2))))
+        assert len(kf.selection_from_assignment(inst, {1: True, 2: False})) == inst.k
+        with pytest.raises(ValueError, match="variable 2"):
+            kf.selection_from_assignment(inst, {1: True})
 
 
 class TestIo:

@@ -282,12 +282,12 @@ def solve_box_bruteforce(instance: BoxInstance):
     selection = _solve_rowwise(instance)
     if selection is not _OFF_GRID:
         return selection
-    axes = (*_axes(instance, instance.boxes), instance.k, tol)
-    found = _certified_cover(*axes)
+    x, y, ends_x, ends_y = _axes(instance, instance.boxes)
+    found = _certified_cover(_axis_cover(x, ends_x, tol), _axis_cover(y, ends_y, tol), instance.k)
     if found is _OPEN and len(instance.boxes) > 22:
         raise ValueError(f"off-grid instance of {len(instance.boxes)} boxes; "
                          "the cover search takes at most 22")
-    return _walk_joint_cover(*axes) if found is _OPEN else found
+    return _walk_joint_cover(x, y, ends_x, ends_y, instance.k, tol) if found is _OPEN else found
 
 
 def _solve_rowwise(instance: BoxInstance):

@@ -6,10 +6,11 @@ negative one, 2 for any usage or input error. The KFRECHET_TOL
 environment variable sets the one comparison tolerance; ``minimize-eps
 --tol`` is the width of the eps search, not a comparison tolerance.
 
-Only the box workbench is imported with this module, so ``boxgen`` and
-``boxsolve`` run without numpy. The curve commands (``decide``,
-``minimize-k``, ``minimize-eps``, ``freespace-svg``) import the curve
-layers, and with them numpy, when they run.
+No layer is imported with this module: each command imports its own
+when it runs. ``boxgen`` and ``boxsolve`` import the box workbench, which
+runs without numpy; the curve commands (``decide``, ``minimize-k``,
+``minimize-eps``, ``freespace-svg``) import the curve layers, and with them
+numpy, but not the box workbench.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-
-from .boxes import (FormulaError, box_instance_from_json, box_instance_to_json,
-                    build_box_instance, normalize_formula, parse_dimacs,
-                    solve_box_bruteforce)
 
 
 class CliError(Exception):
@@ -161,6 +158,9 @@ def _cmd_svg(args) -> tuple[bool, dict]:
 
 
 def _cmd_boxgen(args) -> tuple[bool, dict]:
+    from .boxes import (FormulaError, box_instance_to_json, build_box_instance,
+                        normalize_formula, parse_dimacs)
+
     try:
         text = Path(args.cnf).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -187,6 +187,8 @@ def _cmd_boxgen(args) -> tuple[bool, dict]:
 
 
 def _cmd_boxsolve(args) -> tuple[bool, dict]:
+    from .boxes import box_instance_from_json, solve_box_bruteforce
+
     try:
         obj = json.loads(Path(args.infile).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:

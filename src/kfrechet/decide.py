@@ -15,6 +15,12 @@ approximation, the union of a minimum cover a of p and b of q (which
 joint cover has fewer than max(|a|, |b|) components. Only the diagrams
 where the union is larger go to the bounded search tree.
 
+A diagram keeps its pair (a, b) once a decision has computed it at a
+tolerance (see :class:`~kfrechet.freespace.FreeSpaceDiagram`), so the
+Hausdorff decision ("a and b exist"), the approximation (a ∪ b), the weak
+decision, :func:`decide_fpt` and :func:`~kfrechet.optimize.minimize_k` on
+one diagram compute it once between them. A tree walk is not kept.
+
 A selection is a sorted, duplicate-free tuple of component ids. The
 decider reads each axis as (id, lo, hi) triples from :func:`_axis_intervals`,
 each component's id and (lo, hi) projection pair, the one per-axis shape
@@ -31,11 +37,9 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-import numpy as np
-
 from .config import _budget, default_tol
 from .freespace import FreeSpaceDiagram, FreeSpaceGrid, _picked
-from .intervals import _axis_cover, _axis_selections, _min_joint_cover
+from .intervals import _OPEN, _axis_cover, _axis_selections, _certified_cover, _walk_joint_cover
 
 
 def covers_both(diagram: FreeSpaceDiagram, selection: Iterable[int]) -> bool:
@@ -55,6 +59,28 @@ def _axis_intervals(diagram: FreeSpaceDiagram, axis: str) -> list:
     if axis == "q":
         return [(c.id, *c.proj_q) for c in diagram.components]
     raise ValueError(f'axis must be "p" or "q", got {axis!r}')
+
+
+def _cover_pair(diagram: FreeSpaceDiagram, tol: float) -> tuple:
+    """The minimum covers (a, b) of the p and q axes, None where an axis has
+    none, at ``tol``: kept on the diagram, and computed again only when asked
+    at another tolerance."""
+    stored = diagram._covers
+    if stored is None or stored[0] != tol:
+        stored = (tol, _axis_cover(_axis_intervals(diagram, "p"), (0.0, diagram.n), tol),
+                  _axis_cover(_axis_intervals(diagram, "q"), (0.0, diagram.m), tol))
+        object.__setattr__(diagram, "_covers", stored)  # frozen; see FreeSpaceDiagram
+    return stored[1:]
+
+
+def _joint_cover(diagram: FreeSpaceDiagram, k: int, tol: float) -> tuple | None:
+    """:func:`~kfrechet.intervals._min_joint_cover` over the axes (0, n) and
+    (0, m), its certificate taken from the diagram's cover pair."""
+    found = _certified_cover(*_cover_pair(diagram, tol), k)
+    if found is _OPEN:
+        return _walk_joint_cover(_axis_intervals(diagram, "p"), _axis_intervals(diagram, "q"),
+                                 (0.0, diagram.n), (0.0, diagram.m), k, tol)
+    return found
 
 
 def fpt_feasible_selections(diagram: FreeSpaceDiagram, axis: str, k: int) -> tuple[list, int]:
@@ -83,18 +109,17 @@ def decide_fpt(diagram: FreeSpaceDiagram, k: int) -> tuple | None:
     components, else None: :func:`~kfrechet.intervals._min_joint_cover` over
     the axes (0, n) and (0, m).
 
-    First the certificate of the module docstring, from one minimum cover
-    per axis (O(C log C) for C components). Otherwise the search tree of
-    :func:`fpt_feasible_selections` on p is walked breadth-first, no deeper
-    than k or the least cover size, and each path is completed by the
-    cheapest q chain, in O(C log C). Paths go by depth and then in sorted
-    order; a later cover wins only if it is smaller. The z^k bound on the
-    tree's paths holds for this search.
+    First the certificate of the module docstring, from the diagram's one
+    minimum cover per axis (O(C log C) for C components, once per diagram).
+    Otherwise the search tree of :func:`fpt_feasible_selections` on p is
+    walked breadth-first, no deeper than k or the least cover size, and each
+    path is completed by the cheapest q chain, in O(C log C). Paths go by
+    depth and then in sorted order; a later cover wins only if it is
+    smaller. The z^k bound on the tree's paths holds for this search.
     """
     tol = default_tol()
     k = _budget(k)
-    return _min_joint_cover(_axis_intervals(diagram, "p"), _axis_intervals(diagram, "q"),
-                            (0.0, diagram.n), (0.0, diagram.m), k, tol)
+    return _joint_cover(diagram, k, tol)
 
 
 def decide_weak_frechet(diagram: FreeSpaceDiagram) -> bool:
@@ -103,24 +128,29 @@ def decide_weak_frechet(diagram: FreeSpaceDiagram) -> bool:
     Equivalently: some component touches all four diagram boundaries, and
     :func:`decide_fpt` finds a selection at ``k = 1``.
     """
-    return _min_joint_cover(_axis_intervals(diagram, "p"), _axis_intervals(diagram, "q"),
-                            (0.0, diagram.n), (0.0, diagram.m), 1, default_tol()) is not None
+    return _joint_cover(diagram, 1, default_tol()) is not None
 
 
 def decide_hausdorff(diagram: FreeSpaceDiagram) -> bool:
-    """True when the union of all components covers both axes."""
-    return covers_both(diagram, range(len(diagram.components)))
+    """True when the union of all components covers both axes: when each
+    axis has a minimum cover."""
+    a, b = _cover_pair(diagram, default_tol())
+    return a is not None and b is not None
 
 
-def _boundary_starts(edges, tol: float) -> list:
+def _boundary_starts(edges: list, tol: float) -> list:
     """Start of the reachable part of each edge in a run of (lo, hi) boundary
     edges from the origin corner, inf where none: an edge is reached when it is
     nonempty and ``lo <= tol`` and, after the first, the edge before it is
     reached and ends at ``>= 1 - tol``."""
-    lo, hi = edges.T
-    reached = (lo <= hi) & (lo <= tol)
-    reached[1:] &= hi[:-1] >= 1.0 - tol
-    return np.where(np.logical_and.accumulate(reached), lo, math.inf).tolist()
+    starts = [math.inf] * len(edges)
+    for j, (lo, hi) in enumerate(edges):
+        if not (lo <= hi and lo <= tol):
+            break
+        starts[j] = lo
+        if hi < 1.0 - tol:
+            break
+    return starts
 
 
 def decide_strong_frechet(diagram: FreeSpaceDiagram) -> bool:
@@ -144,8 +174,8 @@ def decide_strong_frechet(diagram: FreeSpaceDiagram) -> bool:
     n, m, inf = diagram.n, diagram.m, math.inf
     # left[j]: start on the left edge of cell (i, j) in column i; bottom[i]: on
     # the bottom edge of cell (i, 0), the only bottom edge entered from outside.
-    left = _boundary_starts(grid.vert[0], tol)
-    bottom = _boundary_starts(grid.horiz[:, 0], tol) + [inf]
+    left = _boundary_starts(grid.vert[0].tolist(), tol)
+    bottom = _boundary_starts(grid.horiz[:, 0].tolist(), tol) + [inf]
     for i in range(n):
         r_lo, r_hi = grid.vert[i + 1].T.tolist()
         t_lo, t_hi = grid.horiz[i, 1:].T.tolist()

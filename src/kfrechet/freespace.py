@@ -27,7 +27,9 @@ subtraction, a multiplication by ``d·d > 0``, a square root and a
 division by ``d·d``), and so is every strip slice (a subtraction of eps
 and a division by ``|delta| > 0``). So an edge or a cell projection
 free at eps stays free at every larger eps, in floating point as in the
-plane: components only merge as eps grows.
+plane: components only merge as eps grows. A term that overflows rounds
+to ±inf, which is monotone too, and clips to the ends of [0, 1]; so a
+huge finite eps gives the whole grid, without a warning.
 
 Connectivity uses the closed-set convention: two adjacent cells sharing
 only a single free boundary point belong to the same component.
@@ -35,6 +37,7 @@ only a single free boundary point belong to the same component.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -45,6 +48,8 @@ from .config import default_tol
 from .curves import PolyCurve
 
 _INF = math.inf
+_OUT_OF_RANGE = ("curve coordinates out of range: a squared length or dot product "
+                 "of the pair is not a finite positive float64")
 
 
 @dataclass(frozen=True)
@@ -118,9 +123,12 @@ class FreeSpaceDiagram:
 
     A diagram from :func:`build_diagram` keeps the prepared curve pair it was
     solved from, so that :func:`~kfrechet.optimize.minimize_epsilon` probes
-    other eps without preparing the pair again. It is not part of the value:
-    equality, hashing and ``repr`` ignore it, and ``dataclasses.replace``
-    drops it.
+    other eps without preparing the pair again. Every diagram also keeps the
+    minimum cover of each axis, as the paper's factor-2 approximation and the
+    decider's certificate take them, once a decision has asked at a tolerance:
+    the decisions that follow at that tolerance share them (see
+    :mod:`kfrechet.decide`). Neither is part of the value: equality, hashing
+    and ``repr`` ignore them, and ``dataclasses.replace`` drops them.
     """
 
     epsilon: float
@@ -130,6 +138,7 @@ class FreeSpaceDiagram:
     components: tuple  # tuple of Component, ids equal to positions
     z: int  # max number of components met by any axis-aligned line
     _pair: _PairGeometry | None = field(default=None, init=False, repr=False, compare=False)
+    _covers: tuple | None = field(default=None, init=False, repr=False, compare=False)  # tol, a, b
 
 
 def _picked(diagram: FreeSpaceDiagram, ids) -> list:
@@ -158,6 +167,7 @@ _POINTS = np.array([[[[0.0]], [[-0.0]]], [[[1.0]], [[-1.0]]]])  # the points 0 a
 _UNIT = np.array([[0.0], [1.0]])  # the two ends of a foot range
 _ROWS = np.arange(4)[:, None]  # the four rows of component ends
 _SIGNS = np.array([[1.0], [-1.0], [1.0], [-1.0]])  # (lo, -hi, lo, -hi) back to (lo, hi, lo, hi)
+_PAIR_SIGNS = np.array([1.0, -1.0])  # a (lo, -hi) column pair back to (lo, hi)
 
 
 class _Solved(NamedTuple):
@@ -245,8 +255,7 @@ class _PairGeometry:
         nv, nm = (n + 1) * m, n * m
         disk, strip = _pair_terms(pv, qv)
         if not (disk[0].min() > 0.0 and np.isfinite(disk).all() and np.isfinite(strip).all()):
-            raise ValueError("curve coordinates out of range: a squared length or dot "
-                             "product of the pair is not a finite positive float64")
+            raise ValueError(_OUT_OF_RANGE)
         self.qa, self.qb2, self.ww = disk[0], disk[3], disk[4]
         self.qb = disk[1:3]  # lo = (-qb - root)/qa, -hi = (qb - root)/qa
         strip = strip.reshape(4, -1)
@@ -304,6 +313,7 @@ class _PairGeometry:
         dist = np.sqrt(np.maximum(self.ww + u * (2.0 * self.qb[1] + u * self.qa), 0.0))
         return dist[:nv].reshape(n + 1, m), dist[nv:].reshape(n, m + 1).T
 
+    @np.errstate(over="ignore")  # ±inf is the monotone rounding; see the module docstring
     def solve(self, eps: float, tol: float) -> _Solved:
         """Edge intervals and cell projections at eps.
 
@@ -343,7 +353,7 @@ def _as_grid(solved: _Solved) -> FreeSpaceGrid:
     """A :class:`FreeSpaceGrid` from the rows of :meth:`_PairGeometry.solve`."""
     n, m = solved.pair.n, solved.pair.m
     nv, nm = (n + 1) * m, n * m
-    edges, proj = solved.edges.T * [1.0, -1.0], solved.proj.T * [1.0, -1.0]
+    edges, proj = solved.edges.T * _PAIR_SIGNS, solved.proj.T * _PAIR_SIGNS
     return FreeSpaceGrid(vert=edges[:nv].reshape(n + 1, m, 2),
                          horiz=edges[nv:].reshape(n, m + 1, 2),
                          s_proj=proj[:nm].reshape(n, m, 2), t_proj=proj[nm:].reshape(n, m, 2))
@@ -353,23 +363,19 @@ def _merge(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     """Join the trees of nodes a and b in the forest ``root``, in place.
 
     Each round hooks the larger root of every edge whose ends still differ
-    onto the smaller, then jumps pointers until all point at roots; that
-    at least halves the trees with an edge leaving them. Every root stays
-    the smallest node of its tree, so from any forest of that kind whose
-    trees lie inside the components, each node ends at the smallest node of
-    its component. Only nodes that are edge ends need jumps: any node of a
-    tree with more than one node is one, if the forest came from a subset of
-    the edges.
+    onto the smaller, then jumps the pointers of every node until all point
+    at roots; that at least halves the trees with an edge leaving them.
+    Every root stays the smallest node of its tree, so from any forest of
+    that kind whose trees lie inside the components, each node ends at the
+    smallest node of its component.
     """
-    ends = np.concatenate((a, b))
     ra, rb = root[a], root[b]
-    while not np.array_equal(ra, rb):
+    while (ra != rb).any():
         np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
-        up = root[ends]
-        jumped = root[up]
-        while not np.array_equal(jumped, up):
-            root[ends] = up = jumped
-            jumped = root[up]
+        up = root[root]
+        while (up != root).any():
+            root[:] = up
+            up = root[root]
         ra, rb = root[a], root[b]
 
 
@@ -425,9 +431,10 @@ def build_diagram(P: PolyCurve, Q: PolyCurve, eps: float) -> FreeSpaceDiagram:
     for c, i, j in zip(label.tolist(), ii.tolist(), jj.tolist()):
         members[c].append((i, j))
 
+    ends = ends.tolist()
     components = tuple(
         Component(id=c, cells=frozenset(members[c]), proj_p=(plo, phi), proj_q=(qlo, qhi))
-        for c, (plo, phi, qlo, qhi) in enumerate(zip(*ends.tolist())))
+        for c, (plo, phi, qlo, qhi) in enumerate(zip(*ends)))
     diagram = FreeSpaceDiagram(epsilon=eps, n=n, m=m, cells=_as_grid(solved),
                                components=components, z=_stab_number(ends))
     object.__setattr__(diagram, "_pair", pair)  # frozen; see FreeSpaceDiagram
@@ -437,7 +444,7 @@ def build_diagram(P: PolyCurve, Q: PolyCurve, eps: float) -> FreeSpaceDiagram:
 def _stab_number(ends) -> int:
     """Most components met by one axis-parallel line, counted at projection starts.
 
-    ``ends`` holds the arrays (p_lo, p_hi, q_lo, q_hi) of the component
+    ``ends`` holds the lists (p_lo, p_hi, q_lo, q_hi) of the component
     projections; empty ones (lo > hi) meet no line and are skipped. A closed
     projection that contains x contains the largest start at or below x, so
     no line meets more projections than the line at some start, and the
@@ -448,10 +455,10 @@ def _stab_number(ends) -> int:
     exactly and the others count fewer.
     """
     best = 0
-    for lo, hi in ((ends[0], ends[1]), (ends[2], ends[3])):
-        lo, hi = np.sort(lo[lo <= hi]), np.sort(hi[lo <= hi])
-        if lo.size:
-            count = np.arange(1, lo.size + 1) - np.searchsorted(hi, lo, "left")
-            best = max(best, int(count.max()))
+    for los, his in ((ends[0], ends[1]), (ends[2], ends[3])):
+        kept = [(lo, hi) for lo, hi in zip(los, his) if lo <= hi]
+        stops = sorted(hi for _, hi in kept)
+        for i, start in enumerate(sorted(lo for lo, _ in kept), start=1):
+            best = max(best, i - bisect.bisect_left(stops, start))
     return best
 

@@ -79,20 +79,21 @@ def _min_joint_cover(intervals_p, intervals_q, ends_p, ends_q, k: int, tol: floa
     :func:`~kfrechet.boxes.solve_box_bruteforce` over (1, x_max) and (1, y_max):
     :func:`_certified_cover`, and :func:`_walk_joint_cover` where it cannot tell.
     """
-    found = _certified_cover(intervals_p, intervals_q, ends_p, ends_q, k, tol)
+    found = _certified_cover(_axis_cover(intervals_p, ends_p, tol),
+                             _axis_cover(intervals_q, ends_q, tol), k)
     if found is _OPEN:
         return _walk_joint_cover(intervals_p, intervals_q, ends_p, ends_q, k, tol)
     return found
 
 
-def _certified_cover(intervals_p, intervals_q, ends_p, ends_q, k: int, tol: float):
+def _certified_cover(a, b, k: int):
     """The answer of :func:`_min_joint_cover` from the per-axis minimum covers a
-    and b alone, or ``_OPEN``. Every joint cover covers each axis, so the least
+    and b alone (each from :func:`_axis_cover`, None where the axis has no
+    cover), or ``_OPEN``. Every joint cover covers each axis, so the least
     size is at least max(|a|, |b|): None when an axis has no cover or that bound
     exceeds k; the union of a and b when it meets the bound. The tie rule of
     :func:`_cheapest_cover` fixes a and b, so the union and witness are fixed too.
     """
-    a, b = _axis_cover(intervals_p, ends_p, tol), _axis_cover(intervals_q, ends_q, tol)
     if a is None or b is None or max(len(a), len(b)) > k:
         return None
     union = tuple(sorted({*a, *b}))

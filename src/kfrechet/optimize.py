@@ -38,7 +38,8 @@ import numpy as np
 from .config import _budget, default_tol
 from .curves import PolyCurve
 from .decide import decide_fpt
-from .freespace import FreeSpaceDiagram, _components, _dot, _PairGeometry, build_diagram
+from .freespace import (_OUT_OF_RANGE, FreeSpaceDiagram, _components, _dot, _PairGeometry,
+                        build_diagram)
 from .intervals import _min_joint_cover
 
 
@@ -53,21 +54,31 @@ def minimize_k(diagram: FreeSpaceDiagram) -> int | None:
     return None if cover is None else len(cover)
 
 
+def _finite(squares: np.ndarray) -> np.ndarray:
+    """``squares``, or the ``ValueError`` of :func:`~kfrechet.freespace.build_diagram`
+    for a pair out of range when one overflowed (computed with overflow ignored)."""
+    if not np.isfinite(squares).all():
+        raise ValueError(_OUT_OF_RANGE)
+    return squares
+
+
+@np.errstate(over="ignore")  # an overflow raises through _finite
 def pairwise_vertex_max(P: PolyCurve, Q: PolyCurve) -> float:
     """Largest vertex-to-vertex distance between the two curves.
 
     At this eps every cell of the diagram is entirely free (the distance
     of two segment points is maximised at a vertex pair), so the whole
-    diagram is one component and any budget k >= 1 succeeds.
+    diagram is one component and any budget k >= 1 succeeds. Raises
+    ``ValueError`` where a squared distance overflows.
     """
     diff = P.vertices[:, None, :] - Q.vertices[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+    return float(np.sqrt(_finite((diff ** 2).sum(axis=2))).max())
 
 
 def _vertex_distance(P: PolyCurve, Q: PolyCurve) -> np.ndarray:
     """``np.linalg.norm(u - v)`` for each vertex u of P and v of Q, shape (n+1, m+1)."""
     diff = P.vertices[:, None] - Q.vertices[None]
-    return np.sqrt(_dot(diff, diff))
+    return np.sqrt(_finite(_dot(diff, diff)))
 
 
 def _vertex_segment_distance(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -75,7 +86,7 @@ def _vertex_segment_distance(points: np.ndarray, vertices: np.ndarray) -> np.nda
     shape (points, segments), by the IEEE operations of the scalar reference
     ``point_segment_distance`` in ``tests/conftest.py``, hence the same floats."""
     start, step = vertices[:-1], np.diff(vertices, axis=0)
-    den = _dot(step, step)
+    den = _finite(_dot(step, step))
     with np.errstate(all="ignore"):
         u = _dot(points[:, None] - start, step) / den
     u = np.where(u > 0.0, u, 0.0)  # min(1.0, max(0.0, u)) as Python computes it,
@@ -103,6 +114,7 @@ def _sorted_distinct(distances) -> np.ndarray:
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
+@np.errstate(over="ignore")  # an overflow raises through _finite
 def distance_candidates(P: PolyCurve, Q: PolyCurve) -> list[float]:
     """Vertex-vertex, vertex-segment and segment-segment distances, sorted.
 
@@ -115,6 +127,8 @@ def distance_candidates(P: PolyCurve, Q: PolyCurve) -> list[float]:
     (``point_segment_distance``, ``segment_distance`` in ``tests/conftest.py``)
     returns for the pair; a segment-segment distance is 0 (crossing segments)
     or the least of its four vertex-segment distances, so it adds no value.
+    Raises ``ValueError`` where a squared distance between two vertices
+    overflows, as :func:`~kfrechet.freespace.build_diagram` does.
     """
     return _sorted_distinct((_vertex_distance(P, Q), *_vertex_segment_distances(P, Q))).tolist()
 

@@ -538,3 +538,34 @@ print("decide", kfrechet.cli.main(["decide", "--p", {p!r}, "--q", {q!r}, "--eps"
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == [
         '{"answer": true, "components": 1, "selection": [0], "z": 1}', "decide 0"]
+
+
+def test_curve_commands_leave_the_box_workbench_unloaded(curve_files, tmp_path):
+    p, q = curve_files
+    svg = tmp_path / "d.svg"
+    code = f"""
+import sys
+import kfrechet.cli
+curves = ["--p", {p!r}, "--q", {q!r}]
+statuses = [kfrechet.cli.main(["decide", *curves, "--eps", "1.0", "--k", "1"]),
+            kfrechet.cli.main(["minimize-k", *curves, "--eps", "1.0"]),
+            kfrechet.cli.main(["minimize-eps", *curves, "--k", "1"]),
+            kfrechet.cli.main(["freespace-svg", *curves, "--eps", "1.0", "--out", {str(svg)!r}])]
+assert statuses == [0, 0, 0, 0], statuses
+print("kfrechet.boxes" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("eps", ["1e154", "1e200", "1e308"])
+def test_huge_finite_eps_is_silent(tmp_path, eps):
+    # with warnings as errors an overflow warning would exit 1 with a traceback
+    p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+    p.write_text("0 0\n3 0\n")  # d·d = 9: (w·w - eps²)*d·d overflows at 1e154
+    q.write_text("0 1\n1 3\n0.5 3.1\n")
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "kfrechet.cli", "minimize-k",
+                           "--p", p, "--q", q, "--eps", eps], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["k"] == 1

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -443,6 +444,88 @@ class TestCertificate:
         assert walks
         assert (sel is None) == (kf.sat_bruteforce(formula) is None)
         assert sel is None or (len(sel) <= k and kf.covers_both(d, sel))
+
+
+def cold_decisions(d, tol: float) -> dict:
+    """Every decision on d from the (id, lo, hi) axes, with no stored cover pair."""
+    p, q = decide._axis_intervals(d, "p"), decide._axis_intervals(d, "q")
+    ends_p, ends_q = (0.0, float(d.n)), (0.0, float(d.m))
+    a, b = intervals._axis_cover(p, ends_p, tol), intervals._axis_cover(q, ends_q, tol)
+    fpt = [intervals._min_joint_cover(p, q, ends_p, ends_q, k, tol)
+           for k in range(max(len(d.components), 1) + 1)]
+    return {"hausdorff": a is not None and b is not None,
+            "approx": None if a is None or b is None else tuple(sorted({*a, *b})),
+            "weak": fpt[1] is not None,
+            "kmin": None if fpt[-1] is None else len(fpt[-1]), "fpt": fpt}
+
+
+def stored_decisions(d) -> dict:
+    """Every decision on d through the public calls, Hausdorff first (as in
+    ``perfbench``'s match-decide), so the others read the stored pair."""
+    hausdorff = kf.decide_hausdorff(d)
+    assert d._covers is not None
+    return {"hausdorff": hausdorff, "approx": kf.approximate_k(d),
+            "weak": kf.decide_weak_frechet(d), "kmin": kf.minimize_k(d),
+            "fpt": [kf.decide_fpt(d, k) for k in range(max(len(d.components), 1) + 1)]}
+
+
+class TestCoverPair:
+    """A diagram keeps its per-axis minimum covers (a, b) once a decision has
+    computed them at a tolerance; the decisions after that must be the cold ones."""
+
+    def test_built_diagrams_near_critical_eps(self, rng):
+        checked = 0
+        for _ in range(60):
+            P, Q = random_pair(rng, 6)
+            cands = rng.choice(kf.distance_candidates(P, Q), size=3).tolist()
+            probes = [*epsilon_probes(rng, P, Q, count=2),
+                      *(np.nextafter(c, side) for c in cands for side in (0.0, np.inf)), *cands]
+            for eps in probes:
+                d = kf.build_diagram(P, Q, float(eps))
+                assert d._covers is None
+                got, want = stored_decisions(d), cold_decisions(d, kf.DEFAULT_TOL)
+                assert got == want, eps
+                checked += 1
+        assert checked == 60 * 11
+
+    def test_stubs_around_the_tolerance(self, rng):
+        opened = 0
+        for _ in range(600):
+            d = snapped_stub(rng)
+            want = cold_decisions(d, kf.DEFAULT_TOL)
+            assert stored_decisions(d) == want
+            opened += want["approx"] is not None and len(want["approx"]) > want["kmin"]
+        assert opened >= 10  # the certificate left the tree walk to answer (27 of 600)
+
+    def test_a_new_tolerance_gives_its_own_answers(self, kfrechet_tol):
+        # a 1e-6 gap on p: covered at tol 1e-3, not at the default 1e-9
+        d = stub_diagram(1, 1, [((0.0, 0.5), (0.0, 1.0)), ((0.5 + 1e-6, 1.0), (0.0, 1.0))])
+        for tol, covered in ((1e-9, False), (1e-3, True), (1e-9, False)):
+            kfrechet_tol(tol)
+            assert kf.decide_hausdorff(d) == covered
+            assert d._covers[0] == tol
+            assert stored_decisions(d) == cold_decisions(d, tol)
+            want = (2, (0, 1)) if covered else (None, None)
+            assert (kf.minimize_k(d), kf.approximate_k(d)) == want
+
+    def test_replace_starts_with_nothing_stored(self, rng):
+        P, Q = random_pair(rng, 6)
+        d = kf.build_diagram(P, Q, epsilon_probes(rng, P, Q, count=1)[0])
+        kf.decide_hausdorff(d)
+        assert dataclasses.replace(d)._covers is None
+        # a copy with other components answers for its own components
+        emptied = dataclasses.replace(d, components=())
+        assert emptied._covers is None
+        assert not kf.decide_hausdorff(emptied) and kf.approximate_k(emptied) is None
+
+    def test_equality_and_hash_ignore_the_pair(self, rng):
+        P, Q = random_pair(rng, 6)
+        eps = epsilon_probes(rng, P, Q, count=1)[0]
+        d, twin = kf.build_diagram(P, Q, eps), kf.build_diagram(P, Q, eps)
+        before, text = hash(d), repr(d)
+        stored_decisions(d)
+        assert d._covers is not None and twin._covers is None
+        assert d == twin and hash(d) == hash(twin) == before and repr(d) == text
 
 
 class TestClassicDecisions:

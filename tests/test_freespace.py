@@ -1,11 +1,13 @@
 import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import kfrechet as kf
-from conftest import point_segment_distance, random_pair, touched_sides
+from kfrechet import freespace
+from conftest import point_segment_distance, random_curve, random_pair, touched_sides
 import oracles
 
 UNIT_P = ((0.0, 0.0), (1.0, 0.0))
@@ -158,6 +160,24 @@ class TestBuildDiagram:
             kf.build_diagram(P, Q, 1e201)
         with pytest.raises(ValueError, match="out of range"):
             kf.minimize_epsilon(P, Q, 1, tol=1e-3)
+
+    @pytest.mark.parametrize("eps", [1e154, 1e200, 1e308])
+    def test_huge_finite_eps_gives_the_whole_grid_silently(self, eps, rng):
+        # eps*eps, (w·w - eps²)*d·d (d·d > 1 here) and (gamma - eps)/|delta|
+        # overflow to -inf, which clips to the ends of [0, 1] like any large value
+        pairs = [diagonal_pair(), *((random_curve(rng, 6, 10.0), random_curve(rng, 5, 10.0))
+                                    for _ in range(3))]
+        for P, Q in pairs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                d = kf.build_diagram(P, Q, eps)
+                assert len(d.components) == 1 and d.z == 1
+                assert d.components[0].proj_p == (0.0, P.n)
+                assert d.components[0].proj_q == (0.0, Q.n)
+                assert kf.decide_hausdorff(d) and kf.decide_weak_frechet(d)
+                assert kf.decide_strong_frechet(d)
+                assert kf.decide_fpt(d, 1) == kf.approximate_k(d) == (0,)
+                assert kf.minimize_k(d) == 1
 
     def test_range_check_keeps_extreme_but_representable_pairs(self):
         for scale in (1e-70, 1e70):
@@ -328,6 +348,76 @@ class TestBuildDiagram:
             assert pix.component_count == len(d.components)
             checked += 1
         assert checked >= 10
+
+
+def reference_roots(nodes: int, a, b, parent=None) -> list:
+    """Scalar union-find: each node's root after joining the edges (a[i], b[i])
+    to the forest ``parent`` (single nodes if None), hooking the larger root
+    under the smaller, so that every root is the smallest node of its tree.
+    Returns the parents: no path is compressed."""
+    parent = list(range(nodes)) if parent is None else list(parent)
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for x, y in zip(a, b):
+        rx, ry = find(x), find(y)
+        parent[max(rx, ry)] = min(rx, ry)
+    return parent
+
+
+class TestMerge:
+    """freespace._merge, the union-find over the free joins of a solved grid."""
+
+    @staticmethod
+    def random_edges(rng, nodes: int):
+        count = int(rng.integers(0, 2 * nodes + 1))
+        if rng.random() < 0.5:  # near neighbours, as the joins of a grid are
+            a = rng.integers(0, nodes, size=count)
+            b = np.clip(a + rng.integers(-3, 4, size=count), 0, nodes - 1)
+        else:
+            a, b = rng.integers(0, nodes, size=(2, count))
+        return a, b
+
+    @staticmethod
+    def smallest_of_component(nodes: int, a, b) -> list:
+        parent = reference_roots(nodes, a, b)
+        roots = []
+        for x in range(nodes):
+            while parent[x] != x:
+                x = parent[x]
+            roots.append(x)
+        return roots
+
+    def test_every_node_ends_at_the_smallest_node_of_its_component(self, rng):
+        for _ in range(400):
+            nodes = int(rng.integers(1, 120))
+            a, b = self.random_edges(rng, nodes)
+            root = np.arange(nodes)
+            freespace._merge(root, a, b)
+            want = self.smallest_of_component(nodes, a.tolist(), b.tolist())
+            assert root.tolist() == want
+            assert all(want[x] <= x for x in range(nodes))
+
+    def test_warm_start_from_the_forest_of_a_subset(self, rng):
+        warm = 0
+        for _ in range(400):
+            nodes = int(rng.integers(1, 120))
+            a, b = self.random_edges(rng, nodes)
+            some = rng.random(len(a)) < 0.5
+            want = self.smallest_of_component(nodes, a.tolist(), b.tolist())
+            # a compressed forest, as _merge leaves it, and the reference's own
+            # uncompressed one: every root the smallest node of its tree
+            compressed = np.arange(nodes)
+            freespace._merge(compressed, a[some], b[some])
+            chains = np.array(reference_roots(nodes, a[some].tolist(), b[some].tolist()))
+            warm += bool((chains[chains] != chains).any())
+            for root in (compressed, chains):
+                freespace._merge(root, a, b)
+                assert root.tolist() == want
+        assert warm >= 100  # forests with chains longer than one step
 
 
 class TestComponent:

@@ -479,7 +479,7 @@ def test_start_count_equals_sweep_on_stubs():
             comps.append(kf.Component(id=idx, cells=frozenset(), proj_p=proj[0], proj_q=proj[1]))
         ends = np.array([(*c.proj_p, *c.proj_q) for c in comps],
                         dtype=float).reshape(-1, 4).T
-        assert _stab_number(ends) == sweep_z(comps, n, m, TOL), comps
+        assert _stab_number(ends.tolist()) == sweep_z(comps, n, m, TOL), comps
         touching += bool(set(ends[0]) & set(ends[1]) - {math.inf, -math.inf})
     assert touching >= 300
 

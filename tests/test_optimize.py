@@ -175,6 +175,25 @@ class TestHelpers:
         assert len(d.components) == 1
         assert touched_sides(d.components[0], d.n, d.m) == "LRBT"
 
+    def test_huge_coordinates_rejected(self):
+        # vertices near 1e200: their squared distances overflow, and
+        # build_diagram rejects the same pair
+        P = kf.PolyCurve([(0.0, 0.0), (1e200, 0.0), (2e200, 1e200)])
+        Q = kf.PolyCurve([(0.0, 1e200), (1e200, 1e200)])
+        for call in (kf.pairwise_vertex_max, kf.distance_candidates,
+                     lambda P, Q: kf.build_diagram(P, Q, 1.0)):
+            with pytest.raises(ValueError, match="curve coordinates out of range"):
+                call(P, Q)
+
+    def test_overflowing_segment_length_rejected(self):
+        # every vertex-vertex square is finite, the square of P's one segment not
+        P = kf.PolyCurve([(-1e154, 0.0), (1e154, 0.0)])
+        Q = kf.PolyCurve([(0.0, 1.0), (1.0, 1.0)])
+        assert kf.pairwise_vertex_max(P, Q) == pytest.approx(1e154)
+        for call in (kf.distance_candidates, lambda P, Q: kf.build_diagram(P, Q, 1.0)):
+            with pytest.raises(ValueError, match="curve coordinates out of range"):
+                call(P, Q)
+
     def test_distance_candidates_contains_key_values(self):
         P, Q = kf.PolyCurve([(0, 0), (1, 0)]), kf.PolyCurve([(0, 1), (1, 1)])
         cands = kf.distance_candidates(P, Q)

@@ -12,6 +12,15 @@ exactly one box per row; that choice is the variable assignment.
 
 Literals are signed integers: +v / -v for variable v in 1..n.
 
+:class:`CnfFormula`, :class:`LabeledBox` and :class:`BoxInstance` are
+frozen dataclasses whose one ``__init__`` each checks and converts its
+arguments first (a numpy scalar is stored as a Python int or float) and
+then writes each field once into the instance ``__dict__``. Equality,
+hashing, ``repr`` and pickling stay the dataclass's own, and
+``dataclasses.replace`` goes through the same ``__init__``. A query of the
+reduction builds a formula twice and a few dozen boxes, so the constructors
+are a fair share of its time.
+
 Only :mod:`kfrechet.intervals` and :mod:`kfrechet.config` are imported,
 neither of which needs numpy, so the box commands start without the curve
 layers. Off the integer grid the box question is the curve decider's own
@@ -32,50 +41,65 @@ from .intervals import _OPEN, _axis_cover, _certified_cover, _walk_joint_cover
 _MAX = sys.float_info.max  # compares exactly with ints, so one too large for a float fails
 
 
-def _store_reals(obj, names) -> None:
-    """Store the named fields of a frozen dataclass as Python numbers: a numpy
-    integer, say, as an int, and another real number as a float. A value that
-    is neither, such as a string, raises ``ValueError``."""
-    for name in names:
-        value = getattr(obj, name)
-        if type(value) is not int and type(value) is not float:
-            if hasattr(type(value), "__index__"):
-                object.__setattr__(obj, name, operator.index(value))
-            elif hasattr(type(value), "__float__"):
-                object.__setattr__(obj, name, float(value))
-            else:
-                raise ValueError(f"{name} must be a number, got {value!r}")
+def _real(value, name: str):
+    """``value`` as a Python number: a numpy integer, say, as an int, and
+    another real number as a float. A value that is neither, such as a
+    string, raises ``ValueError``."""
+    if type(value) is int or type(value) is float:
+        return value
+    if hasattr(type(value), "__index__"):
+        return operator.index(value)
+    if hasattr(type(value), "__float__"):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 class FormulaError(ValueError):
     """Raised for malformed CNF input."""
 
 
-@dataclass(frozen=True)
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int, read with ``operator.index``: a float, even
+    an integral one, or a string such as ``"1"`` raises ``FormulaError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise FormulaError(f"{name} must be an integer, got {value!r}") from None
+
+
+@dataclass(frozen=True, init=False)
 class CnfFormula:
+    """``num_vars`` >= 1 variables and a tuple of clauses, each a tuple of 1 to 3
+    nonzero literals within ``-num_vars..num_vars``, all Python ints."""
+
     num_vars: int
     clauses: tuple
 
-    def __post_init__(self):
-        if self.num_vars < 1:
+    def __init__(self, num_vars, clauses):
+        if type(num_vars) is not int:
+            num_vars = _integer(num_vars, "num_vars")
+        if num_vars < 1:
             raise FormulaError("formula needs at least one variable")
         norm = []
-        for idx, clause in enumerate(self.clauses):
-            lits = tuple(int(l) for l in clause)
+        for idx, clause in enumerate(clauses):
+            lits = tuple(lit if type(lit) is int else _integer(lit, f"clause {idx}: literal")
+                         for lit in clause)
             if not 1 <= len(lits) <= 3:
                 raise FormulaError(f"clause {idx} has size {len(lits)}, expected 1..3")
             for lit in lits:
-                if lit == 0 or abs(lit) > self.num_vars:
+                if lit == 0 or abs(lit) > num_vars:
                     raise FormulaError(f"clause {idx}: literal {lit} out of range")
             norm.append(lits)
-        object.__setattr__(self, "clauses", tuple(norm))
+        fields = self.__dict__
+        fields["num_vars"] = num_vars
+        fields["clauses"] = tuple(norm)
 
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LabeledBox:
     """Axis-aligned unit-height box with bottom-left corner (x, y); label: a nonzero int.
 
@@ -87,14 +111,12 @@ class LabeledBox:
     w: float
     label: int
 
-    def __post_init__(self):
-        x, y, w = self.x, self.y, self.w
+    def __init__(self, x, y, w, label):
         # plain ints, as build_box_instance gives, skip the conversion
-        if not type(x) is type(y) is type(w) is type(self.label) is int:
-            _store_reals(self, ("x", "y", "w"))
-            x, y, w = self.x, self.y, self.w
-            if hasattr(type(self.label), "__index__"):  # others fail the label check below
-                object.__setattr__(self, "label", operator.index(self.label))
+        if not type(x) is type(y) is type(w) is type(label) is int:
+            x, y, w = _real(x, "x"), _real(y, "y"), _real(w, "w")
+            if hasattr(type(label), "__index__"):  # others fail the label check below
+                label = operator.index(label)
         # a comparison with NaN is False, so NaN fails these checks too; both
         # ends of the box must be at most _MAX, so the corner and width are too
         try:
@@ -106,11 +128,16 @@ class LabeledBox:
                 raise ValueError(f"box width must be a finite number >= 1, got {w}")
             raise ValueError("box coordinates must be finite and positive, and the box "
                              f"must end within the float range, got ({x}, {y}) wide {w}")
-        if not isinstance(self.label, int) or self.label == 0:
-            raise ValueError(f"box label must be a nonzero integer, got {self.label!r}")
+        if not isinstance(label, int) or label == 0:
+            raise ValueError(f"box label must be a nonzero integer, got {label!r}")
+        fields = self.__dict__
+        fields["x"] = x
+        fields["y"] = y
+        fields["w"] = w
+        fields["label"] = label
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoxInstance:
     """Bounding rectangle spanning (1, 1)..(x_max, y_max), both bounds > 1, plus boxes
     and budget k >= 0."""
@@ -120,14 +147,18 @@ class BoxInstance:
     k: int
     boxes: tuple
 
-    def __post_init__(self):
-        _store_reals(self, ("x_max", "y_max"))
+    def __init__(self, x_max, y_max, k, boxes):
+        x_max, y_max = _real(x_max, "x_max"), _real(y_max, "y_max")
         # B's two boundaries need a length: on a bound of 1 or less the row-wise
         # search and the cover search of solve_box_bruteforce would disagree
-        if not (1.0 < self.x_max <= _MAX and 1.0 < self.y_max <= _MAX):
+        if not (1.0 < x_max <= _MAX and 1.0 < y_max <= _MAX):
             raise ValueError("box bounds must be finite and greater than 1, "
-                             f"got ({self.x_max}, {self.y_max})")
-        object.__setattr__(self, "k", _budget(self.k))
+                             f"got ({x_max}, {y_max})")
+        fields = self.__dict__
+        fields["x_max"] = x_max
+        fields["y_max"] = y_max
+        fields["k"] = _budget(k)
+        fields["boxes"] = boxes
 
 
 def normalize_formula(formula: CnfFormula) -> CnfFormula:
@@ -157,16 +188,6 @@ def normalize_formula(formula: CnfFormula) -> CnfFormula:
     return CnfFormula(formula.num_vars, tuple(clauses))
 
 
-def _occurrences(formula: CnfFormula):
-    """Per variable: clause indices (1-based, in clause order) per polarity."""
-    pos = {v: [] for v in range(1, formula.num_vars + 1)}
-    neg = {v: [] for v in range(1, formula.num_vars + 1)}
-    for h, clause in enumerate(formula.clauses, start=1):
-        for lit in clause:
-            (pos if lit > 0 else neg)[abs(lit)].append(h)
-    return pos, neg
-
-
 def clause_size_counts(formula: CnfFormula) -> tuple[int, int, int]:
     """(m1, m2, m3): number of clauses with 1, 2 and 3 literals."""
     counts = [0, 0, 0]
@@ -182,52 +203,48 @@ def build_box_instance(formula: CnfFormula) -> BoxInstance:
     :func:`normalize_formula` first). The resulting instance has
     4n + 2*(m1 + 2*m2 + 3*m3) boxes and budget k = 2n + m1 + 2*m2 + 3*m3.
     """
-    pos, neg = _occurrences(formula)
     n = formula.num_vars
-    m = formula.num_clauses
-    for v in range(1, n + 1):
-        if not pos[v] or not neg[v]:
-            raise FormulaError(f"variable {v} misses a polarity; normalize first")
-    a_pos = [len(pos[v]) for v in range(1, n + 1)]
-    a_neg = [len(neg[v]) for v in range(1, n + 1)]
-    sp = [0]
-    for a in a_pos:
-        sp.append(sp[-1] + a)
-    sn = [0]
-    for a in a_neg:
-        sn.append(sn[-1] + a)
-    sp_n, sn_n = sp[-1], sn[-1]
+    # per variable, the clauses (1-based, in order) where it occurs positive, and negated
+    pos = [[] for _ in range(n + 1)]
+    neg = [[] for _ in range(n + 1)]
+    occ = 0
+    for h, clause in enumerate(formula.clauses, start=1):
+        occ += len(clause)
+        for lit in clause:
+            (pos[lit] if lit > 0 else neg[-lit]).append(h)
+    sp_n = sum(map(len, pos))  # the positive occurrences
+    clause_col = n + occ  # past the variable and split columns: clause h's is clause_col + h
 
     boxes = []
     for i in range(1, n + 1):
+        if not pos[i] or not neg[i]:
+            raise FormulaError(f"variable {i} misses a polarity; normalize first")
         boxes.append(LabeledBox(i, i, 1, -i))
         boxes.append(LabeledBox(i, i + n + sp_n, 1, i))
+    # Per variable and polarity a wide box, then per occurrence a unit box on
+    # the diagonal of the split columns and, in its row, a box over the
+    # occurrence's clause column; the clause boxes go last, positive ones first.
+    clause_boxes = []
+    split = n  # the last split column (and its row) placed so far
     for i in range(1, n + 1):
-        boxes.append(LabeledBox(1 + n + sp[i - 1], i, a_pos[i - 1], i))
-        for j in range(1, a_pos[i - 1] + 1):
-            boxes.append(LabeledBox(n + sp[i - 1] + j, n + sp[i - 1] + j, 1, -i))
+        boxes.append(LabeledBox(1 + split, i, len(pos[i]), i))
+        for h in pos[i]:
+            split += 1
+            boxes.append(LabeledBox(split, split, 1, -i))
+            clause_boxes.append(LabeledBox(clause_col + h, split, 1, i))
     for i in range(1, n + 1):
-        boxes.append(LabeledBox(1 + n + sp_n + sn[i - 1], n + sp_n + i, a_neg[i - 1], -i))
-        for j in range(1, a_neg[i - 1] + 1):
-            boxes.append(LabeledBox(n + sp_n + sn[i - 1] + j, 2 * n + sp_n + sn[i - 1] + j, 1, i))
+        boxes.append(LabeledBox(1 + split, n + sp_n + i, len(neg[i]), -i))
+        for h in neg[i]:
+            split += 1
+            boxes.append(LabeledBox(split, n + split, 1, i))
+            clause_boxes.append(LabeledBox(clause_col + h, n + split, 1, -i))
+    boxes += clause_boxes
 
-    def clause_col(h: int) -> int:
-        return n + sp_n + sn_n + h
-
-    for i in range(1, n + 1):
-        for j, h in enumerate(pos[i], start=1):
-            boxes.append(LabeledBox(clause_col(h), n + sp[i - 1] + j, 1, i))
-    for i in range(1, n + 1):
-        for j, h in enumerate(neg[i], start=1):
-            boxes.append(LabeledBox(clause_col(h), 2 * n + sp_n + sn[i - 1] + j, 1, -i))
-
-    m1, m2, m3 = clause_size_counts(formula)
-    occ = m1 + 2 * m2 + 3 * m3
     if len(boxes) != 4 * n + 2 * occ:
         raise RuntimeError("box count does not match the closed form")
     return BoxInstance(
-        x_max=float(1 + n + sp_n + sn_n + m),
-        y_max=float(1 + 2 * n + sp_n + sn_n),
+        x_max=float(1 + clause_col + formula.num_clauses),
+        y_max=float(1 + 2 * n + occ),
         k=2 * n + occ,
         boxes=tuple(boxes),
     )
@@ -294,19 +311,20 @@ def _solve_rowwise(instance: BoxInstance):
     x_max, y_max, boxes = instance.x_max, instance.y_max, instance.boxes
     if not (float(x_max).is_integer() and float(y_max).is_integer()):
         return _OFF_GRID
-    lefts, rights, ys = [], [], []
+    end = int(x_max)  # the grid's bounds as ints, so all the setup compares ints
+    n_rows = int(y_max) - 1
+    lefts, rights, rows_of = [], [], []
     for b in boxes:
         x, y, w = b.x, b.y, b.w
         # an int is on the grid: LabeledBox keeps it within the float range
-        if not (type(x) is type(y) is type(w) is int or float(x).is_integer()
-                and float(y).is_integer() and float(w).is_integer()):
-            return _OFF_GRID
+        if not type(x) is type(y) is type(w) is int:
+            if not (float(x).is_integer() and float(y).is_integer() and float(w).is_integer()):
+                return _OFF_GRID
+            x, y, w = int(x), int(y), int(w)
         right = x + w  # x >= 1: the box's columns inside [1, x_max] end at x_max
-        lefts.append(x if x < x_max else x_max)
-        rights.append(right if right < x_max else x_max)
-        ys.append(y)
-    n_rows = int(y_max) - 1
-    n_cols = int(x_max) - 1
+        lefts.append(x if x < end else end)
+        rights.append(right if right < end else end)
+        rows_of.append(y - 1)
     budget = instance.k - n_rows
     if n_rows > len(boxes) or budget < 0:  # a row is empty, or k is short of a box per row
         return None
@@ -314,20 +332,20 @@ def _solve_rowwise(instance: BoxInstance):
     # Columns are the pieces of the bottom edge between consecutive box ends:
     # a box covers a piece whole or not at all, so covering every piece covers
     # the edge, with at most 2*boxes + 1 columns whatever the bound.
-    column = {cut: k for k, cut in enumerate(sorted({1, n_cols + 1, *lefts, *rights}))}
+    cuts = sorted({1, end, *lefts, *rights})
+    column = dict(zip(cuts, range(len(cuts))))
     col_masks = []
     rows = [[] for _ in range(n_rows)]  # per row, (box, the columns it leaves)
     covers = [0] * n_rows  # per row, the columns its boxes cover
     row_bits = [0] * n_rows  # per row, its boxes as bits of their indices
-    over = [0] * (len(column) - 1)  # per column, the row boxes covering it, as bits
+    over = [0] * (len(cuts) - 1)  # per column, the row boxes covering it, as bits
     once = shared = 0  # the columns under at least one row box, and under two
-    for idx, (y, start, end) in enumerate(zip(ys, lefts, rights)):
-        lo, hi = column[start], column[end]
+    for idx, (row, lo, hi) in enumerate(zip(rows_of, map(column.__getitem__, lefts),
+                                            map(column.__getitem__, rights))):
         mask = (1 << hi) - (1 << lo)
         col_masks.append(mask)
-        if y > n_rows:  # above the left edge (y >= 1 on the grid): in no row, but may patch
+        if row >= n_rows:  # above the left edge (y >= 1 on the grid): in no row, but may patch
             continue
-        row = int(y) - 1
         rows[row].append((idx, ~mask))
         covers[row] |= mask
         bit = 1 << idx
@@ -400,7 +418,7 @@ def _solve_rowwise(instance: BoxInstance):
             if not left:
                 return None
             idx = left.bit_length() - 1
-            row = int(ys[idx]) - 1
+            row = rows_of[idx]
             allowed &= ~row_bits[row] | left
             missing &= ~col_masks[idx]
             check |= covers[row] & missing
@@ -433,7 +451,7 @@ def _solve_rowwise(instance: BoxInstance):
             failed.add(state)
         return None
 
-    target = (1 << (len(column) - 1)) - 1
+    target = (1 << (len(cuts) - 1)) - 1
     start = force((1 << len(boxes)) - 1, target, 0, (), target & ~shared)
     found = None if start is None else descend(0, *start)
     return None if found is None else tuple(sorted(found))

@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import json
 import math
+import pickle
 import time
 
 import numpy as np
@@ -217,6 +219,30 @@ class TestFormula:
             formula(2, (1, 2, -1, -2))  # clause too big
         with pytest.raises(kf.FormulaError):
             formula(2, ())  # empty clause
+
+    @pytest.mark.parametrize("num_vars, clauses, message", [
+        (1.5, ((1,),), "num_vars must be an integer, got 1.5"),
+        (2.0, ((1,),), "num_vars must be an integer, got 2.0"),
+        ("3", ((1,),), "num_vars must be an integer, got '3'"),
+        (None, ((1,),), "num_vars must be an integer, got None"),
+        (2, ((1.7,),), "clause 0: literal must be an integer, got 1.7"),
+        (2, ((1, 1.0),), "clause 0: literal must be an integer, got 1.0"),
+        (2, ((1,), ("1",)), "clause 1: literal must be an integer, got '1'"),
+        (2, ((np.float64(1.0),),), f"clause 0: literal must be an integer, got {np.float64(1.0)!r}"),
+    ])
+    def test_num_vars_and_literals_must_be_integers(self, num_vars, clauses, message):
+        # int() truncated 1.7 to 1 and read "1" as 1; a float num_vars reached
+        # normalize_formula, and a string one the range check, as TypeError
+        with pytest.raises(kf.FormulaError) as exc:
+            kf.CnfFormula(num_vars, clauses)
+        assert str(exc.value) == message
+
+    def test_numpy_integers_stored_as_int(self):
+        f = kf.CnfFormula(np.int64(2), [np.array([1, -2]), (np.int32(2), True)])
+        assert f == kf.CnfFormula(2, ((1, -2), (2, 1)))
+        assert type(f.num_vars) is int
+        assert {type(lit) for clause in f.clauses for lit in clause} == {int}
+        assert type(f.clauses) is tuple and all(type(c) is tuple for c in f.clauses)
 
     def test_normalize_adds_missing_polarities(self):
         f = kf.normalize_formula(formula(2, (1, 2)))
@@ -592,6 +618,15 @@ class TestSolver:
         assert sel is not None and len(sel) <= inst.k and kf.covers_boundaries(inst, sel)
 
 
+    def test_float_grid_boxes_match_int_boxes(self, rng):
+        # box_instance_from_json stores every coordinate as a float
+        for _ in range(20):
+            inst = kf.build_box_instance(kf.normalize_formula(random_formula(rng, 3, 4)))
+            floats = kf.box_instance_from_json(kf.box_instance_to_json(inst))
+            assert all(type(b.x) is float for b in floats.boxes)
+            assert kf.solve_box_bruteforce(floats) == kf.solve_box_bruteforce(inst)
+
+
 class TestSatBruteforce:
     def test_tautology(self):
         assert kf.sat_bruteforce(formula(1, (1, -1))) is not None
@@ -821,3 +856,75 @@ class TestIo:
     def test_box_json_malformed(self):
         with pytest.raises(ValueError):
             kf.box_instance_from_json({"bound": [5, 5]})
+
+
+class TestValueTypes:
+    """The three validating constructors keep the dataclass behaviour."""
+
+    BOX = kf.LabeledBox(1, 2.5, 3, -1)
+    INSTANCE = kf.BoxInstance(4.0, 3, 2, (BOX, kf.LabeledBox(2, 1, 1, 1)))
+    FORMULA = kf.CnfFormula(2, ((1, -2), (2,)))
+    CASES = [(BOX, (1, 2.5, 3, -1), "LabeledBox(x=1, y=2.5, w=3, label=-1)"),
+             (INSTANCE, (4.0, 3, 2, INSTANCE.boxes),
+              "BoxInstance(x_max=4.0, y_max=3, k=2, boxes=(LabeledBox(x=1, y=2.5, w=3, "
+              "label=-1), LabeledBox(x=2, y=1, w=1, label=1)))"),
+             (FORMULA, (2, ((1, -2), (2,))), "CnfFormula(num_vars=2, clauses=((1, -2), (2,)))")]
+
+    @pytest.mark.parametrize("obj, fields, text", CASES)
+    def test_fields_equality_hash_and_repr(self, obj, fields, text):
+        assert dataclasses.astuple(obj) == dataclasses.astuple(type(obj)(*fields))
+        assert obj == type(obj)(*fields) and hash(obj) == hash(type(obj)(*fields))
+        assert hash(obj) == hash(fields)  # the hash of the field tuple, as before
+        assert repr(obj) == text
+        assert obj != dataclasses.replace(obj, **{dataclasses.fields(obj)[0].name: 5})
+
+    @pytest.mark.parametrize("obj, fields, text", CASES)
+    def test_replace_pickle_and_frozen(self, obj, fields, text):
+        assert dataclasses.replace(obj) == obj
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(obj, protocol))
+            assert again == obj and hash(again) == hash(obj) and repr(again) == text
+        name = dataclasses.fields(obj)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, 7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+        assert getattr(obj, name) == fields[0]
+
+    def test_replace_validates(self):
+        assert dataclasses.replace(self.BOX, w=2).w == 2
+        with pytest.raises(ValueError, match="box width"):
+            dataclasses.replace(self.BOX, w=0.5)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            dataclasses.replace(self.INSTANCE, k=-1)
+        with pytest.raises(kf.FormulaError, match="literal 3 out of range"):
+            dataclasses.replace(self.FORMULA, clauses=((3,),))
+        # numpy scalars given to replace are stored as Python numbers too
+        box = dataclasses.replace(self.BOX, x=np.int64(2), y=np.float32(1.5), label=np.int8(4))
+        assert [type(v) for v in dataclasses.astuple(box)] == [int, float, int, int]
+        inst = dataclasses.replace(self.INSTANCE, x_max=np.float64(5.0), k=np.int16(1))
+        assert [type(v) for v in (inst.x_max, inst.y_max, inst.k)] == [float, int, int]
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: kf.LabeledBox(1, 1, 0.5, 1), "box width must be a finite number >= 1, got 0.5"),
+        (lambda: kf.LabeledBox(0, 1, 1, 1), "box coordinates must be finite and positive, and "
+         "the box must end within the float range, got (0, 1) wide 1"),
+        (lambda: kf.LabeledBox(1, 1, 1, 0), "box label must be a nonzero integer, got 0"),
+        (lambda: kf.LabeledBox(1, 1, 1, 1.0), "box label must be a nonzero integer, got 1.0"),
+        (lambda: kf.LabeledBox("1", 1, 1, 1), "x must be a number, got '1'"),
+        (lambda: kf.LabeledBox(1, None, 1, 1), "y must be a number, got None"),
+        (lambda: kf.BoxInstance(1.0, 3.0, 1, ()), "box bounds must be finite and greater than 1, "
+         "got (1.0, 3.0)"),
+        (lambda: kf.BoxInstance(3, "3", 1, ()), "y_max must be a number, got '3'"),
+        (lambda: kf.BoxInstance(3, 3, 1.5, ()), "k must be an integer, got 1.5"),
+        (lambda: kf.BoxInstance(3, 3, -1, ()), "k must be >= 0, got -1"),
+        (lambda: kf.CnfFormula(0, ()), "formula needs at least one variable"),
+        (lambda: kf.CnfFormula(2, ((1, 2, -1, -2),)), "clause 0 has size 4, expected 1..3"),
+        (lambda: kf.CnfFormula(2, ((1,), ())), "clause 1 has size 0, expected 1..3"),
+        (lambda: kf.CnfFormula(2, ((1, 3),)), "clause 0: literal 3 out of range"),
+        (lambda: kf.CnfFormula(2, ((0,),)), "clause 0: literal 0 out of range"),
+    ])
+    def test_error_messages(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message

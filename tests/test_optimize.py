@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,27 @@ class TestHelpers:
         for call in (kf.distance_candidates, lambda P, Q: kf.build_diagram(P, Q, 1.0)):
             with pytest.raises(ValueError, match="curve coordinates out of range"):
                 call(P, Q)
+
+    def test_underflowing_squares_rejected(self):
+        # the squared length of a 1e-170 segment underflows to 0, so the
+        # vertex distances would read 0; build_diagram rejects the same pair
+        P = kf.PolyCurve([(0.0, 0.0), (1e-170, 0.0)])
+        far = kf.PolyCurve([(5.0, 0.0), (6.0, 0.0)])
+        for call, Q in ((kf.pairwise_vertex_max, P), (kf.distance_candidates, P),
+                        (kf.distance_candidates, far), (lambda P, Q: kf.build_diagram(P, Q, 1.0), P)):
+            with pytest.raises(ValueError, match="curve coordinates out of range"):
+                call(P, Q)
+        # its distances to a far curve do not underflow
+        assert kf.pairwise_vertex_max(P, far) == 6.0
+        # a 1e-150 segment squares to 1e-300, a normal float, and still answers
+        P = kf.PolyCurve([(0.0, 0.0), (1e-150, 0.0)])
+        assert kf.pairwise_vertex_max(P, P) == 1e-150
+        assert kf.distance_candidates(P, P) == [0.0, 1e-150]
+        assert len(kf.build_diagram(P, P, 1e-150).components) == 1
+        # a vertex shared by both curves is at distance 0, which is no underflow
+        P, Q = kf.PolyCurve([(0, 0), (1, 0)]), kf.PolyCurve([(0, 0), (0, 1)])
+        assert kf.pairwise_vertex_max(P, Q) == pytest.approx(math.sqrt(2))
+        assert kf.distance_candidates(P, Q)[0] == 0.0
 
     def test_distance_candidates_contains_key_values(self):
         P, Q = kf.PolyCurve([(0, 0), (1, 0)]), kf.PolyCurve([(0, 1), (1, 1)])

@@ -54,35 +54,37 @@ def minimize_k(diagram: FreeSpaceDiagram) -> int | None:
     return None if cover is None else len(cover)
 
 
-def _in_range(diff: np.ndarray, squares: np.ndarray) -> np.ndarray:
-    """``squares``, the squared lengths of the vectors ``diff`` (last axis), or
-    the ``ValueError`` of :func:`~kfrechet.freespace.build_diagram` for a pair
-    out of range where one overflowed (computed with overflow ignored) or
-    where one of a nonzero vector underflowed to 0."""
-    if not np.isfinite(squares).all() or (
-            squares.min() == 0.0 and (diff.any(axis=-1) & (squares == 0.0)).any()):
+def _finite(squares: np.ndarray) -> np.ndarray:
+    """``squares``, or the ``ValueError`` of :func:`~kfrechet.freespace.build_diagram`
+    for a pair out of range when one overflowed (computed with overflow ignored)."""
+    if not np.isfinite(squares).all():
         raise ValueError(_OUT_OF_RANGE)
     return squares
 
 
-@np.errstate(over="ignore")  # an overflow raises through _in_range
+@np.errstate(over="ignore")  # an overflow raises through _finite
 def pairwise_vertex_max(P: PolyCurve, Q: PolyCurve) -> float:
     """Largest vertex-to-vertex distance between the two curves.
 
     At this eps every cell of the diagram is entirely free (the distance
     of two segment points is maximised at a vertex pair), so the whole
     diagram is one component and any budget k >= 1 succeeds. Raises
-    ``ValueError`` where a squared distance overflows, or underflows to 0
-    between two distinct vertices.
+    ``ValueError`` where a squared distance overflows, or where the largest
+    one underflows to 0.
     """
     diff = P.vertices[:, None, :] - Q.vertices[None, :, :]
-    return float(np.sqrt(_in_range(diff, (diff ** 2).sum(axis=2))).max())
+    top = _finite((diff ** 2).sum(axis=2)).max()
+    # a curve has two distinct vertices, so one of them is off each vertex of
+    # the other curve and the largest distance is never 0 but by underflow
+    if top == 0.0:
+        raise ValueError(_OUT_OF_RANGE)
+    return float(np.sqrt(top))
 
 
 def _vertex_distance(P: PolyCurve, Q: PolyCurve) -> np.ndarray:
     """``np.linalg.norm(u - v)`` for each vertex u of P and v of Q, shape (n+1, m+1)."""
     diff = P.vertices[:, None] - Q.vertices[None]
-    return np.sqrt(_in_range(diff, _dot(diff, diff)))
+    return np.sqrt(_finite(_dot(diff, diff)))
 
 
 def _vertex_segment_distance(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -90,7 +92,9 @@ def _vertex_segment_distance(points: np.ndarray, vertices: np.ndarray) -> np.nda
     shape (points, segments), by the IEEE operations of the scalar reference
     ``point_segment_distance`` in ``tests/conftest.py``, hence the same floats."""
     start, step = vertices[:-1], np.diff(vertices, axis=0)
-    den = _in_range(step, _dot(step, step))
+    den = _finite(_dot(step, step))
+    if den.min() == 0.0:  # a segment's squared length underflowed, which
+        raise ValueError(_OUT_OF_RANGE)  # build_diagram rejects too
     with np.errstate(all="ignore"):
         u = _dot(points[:, None] - start, step) / den
     u = np.where(u > 0.0, u, 0.0)  # min(1.0, max(0.0, u)) as Python computes it,
@@ -117,7 +121,7 @@ def _sorted_distinct(distances) -> np.ndarray:
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
-@np.errstate(over="ignore")  # an overflow raises through _in_range
+@np.errstate(over="ignore")  # an overflow raises through _finite
 def distance_candidates(P: PolyCurve, Q: PolyCurve) -> list[float]:
     """Vertex-vertex, vertex-segment and segment-segment distances, sorted.
 
@@ -131,7 +135,7 @@ def distance_candidates(P: PolyCurve, Q: PolyCurve) -> list[float]:
     returns for the pair; a segment-segment distance is 0 (crossing segments)
     or the least of its four vertex-segment distances, so it adds no value.
     Raises ``ValueError`` where a squared distance between two vertices
-    overflows, or underflows to 0 between two distinct ones, as
+    overflows or a segment's squared length underflows to 0, as
     :func:`~kfrechet.freespace.build_diagram` does.
     """
     return _sorted_distinct((_vertex_distance(P, Q), *_vertex_segment_distances(P, Q))).tolist()

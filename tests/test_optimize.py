@@ -216,6 +216,13 @@ class TestHelpers:
         P, Q = kf.PolyCurve([(0, 0), (1, 0)]), kf.PolyCurve([(0, 0), (0, 1)])
         assert kf.pairwise_vertex_max(P, Q) == pytest.approx(math.sqrt(2))
         assert kf.distance_candidates(P, Q)[0] == 0.0
+        # nor is a square that underflows between vertices of different
+        # curves: build_diagram accepts the pair, and so do the three below
+        P, Q = kf.PolyCurve([(0, 0), (1, 0)]), kf.PolyCurve([(1e-170, 0), (1, 1)])
+        assert len(kf.build_diagram(P, Q, 1.0).components) >= 1
+        assert kf.pairwise_vertex_max(P, Q) == math.sqrt(2)
+        assert kf.distance_candidates(P, Q)[0] == 0.0
+        assert 0.0 < kf.minimize_epsilon(P, Q, k=1) <= math.sqrt(2)
 
     def test_distance_candidates_contains_key_values(self):
         P, Q = kf.PolyCurve([(0, 0), (1, 0)]), kf.PolyCurve([(0, 1), (1, 1)])

@@ -81,9 +81,18 @@ class CnfFormula:
         if num_vars < 1:
             raise FormulaError("formula needs at least one variable")
         norm = []
-        for idx, clause in enumerate(clauses):
-            lits = tuple(lit if type(lit) is int else _integer(lit, f"clause {idx}: literal")
-                         for lit in clause)
+        try:
+            numbered = enumerate(clauses)
+        except TypeError:
+            raise FormulaError(f"clauses must be an iterable of clauses, got {clauses!r}") from None
+        for idx, clause in numbered:
+            try:  # a generator expression calls iter(clause) where it is made
+                lits = (lit if type(lit) is int else _integer(lit, f"clause {idx}: literal")
+                        for lit in clause)
+            except TypeError:
+                raise FormulaError(f"clause {idx} must be an iterable of literals, "
+                                   f"got {clause!r}") from None
+            lits = tuple(lits)
             if not 1 <= len(lits) <= 3:
                 raise FormulaError(f"clause {idx} has size {len(lits)}, expected 1..3")
             for lit in lits:
@@ -140,7 +149,7 @@ class LabeledBox:
 @dataclass(frozen=True, init=False)
 class BoxInstance:
     """Bounding rectangle spanning (1, 1)..(x_max, y_max), both bounds > 1, plus boxes
-    and budget k >= 0."""
+    and budget k >= 0. ``boxes`` is stored as a tuple of :class:`LabeledBox`."""
 
     x_max: float
     y_max: float
@@ -154,6 +163,15 @@ class BoxInstance:
         if not (1.0 < x_max <= _MAX and 1.0 < y_max <= _MAX):
             raise ValueError("box bounds must be finite and greater than 1, "
                              f"got ({x_max}, {y_max})")
+        if type(boxes) is not tuple:  # a list, say: stored as a tuple, so the instance hashes
+            try:
+                boxes = tuple(boxes)
+            except TypeError:
+                raise ValueError(f"boxes must be an iterable of LabeledBox, got {boxes!r}") from None
+        for box in boxes:  # a plain loop: cheaper than all(map(isinstance, ...))
+            if not isinstance(box, LabeledBox):
+                idx = next(i for i, b in enumerate(boxes) if b is box)
+                raise ValueError(f"box {idx} must be a LabeledBox, got {box!r}")
         fields = self.__dict__
         fields["x_max"] = x_max
         fields["y_max"] = y_max
@@ -287,7 +305,11 @@ def solve_box_bruteforce(instance: BoxInstance):
       again; a box above the rows may patch. Each state (allowed boxes,
       missing columns, columns to patch) found to hold no cover is
       remembered; at every budget the states per row are at most the
-      product of the earlier row sizes.
+      product of the earlier row sizes. The search is one loop over an
+      explicit stack of the rows on its path, so its depth is bounded by
+      memory, not by the interpreter's recursion limit, and what it builds
+      is freed by reference counting when it returns, with no cyclic
+      garbage left for the collector.
     - Off the grid, the curve decider's joint-cover search
       :func:`kfrechet.intervals._min_joint_cover`, walking x, returns a
       minimum cover. Its certificate (the per-axis minimum covers) answers
@@ -430,31 +452,46 @@ def _solve_rowwise(instance: BoxInstance):
     # holds a cover depends on nothing else, so the states found to hold none
     # are remembered. After the last row no row box is allowed, so every column
     # is covered or patched.
+    target = (1 << (len(cuts) - 1)) - 1
+    state = force((1 << len(boxes)) - 1, target, 0, (), target & ~shared)
+    if state is None:
+        return None
+    # A depth-first search over the rows as one loop, so that no function
+    # refers to itself (a reference cycle) and the depth is not bounded by the
+    # recursion limit: the locals hold row r's start and the position in it of
+    # the next box to try, and ``path`` holds the same for each row above r,
+    # with the box it chose and the state that box left. A row whose boxes run
+    # out is popped, and the state its parent's choice left holds no cover.
     failed = set()
-
-    def descend(r: int, allowed: int, missing: int, must: int, spare: tuple):
-        if r == n_rows:
-            return spare
-        mine = allowed & row_bits[r]
-        rest = allowed ^ mine
-        # a choice drops the row's other boxes; a forced row has dropped them
-        lost = covers[r] if mine == row_bits[r] else 0
-        for idx, keep in rows[r]:
+    path = []
+    r = pos = 0
+    while True:
+        if not pos:  # entering row r with the state the row above left
+            allowed, missing, must, spare = state
+            mine = allowed & row_bits[r]
+            rest = allowed ^ mine
+            # a choice drops the row's other boxes; a forced row has dropped them
+            lost = covers[r] if mine == row_bits[r] else 0
+        row = rows[r]
+        for pos in range(pos, len(row)):
+            idx, keep = row[pos]
             if not mine >> idx & 1:  # dropped when the row was forced
                 continue
             state = force(rest, missing & keep, must, spare, lost)
-            if state is None or state in failed:
-                continue
-            found = descend(r + 1, *state)
-            if found is not None:
-                return (idx, *found)
+            if state is not None and state not in failed:
+                break
+        else:
+            if not path:
+                return None
+            r -= 1
+            pos, idx, state, mine, rest, missing, must, spare, lost = path.pop()
             failed.add(state)
-        return None
-
-    target = (1 << (len(cuts) - 1)) - 1
-    start = force((1 << len(boxes)) - 1, target, 0, (), target & ~shared)
-    found = None if start is None else descend(0, *start)
-    return None if found is None else tuple(sorted(found))
+            continue
+        path.append((pos + 1, idx, state, mine, rest, missing, must, spare, lost))
+        r += 1
+        if r == n_rows:
+            return tuple(sorted([frame[1] for frame in path] + list(state[3])))
+        pos = 0
 
 
 def sat_bruteforce(formula: CnfFormula):

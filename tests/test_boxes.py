@@ -523,6 +523,15 @@ class TestSolver:
         assert kf.solve_box_bruteforce(kf.BoxInstance(24.0, 23.0, 22, boxes)) is None
         assert time.perf_counter() - start < 1.0
 
+    def test_deep_instance_past_the_recursion_limit(self):
+        # 1,500 unit rows, one diagonal unit box each: the search holds one
+        # row per level of its stack, which a recursive search could not at
+        # the interpreter's default limit of 1,000 frames
+        boxes = [kf.LabeledBox(1 + r, 1 + r, 1, r + 1) for r in range(1500)]
+        assert kf.solve_box_bruteforce(kf.BoxInstance(1501, 1501, 1500, boxes)) == tuple(range(1500))
+        boxes[-1] = kf.LabeledBox(1499, 1500, 1, 1500)  # leaves the last column open
+        assert kf.solve_box_bruteforce(kf.BoxInstance(1501, 1501, 1500, boxes)) is None
+
     def test_huge_integer_bounds_answer_at_once(self):
         # one column per box end, not per unit of the bound
         boxes = (kf.LabeledBox(1, 1, 1e9 - 1, 1), kf.LabeledBox(1, 2, 1e9 - 1, -1))
@@ -919,6 +928,13 @@ class TestValueTypes:
         (lambda: kf.BoxInstance(3, 3, 1.5, ()), "k must be an integer, got 1.5"),
         (lambda: kf.BoxInstance(3, 3, -1, ()), "k must be >= 0, got -1"),
         (lambda: kf.CnfFormula(0, ()), "formula needs at least one variable"),
+        (lambda: kf.BoxInstance(3, 3, 2, (1, 2)), "box 0 must be a LabeledBox, got 1"),
+        (lambda: kf.BoxInstance(3, 3, 2, [kf.LabeledBox(1, 1, 1, 1), None]),
+         "box 1 must be a LabeledBox, got None"),
+        (lambda: kf.BoxInstance(3, 3, 2, None), "boxes must be an iterable of LabeledBox, got None"),
+        (lambda: kf.CnfFormula(2, None), "clauses must be an iterable of clauses, got None"),
+        (lambda: kf.CnfFormula(2, (1, 2)), "clause 0 must be an iterable of literals, got 1"),
+        (lambda: kf.CnfFormula(2, ((1,), 2)), "clause 1 must be an iterable of literals, got 2"),
         (lambda: kf.CnfFormula(2, ((1, 2, -1, -2),)), "clause 0 has size 4, expected 1..3"),
         (lambda: kf.CnfFormula(2, ((1,), ())), "clause 1 has size 0, expected 1..3"),
         (lambda: kf.CnfFormula(2, ((1, 3),)), "clause 0: literal 3 out of range"),
@@ -928,3 +944,11 @@ class TestValueTypes:
         with pytest.raises(ValueError) as exc:
             make()
         assert str(exc.value) == message
+
+    def test_boxes_stored_as_a_tuple(self):
+        # a list was stored as given, so the instance did not hash
+        box = kf.LabeledBox(1, 1, 1, 1)
+        inst = kf.BoxInstance(3, 3, 1, [box])
+        assert inst.boxes == (box,) and type(inst.boxes) is tuple
+        assert inst == kf.BoxInstance(3, 3, 1, (box,))
+        assert hash(inst) == hash(kf.BoxInstance(3, 3, 1, iter([box])))

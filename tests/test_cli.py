@@ -426,6 +426,21 @@ class TestBoxCommands:
         assert code == 0 and report["boxes"] == 27
         assert kf.covers_boundaries(kf.box_instance_from_json(obj), report["selection"])
 
+    @pytest.mark.parametrize("last_x, code", [(1500, 0), (1499, 1)])
+    def test_boxsolve_deep_instance(self, tmp_path, last_x, code):
+        # 1,500 unit rows, past the recursion limit a recursive search hit,
+        # where the RecursionError's traceback exited 1 as if there were no cover
+        boxes = [{"x": 1 + r, "y": 1 + r, "w": 1, "label": r + 1} for r in range(1500)]
+        boxes[-1]["x"] = last_x  # at 1499 the last column is open: no cover
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"bound": [1501, 1501], "k": 1500, "boxes": boxes}))
+        proc = subprocess.run([sys.executable, "-m", "kfrechet.cli", "boxsolve", "--in", str(path)],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (code, "")
+        report = json.loads(proc.stdout)
+        assert report["boxes"] == 1500
+        assert report["selection"] == (list(range(1500)) if code == 0 else None)
+
     def test_boxsolve_bad_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

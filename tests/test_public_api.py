@@ -1,8 +1,12 @@
 """The package's public names: exactly these, each importable."""
 
+import dataclasses
+import gc
 import inspect
 import subprocess
 import sys
+
+import pytest
 
 import kfrechet as kf
 import kfrechet.curves
@@ -124,3 +128,40 @@ def test_only_the_eps_search_takes_a_tolerance():
     assert takes == ["minimize_epsilon"]
     assert tolerances(kf.minimize_epsilon) == ["tol"]
     assert tolerances(oracles.preprocess) == tolerances(oracles.decide_bruteforce) == []
+
+
+def _box_path():
+    formula = kf.normalize_formula(kf.parse_dimacs("p cnf 3 3\n1 -2 0\n2 3 0\n-1 -3 0\n"))
+    instance = kf.build_box_instance(formula)
+    for spare in (0, 2):  # on the grid: the row search, with and without boxes to spare
+        assert kf.solve_box_bruteforce(dataclasses.replace(instance, k=instance.k + spare))
+    off_grid = kf.BoxInstance(3, 2.5, 2, (kf.LabeledBox(1, 1, 2, 1), kf.LabeledBox(1, 1.5, 1, -1)))
+    assert kf.solve_box_bruteforce(off_grid) == (0, 1)
+
+
+def _curve_path():
+    P = kf.parse_curve("0 0\n1 0.2\n2 -0.1\n3 0.3\n4 0\n")
+    Q = kf.parse_curve("0 0.1\n2 0.1\n1.5 0.2\n4 0.1\n")
+    d = kf.build_diagram(P, Q, 0.5)
+    for decide in (kf.decide_hausdorff, kf.decide_weak_frechet, kf.decide_strong_frechet):
+        decide(d)
+    kf.decide_fpt(d, 2)
+    kf.approximate_k(d)
+    kf.minimize_k(d)
+    kf.minimize_epsilon(P, Q, 2, tol=1e-4)
+    kf.render_diagram_svg(d, selected=[0])
+
+
+@pytest.mark.parametrize("path", [_box_path, _curve_path], ids=["box", "curve"])
+def test_public_paths_leave_no_cyclic_garbage(path):
+    # With the collector off, what a call builds must be freed by reference
+    # counting alone when it returns: a cycle, such as a nested function that
+    # refers to itself, would leave garbage for the collector to find.
+    path()  # first calls import modules and fill caches
+    gc.collect()
+    gc.disable()
+    try:
+        path()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

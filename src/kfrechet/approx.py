@@ -11,7 +11,7 @@ diagram's cover pair, which the decider's certificate shares (see
 from __future__ import annotations
 
 from .config import default_tol
-from .decide import _cover_pair
+from .decide import _axes_and_covers
 from .freespace import FreeSpaceDiagram
 
 
@@ -21,7 +21,7 @@ def approximate_k(diagram: FreeSpaceDiagram) -> tuple | None:
     None exactly when one axis cannot be covered at all, i.e. the
     Hausdorff test fails. Components picked on both axes count once.
     """
-    a, b = _cover_pair(diagram, default_tol())
+    a, b = _axes_and_covers(diagram, default_tol())[1]
     if a is None or b is None:
         return None
     return tuple(sorted({*a, *b}))

@@ -36,7 +36,7 @@ import sys
 from dataclasses import dataclass
 
 from .config import _budget, default_tol
-from .intervals import _OPEN, _axis_cover, _certified_cover, _walk_joint_cover
+from .intervals import _axes_covered, _min_joint_cover
 
 _MAX = sys.float_info.max  # compares exactly with ints, so one too large for a float fails
 
@@ -206,14 +206,6 @@ def normalize_formula(formula: CnfFormula) -> CnfFormula:
     return CnfFormula(formula.num_vars, tuple(clauses))
 
 
-def clause_size_counts(formula: CnfFormula) -> tuple[int, int, int]:
-    """(m1, m2, m3): number of clauses with 1, 2 and 3 literals."""
-    counts = [0, 0, 0]
-    for clause in formula.clauses:
-        counts[len(clause) - 1] += 1
-    return tuple(counts)
-
-
 def build_box_instance(formula: CnfFormula) -> BoxInstance:
     """Place the gadget boxes for a normalized formula.
 
@@ -315,18 +307,13 @@ def solve_box_bruteforce(instance: BoxInstance):
       minimum cover. Its certificate (the per-axis minimum covers) answers
       without the tree where it can; each tree path is a distinct subset of
       at most k boxes, so the tree walks at most 2**22 paths, and B > 22
-      raises ValueError where it would run.
+      raises ValueError where it would run (the search's ``cap``).
     """
     tol = default_tol()
     selection = _solve_rowwise(instance)
     if selection is not _OFF_GRID:
         return selection
-    x, y, ends_x, ends_y = _axes(instance, instance.boxes)
-    found = _certified_cover(_axis_cover(x, ends_x, tol), _axis_cover(y, ends_y, tol), instance.k)
-    if found is _OPEN and len(instance.boxes) > 22:
-        raise ValueError(f"off-grid instance of {len(instance.boxes)} boxes; "
-                         "the cover search takes at most 22")
-    return _walk_joint_cover(x, y, ends_x, ends_y, instance.k, tol) if found is _OPEN else found
+    return _min_joint_cover(*_axes(instance, instance.boxes), instance.k, tol, cap=22)
 
 
 def _solve_rowwise(instance: BoxInstance):
@@ -535,8 +522,7 @@ def covers_boundaries(instance: BoxInstance, indices) -> bool:
         if not (hasattr(type(i), "__index__") and 0 <= i < len(instance.boxes)):
             raise KeyError(f"unknown box index {i!r}")
         picked.append(instance.boxes[i])
-    xs, ys, ends_x, ends_y = _axes(instance, picked)
-    return _axis_cover(xs, ends_x, tol) is not None and _axis_cover(ys, ends_y, tol) is not None
+    return _axes_covered(*_axes(instance, picked), tol)
 
 
 def parse_dimacs(text: str) -> CnfFormula:

@@ -9,24 +9,25 @@ checks :func:`decide_fpt` is a test oracle, in ``tests/oracles.py``.
 
 The cover rule and the search live in the numpy-free
 :mod:`kfrechet.intervals`, shared with the box solver of
-:mod:`kfrechet.boxes`. The search starts from the paper's factor-2
-approximation, the union of a minimum cover a of p and b of q (which
-:func:`kfrechet.approx.approximate_k` returns too), as a certificate: no
-joint cover has fewer than max(|a|, |b|) components. Only the diagrams
-where the union is larger go to the bounded search tree.
+:mod:`kfrechet.boxes`: its one joint-cover entry point,
+:func:`~kfrechet.intervals._min_joint_cover`, starts from the paper's
+factor-2 approximation, the union of a minimum cover a of p and b of q
+(which :func:`kfrechet.approx.approximate_k` returns too), as a
+certificate: no joint cover has fewer than max(|a|, |b|) components. Only
+the diagrams where the union is larger go to the bounded search tree.
 
-A diagram keeps its pair (a, b) once a decision has computed it at a
-tolerance (see :class:`~kfrechet.freespace.FreeSpaceDiagram`), so the
-Hausdorff decision ("a and b exist"), the approximation (a ∪ b), the weak
-decision, :func:`decide_fpt` and :func:`~kfrechet.optimize.minimize_k` on
-one diagram compute it once between them. A tree walk is not kept.
+A diagram keeps its two axes, each component's id and (lo, hi) projection
+as (id, lo, hi) triples by id, and its pair (a, b) once a decision has
+computed them at a tolerance (:func:`_axes_and_covers`; see
+:class:`~kfrechet.freespace.FreeSpaceDiagram`), so the Hausdorff decision
+("a and b exist"), the approximation (a ∪ b), the weak decision,
+:func:`decide_fpt`, :func:`fpt_feasible_selections` and
+:func:`~kfrechet.optimize.minimize_k` on one diagram build them once
+between them. A tree walk is not kept.
 
-A selection is a sorted, duplicate-free tuple of component ids. The
-decider reads each axis as (id, lo, hi) triples from :func:`_axis_intervals`,
-each component's id and (lo, hi) projection pair, the one per-axis shape
-that :mod:`kfrechet.approx` and the eps search of :mod:`kfrechet.optimize`
-read too. Only the strong decision needs the cell geometry, and its
-boundary test is its own; the others need only the component projections.
+A selection is a sorted, duplicate-free tuple of component ids. Only the
+strong decision needs the cell geometry, and its boundary test is its own;
+the others need only the component projections.
 
 Each public function reads the one comparison tolerance, ``KFRECHET_TOL``
 (see :mod:`kfrechet.config`), once when called and hands it to the search.
@@ -39,48 +40,31 @@ from typing import Iterable
 
 from .config import _budget, default_tol
 from .freespace import FreeSpaceDiagram, FreeSpaceGrid, _picked
-from .intervals import _OPEN, _axis_cover, _axis_selections, _certified_cover, _walk_joint_cover
+from .intervals import _axes_covered, _axis_cover, _axis_selections, _min_joint_cover
 
 
 def covers_both(diagram: FreeSpaceDiagram, selection: Iterable[int]) -> bool:
     """Whether the components with the selected ids project onto all of both axes."""
     tol = default_tol()
     comps = _picked(diagram, selection)
-    p = [(c.id, *c.proj_p) for c in comps]
-    q = [(c.id, *c.proj_q) for c in comps]
-    return (_axis_cover(p, (0.0, diagram.n), tol) is not None
-            and _axis_cover(q, (0.0, diagram.m), tol) is not None)
+    return _axes_covered([(c.id,) + c.proj_p for c in comps], [(c.id,) + c.proj_q for c in comps],
+                         (0.0, diagram.n), (0.0, diagram.m), tol)
 
 
-def _axis_intervals(diagram: FreeSpaceDiagram, axis: str) -> list:
-    """The (id, lo, hi) projections of every component onto axis "p" or "q", by id."""
-    if axis == "p":
-        return [(c.id, *c.proj_p) for c in diagram.components]
-    if axis == "q":
-        return [(c.id, *c.proj_q) for c in diagram.components]
-    raise ValueError(f'axis must be "p" or "q", got {axis!r}')
-
-
-def _cover_pair(diagram: FreeSpaceDiagram, tol: float) -> tuple:
-    """The minimum covers (a, b) of the p and q axes, None where an axis has
-    none, at ``tol``: kept on the diagram, and computed again only when asked
-    at another tolerance."""
+def _axes_and_covers(diagram: FreeSpaceDiagram, tol: float) -> tuple:
+    """(axes, covers): the arguments ``(p, q, (0, n), (0, m))`` of
+    :func:`~kfrechet.intervals._min_joint_cover` for the diagram, p and q the
+    (id, lo, hi) projections of every component by id, and ``(a, b)``, their
+    minimum covers at ``tol``, None where an axis has none. Kept on the
+    diagram, and computed again only when asked at another tolerance."""
     stored = diagram._covers
     if stored is None or stored[0] != tol:
-        stored = (tol, _axis_cover(_axis_intervals(diagram, "p"), (0.0, diagram.n), tol),
-                  _axis_cover(_axis_intervals(diagram, "q"), (0.0, diagram.m), tol))
+        p = [(c.id,) + c.proj_p for c in diagram.components]  # (c.id, *proj) builds a list per item
+        q = [(c.id,) + c.proj_q for c in diagram.components]
+        axes = (p, q, (0.0, diagram.n), (0.0, diagram.m))
+        stored = (tol, axes, (_axis_cover(p, axes[2], tol), _axis_cover(q, axes[3], tol)))
         object.__setattr__(diagram, "_covers", stored)  # frozen; see FreeSpaceDiagram
     return stored[1:]
-
-
-def _joint_cover(diagram: FreeSpaceDiagram, k: int, tol: float) -> tuple | None:
-    """:func:`~kfrechet.intervals._min_joint_cover` over the axes (0, n) and
-    (0, m), its certificate taken from the diagram's cover pair."""
-    found = _certified_cover(*_cover_pair(diagram, tol), k)
-    if found is _OPEN:
-        return _walk_joint_cover(_axis_intervals(diagram, "p"), _axis_intervals(diagram, "q"),
-                                 (0.0, diagram.n), (0.0, diagram.m), k, tol)
-    return found
 
 
 def fpt_feasible_selections(diagram: FreeSpaceDiagram, axis: str, k: int) -> tuple[list, int]:
@@ -98,8 +82,10 @@ def fpt_feasible_selections(diagram: FreeSpaceDiagram, axis: str, k: int) -> tup
     """
     tol = default_tol()
     k = _budget(k)
-    axis_len = float(diagram.n if axis == "p" else diagram.m)
-    tree = _axis_selections(_axis_intervals(diagram, axis), (0.0, axis_len), tol)
+    if axis not in ("p", "q"):
+        raise ValueError(f'axis must be "p" or "q", got {axis!r}')
+    p, q, ends_p, ends_q = _axes_and_covers(diagram, tol)[0]
+    tree = _axis_selections(p, ends_p, tol) if axis == "p" else _axis_selections(q, ends_q, tol)
     levels = [level for _, level in zip(range(k + 1), tree)]
     return sorted({sel for level in levels for sel in level}), sum(map(len, levels))
 
@@ -119,7 +105,8 @@ def decide_fpt(diagram: FreeSpaceDiagram, k: int) -> tuple | None:
     """
     tol = default_tol()
     k = _budget(k)
-    return _joint_cover(diagram, k, tol)
+    (p, q, ends_p, ends_q), covers = _axes_and_covers(diagram, tol)
+    return _min_joint_cover(p, q, ends_p, ends_q, k, tol, covers)
 
 
 def decide_weak_frechet(diagram: FreeSpaceDiagram) -> bool:
@@ -128,13 +115,15 @@ def decide_weak_frechet(diagram: FreeSpaceDiagram) -> bool:
     Equivalently: some component touches all four diagram boundaries, and
     :func:`decide_fpt` finds a selection at ``k = 1``.
     """
-    return _joint_cover(diagram, 1, default_tol()) is not None
+    tol = default_tol()
+    (p, q, ends_p, ends_q), covers = _axes_and_covers(diagram, tol)
+    return _min_joint_cover(p, q, ends_p, ends_q, 1, tol, covers) is not None
 
 
 def decide_hausdorff(diagram: FreeSpaceDiagram) -> bool:
     """True when the union of all components covers both axes: when each
     axis has a minimum cover."""
-    a, b = _cover_pair(diagram, default_tol())
+    a, b = _axes_and_covers(diagram, default_tol())[1]
     return a is not None and b is not None
 
 

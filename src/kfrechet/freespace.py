@@ -123,12 +123,13 @@ class FreeSpaceDiagram:
 
     A diagram from :func:`build_diagram` keeps the prepared curve pair it was
     solved from, so that :func:`~kfrechet.optimize.minimize_epsilon` probes
-    other eps without preparing the pair again. Every diagram also keeps the
-    minimum cover of each axis, as the paper's factor-2 approximation and the
-    decider's certificate take them, once a decision has asked at a tolerance:
-    the decisions that follow at that tolerance share them (see
-    :mod:`kfrechet.decide`). Neither is part of the value: equality, hashing
-    and ``repr`` ignore them, and ``dataclasses.replace`` drops them.
+    other eps without preparing the pair again. Every diagram also keeps its
+    two axes as (id, lo, hi) projections and the minimum cover of each, as the
+    paper's factor-2 approximation and the decider's certificate take them,
+    once a decision has asked at a tolerance: the decisions that follow at
+    that tolerance share them (see :mod:`kfrechet.decide`). Neither is part
+    of the value: equality, hashing and ``repr`` ignore them, and
+    ``dataclasses.replace`` drops them.
     """
 
     epsilon: float
@@ -138,7 +139,7 @@ class FreeSpaceDiagram:
     components: tuple  # tuple of Component, ids equal to positions
     z: int  # max number of components met by any axis-aligned line
     _pair: _PairGeometry | None = field(default=None, init=False, repr=False, compare=False)
-    _covers: tuple | None = field(default=None, init=False, repr=False, compare=False)  # tol, a, b
+    _covers: tuple | None = field(default=None, init=False, repr=False, compare=False)  # tol, axes, (a, b)
 
 
 def _picked(diagram: FreeSpaceDiagram, ids) -> list:

@@ -13,6 +13,11 @@ intervals of a cover that move the frontier form a chain, so every cover
 holds one. The searches take (id, lo, hi) triples and return selections:
 sorted, duplicate-free tuples of ids. The empty interval, (inf, -inf),
 joins no chain.
+
+:func:`_min_joint_cover` is the one entry point the other modules call for
+the least selection of at most k that covers both axes: the decider, the
+eps probes and the off-grid box solver. The certificate and the tree walk
+behind it are this module's own.
 """
 
 from __future__ import annotations
@@ -69,35 +74,41 @@ def _axis_cover(intervals, ends, tol: float) -> tuple | None:
     return _cheapest_cover(sorted(intervals, key=operator.itemgetter(2)), ends, tol, ())
 
 
-_OPEN = object()  # _certified_cover's answer when only the tree walk can tell
+def _axes_covered(intervals_p, intervals_q, ends_p, ends_q, tol: float) -> bool:
+    """Whether the p intervals cover the axis ``ends_p`` and the q intervals
+    the axis ``ends_q``: ``covers_both`` and ``covers_boundaries``."""
+    return (_axis_cover(intervals_p, ends_p, tol) is not None
+            and _axis_cover(intervals_q, ends_q, tol) is not None)
 
 
-def _min_joint_cover(intervals_p, intervals_q, ends_p, ends_q, k: int, tol: float) -> tuple | None:
+def _min_joint_cover(intervals_p, intervals_q, ends_p, ends_q, k: int, tol: float,
+                     covers: tuple | None = None, cap: int | None = None) -> tuple | None:
     """A minimum selection of at most k ids covering both the p axis
     ``ends_p`` and the q axis ``ends_q``, each a (start, end) pair, else None:
-    :func:`~kfrechet.decide.decide_fpt` over (0, n) and (0, m), and off-grid
-    :func:`~kfrechet.boxes.solve_box_bruteforce` over (1, x_max) and (1, y_max):
-    :func:`_certified_cover`, and :func:`_walk_joint_cover` where it cannot tell.
-    """
-    found = _certified_cover(_axis_cover(intervals_p, ends_p, tol),
-                             _axis_cover(intervals_q, ends_q, tol), k)
-    if found is _OPEN:
-        return _walk_joint_cover(intervals_p, intervals_q, ends_p, ends_q, k, tol)
-    return found
+    :func:`~kfrechet.decide.decide_fpt` over (0, n) and (0, m), the eps probes
+    of :func:`~kfrechet.optimize.minimize_epsilon`, and off-grid
+    :func:`~kfrechet.boxes.solve_box_bruteforce` over (1, x_max) and (1, y_max).
 
-
-def _certified_cover(a, b, k: int):
-    """The answer of :func:`_min_joint_cover` from the per-axis minimum covers a
-    and b alone (each from :func:`_axis_cover`, None where the axis has no
-    cover), or ``_OPEN``. Every joint cover covers each axis, so the least
-    size is at least max(|a|, |b|): None when an axis has no cover or that bound
-    exceeds k; the union of a and b when it meets the bound. The tie rule of
-    :func:`_cheapest_cover` fixes a and b, so the union and witness are fixed too.
+    First a certificate from the per-axis minimum covers a and b
+    (:func:`_axis_cover`, None where an axis has none), taken from ``covers``
+    when the caller holds them. Every joint cover covers each axis, so the
+    least size is at least max(|a|, |b|): None when an axis has no cover or
+    that bound exceeds k; the union of a and b when it meets the bound. The
+    tie rule of :func:`_cheapest_cover` fixes a and b, so the union and
+    witness are fixed too. Only otherwise does :func:`_walk_joint_cover` run,
+    and with ``cap`` given, more than ``cap`` p intervals raise ValueError
+    there instead: the box solver's bound on the walk.
     """
+    a, b = covers or (_axis_cover(intervals_p, ends_p, tol), _axis_cover(intervals_q, ends_q, tol))
     if a is None or b is None or max(len(a), len(b)) > k:
         return None
     union = tuple(sorted({*a, *b}))
-    return union if len(union) == max(len(a), len(b)) else _OPEN
+    if len(union) == max(len(a), len(b)):
+        return union
+    if cap is not None and len(intervals_p) > cap:
+        raise ValueError(f"off-grid instance of {len(intervals_p)} boxes; "
+                         f"the cover search takes at most {cap}")
+    return _walk_joint_cover(intervals_p, intervals_q, ends_p, ends_q, k, tol)
 
 
 def _walk_joint_cover(intervals_p, intervals_q, ends_p, ends_q, k: int, tol: float) -> tuple | None:

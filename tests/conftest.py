@@ -3,7 +3,10 @@ diagrams, subset oracles."""
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import itertools
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +43,26 @@ def random_pair(rng, max_seg: int = 6):
     P = random_curve(rng, int(rng.integers(2, max_seg + 1)))
     Q = random_curve(rng, int(rng.integers(2, max_seg + 1)))
     return P, Q
+
+
+@functools.cache
+def _bench_gen():
+    """``perfbench/gen.py``, the benchmark's seeded input generator."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def piece_pair(seed: int):
+    """The seeded pair ``gen.piece_pair`` of the benchmark's generator draws
+    from ``gen.rng_for(seed, 0)``: P of 6-12 segments and Q made of its
+    pieces, at most three, jittered."""
+    gen = _bench_gen()
+    rng = gen.rng_for(seed, 0)
+    P, Q = gen.piece_pair(rng, int(rng.integers(6, 13)), 3)
+    return kf.PolyCurve(P), kf.PolyCurve(Q)
 
 
 def epsilon_probes(rng, P, Q, count: int = 3, avoid_critical: float = 1e-8):
@@ -179,6 +202,21 @@ def sweep_z(components, n: int, m: int, tol: float | None = None) -> int:
             count = np.searchsorted(lo, pos, "right") - np.searchsorted(hi, pos, "left")
             best = max(best, int(count.max()))
     return best
+
+
+def axis_intervals(diagram) -> tuple[list, list]:
+    """The (id, lo, hi) projections of every component onto the p and onto
+    the q axis, by id, built from the components alone."""
+    return ([(c.id, *c.proj_p) for c in diagram.components],
+            [(c.id, *c.proj_q) for c in diagram.components])
+
+
+def clause_size_counts(formula) -> tuple[int, int, int]:
+    """(m1, m2, m3): number of clauses with 1, 2 and 3 literals."""
+    counts = [0, 0, 0]
+    for clause in formula.clauses:
+        counts[len(clause) - 1] += 1
+    return tuple(counts)
 
 
 def axis_cover(intervals, target):

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
-from kfrechet.boxes import clause_size_counts
-from conftest import (Z2_PAIR, axis_cover, exhaustive_min_selection_size, random_curve,
-                      raster_stable)
+from conftest import (Z2_PAIR, axis_cover, clause_size_counts, exhaustive_min_selection_size,
+                      random_curve, raster_stable)
 import oracles
 
 SEED = 987654321

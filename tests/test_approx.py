@@ -1,8 +1,7 @@
 import math
 
 import kfrechet as kf
-from kfrechet.decide import _axis_intervals
-from conftest import axis_cover, exhaustive_min_selection_size, random_pair
+from conftest import axis_cover, axis_intervals, exhaustive_min_selection_size, random_pair
 import oracles
 
 
@@ -87,8 +86,9 @@ class TestApproximateK:
             assert kf.covers_both(d, sel)
             assert opt is not None
             assert len(sel) <= 2 * opt
-            cover_p = axis_cover(_axis_intervals(d, "p"), (0.0, float(d.n)))
-            cover_q = axis_cover(_axis_intervals(d, "q"), (0.0, float(d.m)))
+            p, q = axis_intervals(d)
+            cover_p = axis_cover(p, (0.0, float(d.n)))
+            cover_q = axis_cover(q, (0.0, float(d.m)))
             assert max(len(cover_p), len(cover_q)) <= len(sel)
             assert len(sel) <= len(cover_p) + len(cover_q)
             assert opt >= max(len(cover_p), len(cover_q))

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
-from kfrechet.boxes import _solve_rowwise, clause_size_counts
-from conftest import reference_union_covers
+from kfrechet.boxes import _solve_rowwise
+from conftest import clause_size_counts, reference_union_covers
 
 
 def formula(n, *clauses):

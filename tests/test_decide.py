@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
-from kfrechet import decide, intervals
+from kfrechet import intervals
 from kfrechet.freespace import FreeSpaceGrid
-from conftest import (SIX_COMPONENT_PAIR, axis_cover, epsilon_probes, exhaustive_decide,
-                      exhaustive_min_selection_size, random_pair, stub_diagram)
+from conftest import (SIX_COMPONENT_PAIR, axis_cover, axis_intervals, epsilon_probes,
+                      exhaustive_decide, exhaustive_min_selection_size, random_pair, stub_diagram)
 import oracles
 
 
@@ -437,8 +437,8 @@ class TestCertificate:
         # the q cover takes one box per row, so the union is larger than either cover
         formula = kf.normalize_formula(kf.CnfFormula(3, clauses))
         d, k = gadget_diagram(formula), kf.build_box_instance(formula).k
-        covers = [axis_cover(decide._axis_intervals(d, axis), (0.0, float(length)))
-                  for axis, length in (("p", d.n), ("q", d.m))]
+        covers = [axis_cover(axis, (0.0, float(length)))
+                  for axis, length in zip(axis_intervals(d), (d.n, d.m))]
         assert max(map(len, covers)) <= k < len(set(covers[0]) | set(covers[1]))
         sel = kf.decide_fpt(d, k)
         assert walks
@@ -448,7 +448,7 @@ class TestCertificate:
 
 def cold_decisions(d, tol: float) -> dict:
     """Every decision on d from the (id, lo, hi) axes, with no stored cover pair."""
-    p, q = decide._axis_intervals(d, "p"), decide._axis_intervals(d, "q")
+    p, q = axis_intervals(d)
     ends_p, ends_q = (0.0, float(d.n)), (0.0, float(d.m))
     a, b = intervals._axis_cover(p, ends_p, tol), intervals._axis_cover(q, ends_q, tol)
     fpt = [intervals._min_joint_cover(p, q, ends_p, ends_q, k, tol)
@@ -461,12 +461,17 @@ def cold_decisions(d, tol: float) -> dict:
 
 def stored_decisions(d) -> dict:
     """Every decision on d through the public calls, Hausdorff first (as in
-    ``perfbench``'s match-decide), so the others read the stored pair."""
+    ``perfbench``'s match-decide), so the others read the stored pair and the
+    stored axes, which are built once."""
     hausdorff = kf.decide_hausdorff(d)
-    assert d._covers is not None
-    return {"hausdorff": hausdorff, "approx": kf.approximate_k(d),
-            "weak": kf.decide_weak_frechet(d), "kmin": kf.minimize_k(d),
-            "fpt": [kf.decide_fpt(d, k) for k in range(max(len(d.components), 1) + 1)]}
+    axes = d._covers[1]
+    assert axes[:2] == axis_intervals(d) and axes[2:] == ((0.0, d.n), (0.0, d.m))
+    got = {"hausdorff": hausdorff, "approx": kf.approximate_k(d),
+           "weak": kf.decide_weak_frechet(d), "kmin": kf.minimize_k(d),
+           "fpt": [kf.decide_fpt(d, k) for k in range(max(len(d.components), 1) + 1)]}
+    kf.fpt_feasible_selections(d, "q", 1)
+    assert d._covers[1] is axes
+    return got
 
 
 class TestCoverPair:

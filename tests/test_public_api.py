@@ -1,10 +1,12 @@
 """The package's public names: exactly these, each importable."""
 
+import ast
 import dataclasses
 import gc
 import inspect
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +117,30 @@ def test_one_segment_pair_functions_are_deleted():
     for module, names in DELETED.items():
         for name in names:
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_only_intervals_names_the_joint_cover_internals():
+    # every other module asks intervals._min_joint_cover for the least joint
+    # cover; its certificate and tree walk are intervals' own, and the
+    # decider's own copy of the rule, with its string-keyed axis lists, is gone
+    private = {"_OPEN", "_certified_cover", "_walk_joint_cover", "_cheapest_cover"}
+    named = []
+    for path in sorted(Path(kf.__file__).parent.glob("*.py")):
+        if path.name == "intervals.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                names = []
+            named += [(path.name, name) for name in names if name in private]
+    assert named == []
+    for name in ("_joint_cover", "_axis_intervals"):
+        assert not hasattr(kfrechet.decide, name), name
 
 
 def test_only_the_eps_search_takes_a_tolerance():

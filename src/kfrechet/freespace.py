@@ -130,6 +130,10 @@ class FreeSpaceDiagram:
     that tolerance share them (see :mod:`kfrechet.decide`). Neither is part
     of the value: equality, hashing and ``repr`` ignore them, and
     ``dataclasses.replace`` drops them.
+
+    A selection names components by id, and the decisions read an id as a
+    position in ``components``, so a component whose id is not its position
+    raises ``ValueError``.
     """
 
     epsilon: float
@@ -140,6 +144,12 @@ class FreeSpaceDiagram:
     z: int  # max number of components met by any axis-aligned line
     _pair: _PairGeometry | None = field(default=None, init=False, repr=False, compare=False)
     _covers: tuple | None = field(default=None, init=False, repr=False, compare=False)  # tol, axes, (a, b)
+
+    def __post_init__(self):
+        for position, comp in enumerate(self.components):
+            if comp.id != position:
+                raise ValueError(f"component ids must equal their positions, got id "
+                                 f"{comp.id!r} at position {position}")
 
 
 def _picked(diagram: FreeSpaceDiagram, ids) -> list:
@@ -189,7 +199,8 @@ class _Solved(NamedTuple):
 def _pair_terms(pv: np.ndarray, qv: np.ndarray):
     """The eps-free terms of a curve pair, as written into the flat rows of
     :class:`_PairGeometry`: disk rows (d·d, -d·w, d·w, (d·w)², w·w) and strip rows
-    (alpha, beta, gamma, delta), the latter shaped (4, 2, n, m)."""
+    (alpha, beta, gamma, delta), the latter shaped (4, 2, n, m); then the segment
+    directions of P and of Q and the (n+1)×(m+1) ``w·w`` of every vertex pair."""
     n, m = len(pv) - 1, len(qv) - 1
     nv = (n + 1) * m
     w = pv[:, None] - qv[None]  # P-vertex i minus Q-vertex j
@@ -227,7 +238,7 @@ def _pair_terms(pv: np.ndarray, qv: np.ndarray):
     np.divide(cross_p, -len_p, out=gamma_t)
     np.divide(cross_qp, len_q, out=delta_s)
     np.divide(cross_qp, -len_p, out=delta_t)
-    return disk, strip
+    return disk, strip, dp, dq, ww
 
 
 class _PairGeometry:
@@ -246,6 +257,10 @@ class _PairGeometry:
     parameters. :meth:`solve` adds only the eps work, so a search over eps
     prepares the pair once.
 
+    The pair also keeps its vertices, segment directions and the ``w·w`` of
+    every vertex pair, for :meth:`vertex_segment_distances` and
+    :func:`~kfrechet.optimize.distance_candidates`.
+
     Raises ``ValueError`` when a term leaves the float64 range (a squared
     length that overflows or underflows to 0): every edge would then read
     as empty, and free space would no longer provably grow with eps.
@@ -254,9 +269,11 @@ class _PairGeometry:
     def __init__(self, pv: np.ndarray, qv: np.ndarray) -> None:
         n, m = self.n, self.m = len(pv) - 1, len(qv) - 1
         nv, nm = (n + 1) * m, n * m
-        disk, strip = _pair_terms(pv, qv)
-        if not (disk[0].min() > 0.0 and np.isfinite(disk).all() and np.isfinite(strip).all()):
+        disk, strip, dp, dq, ww = _pair_terms(pv, qv)
+        if not (disk[0].min() > 0.0 and np.isfinite(disk).all() and np.isfinite(strip).all()
+                and np.isfinite(ww[-1, -1])):  # the one vertex pair no disk row holds
             raise ValueError(_OUT_OF_RANGE)
+        self.pv, self.qv, self.dp, self.dq, self.vertex_ww = pv, qv, dp, dq, ww
         self.qa, self.qb2, self.ww = disk[0], disk[3], disk[4]
         self.qb = disk[1:3]  # lo = (-qb - root)/qa, -hi = (qb - root)/qa
         strip = strip.reshape(4, -1)
@@ -303,16 +320,17 @@ class _PairGeometry:
 
     def vertex_segment_distances(self) -> tuple[np.ndarray, np.ndarray]:
         """Distance from each vertex of P to each segment of Q, shape (n+1, m),
-        and from each vertex of Q to each segment of P, shape (m+1, n): per disk
-        row, the square root of the least ``w·w + u*(2*d·w + u*d·d)`` over u in
-        [0, 1]. They differ from the scalar reference by rounding only, but near
-        0 the difference ``w·w - (d·w)²/d·d`` cancels, leaving an error of up to
-        about 1e-8·|w|: fit for the eps search's prior, not for its answers."""
+        and from each vertex of Q to each segment of P, shape (m+1, n), by the
+        IEEE operations of the scalar reference ``point_segment_distance`` in
+        ``tests/conftest.py``, hence the same floats: per disk row, the foot
+        ``u = min(max(-d·w / d·d, 0), 1)`` of the fixed point p on the segment
+        from a along d, then ``|a + u*d - p|``."""
         n, m = self.n, self.m
         nv = (n + 1) * m
-        u = np.clip(self.qb[0] / self.qa, 0.0, 1.0)  # -d·w / d·d, the foot of the fixed point
-        dist = np.sqrt(np.maximum(self.ww + u * (2.0 * self.qb[1] + u * self.qa), 0.0))
-        return dist[:nv].reshape(n + 1, m), dist[nv:].reshape(n, m + 1).T
+        u = np.clip(self.qb[0] / self.qa, 0.0, 1.0)
+        p_to_q = self.qv[:-1] + u[:nv].reshape(n + 1, m, 1) * self.dq - self.pv[:, None]
+        q_to_p = self.pv[:-1, None] + u[nv:].reshape(n, m + 1, 1) * self.dp[:, None] - self.qv
+        return np.sqrt(_dot(p_to_q, p_to_q)), np.sqrt(_dot(q_to_p, q_to_p)).T
 
     @np.errstate(over="ignore")  # ±inf is the monotone rounding; see the module docstring
     def solve(self, eps: float, tol: float) -> _Solved:

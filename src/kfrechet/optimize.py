@@ -23,9 +23,10 @@ imply the whole path. The first prediction is the vertex bound, the
 largest distance from a vertex of either curve to the other curve, a
 lower bound on the Hausdorff distance and so on every k-Fréchet
 distance; later ones come from the vertex-segment distances above it,
-the nearer ones weighted more (1/rank). Both are read off the disk rows
-of the prepared pair. A wrong prediction costs only its own probes, so
-the returned float is the plain bisection's.
+the nearer ones weighted more (1/rank). Both come from the prepared
+pair, whose vertex-segment distances are the floats of
+:func:`distance_candidates`. A wrong prediction costs only its own
+probes, so the returned float is the plain bisection's.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ import numpy as np
 from .config import _budget, default_tol
 from .curves import PolyCurve
 from .decide import decide_fpt
-from .freespace import (_OUT_OF_RANGE, FreeSpaceDiagram, _components, _dot, _PairGeometry,
-                        build_diagram)
+from .freespace import _OUT_OF_RANGE, FreeSpaceDiagram, _components, _PairGeometry, build_diagram
 from .intervals import _min_joint_cover
 
 
@@ -54,15 +54,7 @@ def minimize_k(diagram: FreeSpaceDiagram) -> int | None:
     return None if cover is None else len(cover)
 
 
-def _finite(squares: np.ndarray) -> np.ndarray:
-    """``squares``, or the ``ValueError`` of :func:`~kfrechet.freespace.build_diagram`
-    for a pair out of range when one overflowed (computed with overflow ignored)."""
-    if not np.isfinite(squares).all():
-        raise ValueError(_OUT_OF_RANGE)
-    return squares
-
-
-@np.errstate(over="ignore")  # an overflow raises through _finite
+@np.errstate(over="ignore")  # an overflow raises below
 def pairwise_vertex_max(P: PolyCurve, Q: PolyCurve) -> float:
     """Largest vertex-to-vertex distance between the two curves.
 
@@ -73,40 +65,12 @@ def pairwise_vertex_max(P: PolyCurve, Q: PolyCurve) -> float:
     one underflows to 0.
     """
     diff = P.vertices[:, None, :] - Q.vertices[None, :, :]
-    top = _finite((diff ** 2).sum(axis=2)).max()
+    top = (diff ** 2).sum(axis=2).max()
     # a curve has two distinct vertices, so one of them is off each vertex of
     # the other curve and the largest distance is never 0 but by underflow
-    if top == 0.0:
+    if not (math.isfinite(top) and top > 0.0):
         raise ValueError(_OUT_OF_RANGE)
     return float(np.sqrt(top))
-
-
-def _vertex_distance(P: PolyCurve, Q: PolyCurve) -> np.ndarray:
-    """``np.linalg.norm(u - v)`` for each vertex u of P and v of Q, shape (n+1, m+1)."""
-    diff = P.vertices[:, None] - Q.vertices[None]
-    return np.sqrt(_finite(_dot(diff, diff)))
-
-
-def _vertex_segment_distance(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Distance of each point p to each segment a-b of the polyline ``vertices``,
-    shape (points, segments), by the IEEE operations of the scalar reference
-    ``point_segment_distance`` in ``tests/conftest.py``, hence the same floats."""
-    start, step = vertices[:-1], np.diff(vertices, axis=0)
-    den = _finite(_dot(step, step))
-    if den.min() == 0.0:  # a segment's squared length underflowed, which
-        raise ValueError(_OUT_OF_RANGE)  # build_diagram rejects too
-    with np.errstate(all="ignore"):
-        u = _dot(points[:, None] - start, step) / den
-    u = np.where(u > 0.0, u, 0.0)  # min(1.0, max(0.0, u)) as Python computes it,
-    u = np.where(u < 1.0, u, 1.0)  # NaN included
-    x = start + u[..., None] * step - points[:, None]
-    return np.sqrt(_dot(x, x))
-
-
-def _vertex_segment_distances(P: PolyCurve, Q: PolyCurve) -> tuple[np.ndarray, np.ndarray]:
-    """Each vertex of P to each segment of Q, and each vertex of Q to each segment of P."""
-    return (_vertex_segment_distance(P.vertices, Q.vertices),
-            _vertex_segment_distance(Q.vertices, P.vertices))
 
 
 def _vertex_bound(p_to_q: np.ndarray, q_to_p: np.ndarray) -> float:
@@ -121,7 +85,6 @@ def _sorted_distinct(distances) -> np.ndarray:
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
-@np.errstate(over="ignore")  # an overflow raises through _finite
 def distance_candidates(P: PolyCurve, Q: PolyCurve) -> list[float]:
     """Vertex-vertex, vertex-segment and segment-segment distances, sorted.
 
@@ -134,11 +97,12 @@ def distance_candidates(P: PolyCurve, Q: PolyCurve) -> list[float]:
     (``point_segment_distance``, ``segment_distance`` in ``tests/conftest.py``)
     returns for the pair; a segment-segment distance is 0 (crossing segments)
     or the least of its four vertex-segment distances, so it adds no value.
-    Raises ``ValueError`` where a squared distance between two vertices
-    overflows or a segment's squared length underflows to 0, as
-    :func:`~kfrechet.freespace.build_diagram` does.
+    All are read off the prepared pair of
+    :func:`~kfrechet.freespace.build_diagram`, so this raises its
+    ``ValueError`` exactly where it does.
     """
-    return _sorted_distinct((_vertex_distance(P, Q), *_vertex_segment_distances(P, Q))).tolist()
+    pair = _PairGeometry(P.vertices, Q.vertices)
+    return _sorted_distinct((np.sqrt(pair.vertex_ww), *pair.vertex_segment_distances())).tolist()
 
 
 def _cover_exists(geometry: _PairGeometry, eps: float, k: int, tol: float,
@@ -204,8 +168,8 @@ def minimize_epsilon(P: PolyCurve, Q: PolyCurve, k: int, tol: float = 1e-6) -> f
     probes more than plain bisection. The vertex bound and the distances
     come from the prepared pair
     (:meth:`~kfrechet.freespace._PairGeometry.vertex_segment_distances`),
-    not from a second pass over the curves; they differ from
-    :func:`distance_candidates` by rounding only. A wrong prediction costs
+    not from a second pass over the curves, and are the floats of
+    :func:`distance_candidates`. A wrong prediction costs
     only its own probes: every outcome on the path is still the one a
     probe would give, so the returned float is the plain bisection's,
     bit for bit.

@@ -121,7 +121,7 @@ def raster_stable(P, Q, eps: float, res: int) -> bool:
 
 
 # The scalar reference of ``optimize.distance_candidates`` and
-# ``optimize._vertex_segment_distance``: one segment pair per call.
+# ``freespace._PairGeometry.vertex_segment_distances``: one segment pair per call.
 def segment_distance(a0: Sequence[float], a1: Sequence[float],
                      b0: Sequence[float], b1: Sequence[float]) -> float:
     """Minimum distance between two closed segments."""

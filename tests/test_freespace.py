@@ -438,6 +438,17 @@ class TestComponent:
         d = kf.FreeSpaceDiagram(epsilon=1.0, n=1, m=1, cells=(), components=(comp,), z=1)
         assert hash(d) == hash(d)
 
+    def test_ids_must_equal_positions(self):
+        # a selection's ids are read as positions: with the ids swapped,
+        # decide_fpt(d, 1) returned (1,), which covers_both read as the small
+        # component and rejected
+        big = kf.Component(id=1, cells=frozenset(), proj_p=(0.0, 2.0), proj_q=(0.0, 2.0))
+        small = kf.Component(id=0, cells=frozenset(), proj_p=(0.0, 0.5), proj_q=(0.0, 0.5))
+        with pytest.raises(ValueError, match="ids must equal their positions"):
+            kf.FreeSpaceDiagram(epsilon=1.0, n=2, m=2, cells=(), components=(big, small), z=2)
+        d = kf.FreeSpaceDiagram(epsilon=1.0, n=2, m=2, cells=(), components=(small, big), z=2)
+        assert kf.decide_fpt(d, 1) == (1,) and kf.covers_both(d, (1,))
+
 
 class TestComputeZ:
     def test_single_component(self):

@@ -644,18 +644,18 @@ def test_probes_at_most_plain_bisection_plus_three(monkeypatch):
 
 
 def test_prior_distances_from_the_prepared_pair():
-    # the prior reads the vertex-segment distances off the disk rows of the
-    # prepared pair, which round differently from the scalar reference
+    # the prior reads the vertex-segment distances off the prepared pair,
+    # which computes each one as the scalar reference does, to the bit
     rng = np.random.default_rng(8)
-    for _ in range(20):
-        P, Q = piece_pair(rng, int(rng.integers(6, 17)), int(rng.integers(1, 7)))
-        scale = max(np.abs(P.vertices).max(), np.abs(Q.vertices).max())
-        got = _PairGeometry(P.vertices, Q.vertices).vertex_segment_distances()
-        want = optimize._vertex_segment_distances(P, Q)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape
-            np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-9 * scale)
-        assert abs(optimize._vertex_bound(*got) - optimize._vertex_bound(*want)) <= 1e-9 * scale
+    pairs = [piece_pair(rng, int(rng.integers(6, 17)), int(rng.integers(1, 7))) for _ in range(20)]
+    pairs += [(P, Q) for P, Q, _ in CASES[::10]]
+    for P, Q in pairs:
+        p_to_q, q_to_p = _PairGeometry(P.vertices, Q.vertices).vertex_segment_distances()
+        assert p_to_q.shape == (P.n + 1, Q.n) and q_to_p.shape == (Q.n + 1, P.n)
+        for got, points, curve in ((p_to_q, P.vertices, Q.vertices), (q_to_p, Q.vertices, P.vertices)):
+            for (i, j), value in np.ndenumerate(got):
+                want = point_segment_distance(points[i], *curve[j:j + 2])
+                assert value.hex() == want.hex(), (P, Q, i, j)
 
 
 def test_predicted_bracket_hits_and_misses_at_benchmark_tol():
@@ -667,7 +667,7 @@ def test_predicted_bracket_hits_and_misses_at_benchmark_tol():
     for _ in range(10):
         P, Q = piece_pair(rng, int(rng.integers(8, 13)), int(rng.integers(1, 7)))
         top = kf.pairwise_vertex_max(P, Q)
-        bound = optimize._vertex_bound(*optimize._vertex_segment_distances(P, Q))
+        bound = optimize._vertex_bound(*_PairGeometry(P.vertices, Q.vertices).vertex_segment_distances())
         for k in (2, 3, 4):
             eps = kf.minimize_epsilon(P, Q, k, tol=1e-4)
             assert eps == reference_minimize_epsilon(P, Q, k, 1e-4)

@@ -224,6 +224,37 @@ class TestHelpers:
         assert kf.distance_candidates(P, Q)[0] == 0.0
         assert 0.0 < kf.minimize_epsilon(P, Q, k=1) <= math.sqrt(2)
 
+    def test_distance_candidates_raise_where_build_diagram_does(self):
+        # the candidates are read off the pair that build_diagram prepares, so
+        # both reject the same pairs: one pair at every scale 2^j, and the
+        # out-of-range pairs above
+        P = kf.PolyCurve([(0.0, 0.0), (1.0, 0.3), (2.0, -0.4), (2.5, 1.0)])
+        Q = kf.PolyCurve([(0.2, 1.0), (1.4, 0.8), (2.6, 1.5)])
+        pairs = [(kf.PolyCurve(P.vertices * 2.0 ** j), kf.PolyCurve(Q.vertices * 2.0 ** j))
+                 for j in range(-560, 521)]
+        tiny = kf.PolyCurve([(0.0, 0.0), (1e-170, 0.0)])
+        pairs += [(kf.PolyCurve([(0.0, 0.0), (1e200, 0.0), (2e200, 1e200)]),
+                   kf.PolyCurve([(0.0, 1e200), (1e200, 1e200)])),
+                  (kf.PolyCurve([(-1e154, 0.0), (1e154, 0.0)]), kf.PolyCurve([(0.0, 1.0), (1.0, 1.0)])),
+                  (tiny, tiny), (tiny, kf.PolyCurve([(5.0, 0.0), (6.0, 0.0)])),
+                  # every disk and strip term is finite (the segments are orthogonal
+                  # and share a vertex), but the square of the far ends overflows
+                  (kf.PolyCurve([(0.0, 0.0), (1.3e154, 0.0)]),
+                   kf.PolyCurve([(0.0, 0.0), (0.0, 1.3e154)]))]
+        rejected = []
+        for P, Q in pairs:
+            try:
+                kf.build_diagram(P, Q, 1.0)
+            except ValueError:
+                rejected.append(True)
+                with pytest.raises(ValueError, match="curve coordinates out of range"):
+                    kf.distance_candidates(P, Q)
+            else:
+                rejected.append(False)
+                assert all(map(math.isfinite, kf.distance_candidates(P, Q)))
+        assert rejected[-5:] == [True] * 5
+        assert 0 < sum(rejected[:-5]) < len(rejected) - 5
+
     def test_distance_candidates_contains_key_values(self):
         P, Q = kf.PolyCurve([(0, 0), (1, 0)]), kf.PolyCurve([(0, 1), (1, 1)])
         cands = kf.distance_candidates(P, Q)

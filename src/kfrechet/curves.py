@@ -18,18 +18,30 @@ class CurveError(ValueError):
     """Raised for malformed curve input."""
 
 
+# bool, complex, bytes, str, datetime64, timedelta64: numpy casts them to float
+# (a complex loses its imaginary part), but they are no plane coordinates
+_NOT_NUMBERS = "bcSUMm"
+
+
 class PolyCurve:
     """Piecewise-linear curve defined by at least two plane vertices.
 
     Consecutive vertices must be distinct (zero-length segments are
-    rejected rather than collapsed). The vertex array is read-only.
+    rejected rather than collapsed), and coordinates must be finite real
+    numbers: bools, complex numbers, strings, bytes, datetimes and
+    timedeltas are rejected, not cast. The vertex array is read-only.
     """
 
     __slots__ = ("vertices",)
 
     def __init__(self, vertices) -> None:
         try:
-            arr = np.array(vertices, dtype=float)
+            arr = np.asarray(vertices)
+            kind = arr.dtype.kind
+            if kind in _NOT_NUMBERS or kind == "O" and any(
+                    np.asarray(x).dtype.kind in _NOT_NUMBERS for x in arr.flat):
+                raise TypeError(f"got {arr.dtype} values")
+            arr = np.array(arr, dtype=float)
         except (OverflowError, TypeError, ValueError) as exc:  # a dict, "x", [1], 10**400
             raise CurveError(f"vertices must be (x, y) pairs of numbers: {exc}") from exc
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -38,7 +50,8 @@ class PolyCurve:
             raise CurveError("a curve needs at least 2 vertices")
         if not np.isfinite(arr).all():
             raise CurveError("vertex coordinates must be finite")
-        if np.all(arr[1:] == arr[:-1], axis=1).any():
+        same = arr[1:] == arr[:-1]
+        if (same[:, 0] & same[:, 1]).any():
             raise CurveError("zero-length segment: repeated consecutive vertex")
         arr.setflags(write=False)
         self.vertices = arr
@@ -64,22 +77,23 @@ def parse_curve(text: str) -> PolyCurve:
     One vertex per line as two whitespace-separated decimal numbers;
     blank lines and lines starting with ``#`` are ignored.
     """
-    vertices = []
+    coords = []
     underscores = "_" in text  # float() reads "1_0" as 10
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        parts = line.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise CurveError(f"line {lineno}: expected two numbers, got {stripped!r}")
-        if underscores and "_" in stripped:
-            raise CurveError(f"line {lineno}: malformed number in {stripped!r}")
         try:
-            vertices.append((float(parts[0]), float(parts[1])))
+            x, y = parts
+            if underscores and "_" in x + y:
+                raise ValueError("an underscore in a number")
+            coords += float(x), float(y)
         except ValueError as exc:
-            raise CurveError(f"line {lineno}: malformed number in {stripped!r}") from exc
-    return PolyCurve(vertices)
+            problem = "expected two numbers, got" if len(parts) != 2 else "malformed number in"
+            raise CurveError(f"line {lineno}: {problem} {line.strip()!r}") from exc
+    # no vertex leaves the array flat, which PolyCurve rejects as no (x, y) sequence
+    coords = np.array(coords)
+    return PolyCurve(coords.reshape(-1, 2) if coords.size else coords)
 
 
 def parse_curve_json(text: str) -> PolyCurve:

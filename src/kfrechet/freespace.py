@@ -33,6 +33,12 @@ huge finite eps gives the whole grid, without a warning.
 
 Connectivity uses the closed-set convention: two adjacent cells sharing
 only a single free boundary point belong to the same component.
+Components come from a union-find over the free joins (:func:`_merge`).
+A diagram's cells start from their column runs: the cells of a P column
+joined across free horizontal edges are consecutive row-major, so one
+running maximum points each at the first cell of its run, and only the
+joins across free vertical edges are left to merge. A search over eps
+starts each probe from the forest of the largest eps found infeasible.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -71,6 +78,12 @@ class Component:
     proj_q: tuple
 
     def __post_init__(self):
+        p, q = self.proj_p, self.proj_q
+        if type(p) is type(q) is tuple and len(p) == len(q) == 2:
+            a, b, c, d = *p, *q  # each end against itself: (nan, 1.0) == (nan, 1.0) holds
+            if (type(a) is type(b) is type(c) is type(d) is float
+                    and a == a and b == b and c == c and d == d):
+                return  # four float ends, none NaN, as build_diagram gives them
         # a list would not hash, and the cover search would read a NaN end as a match
         for name in ("proj_p", "proj_q"):
             pair = getattr(self, name)
@@ -203,8 +216,12 @@ def _pair_terms(pv: np.ndarray, qv: np.ndarray):
     directions of P and of Q and the (n+1)×(m+1) ``w·w`` of every vertex pair."""
     n, m = len(pv) - 1, len(qv) - 1
     nv = (n + 1) * m
-    w = pv[:, None] - qv[None]  # P-vertex i minus Q-vertex j
-    dp, dq = np.diff(pv, axis=0), np.diff(qv, axis=0)
+    # P-vertex i minus Q-vertex j, one coordinate at a time: a single broadcast
+    # over the trailing axis of length 2 takes twice as long
+    w = np.empty((n + 1, m + 1, 2))
+    np.subtract(pv[:, None, 0], qv[:, 0], out=w[..., 0])
+    np.subtract(pv[:, None, 1], qv[:, 1], out=w[..., 1])
+    dp, dq = pv[1:] - pv[:-1], qv[1:] - qv[:-1]
     lp, lq = _dot(dp, dp), _dot(dq, dq)  # squared segment lengths
     wq, wp, ww = _dot(w[:, :-1], dq), _dot(w[:-1], dp[:, None]), _dot(w, w)
     pq = _dot(dp[:, None], dq)
@@ -282,15 +299,15 @@ class _PairGeometry:
         # beta = 0 are all in or all out.
         with np.errstate(divide="ignore", invalid="ignore"):
             at = (_UNIT - alpha) / beta  # u with the foot at 0 and at 1
-        foot_flat = np.flatnonzero(beta == 0.0)
+        foot_flat = (beta == 0.0).nonzero()[0]
         foot_in = (0.0 <= alpha[foot_flat]) & (alpha[foot_flat] <= 1.0)
         # Perpendicular slice |gamma + delta*u| <= eps, with the signs of gamma
         # and delta flipped where delta < 0 (exact): lo = (-gamma - eps)/delta,
         # -hi = (gamma - eps)/delta. Rows with delta = 0 are all in or all out,
         # set per eps.
         self.delta = np.abs(delta)
-        self.flat = np.flatnonzero(delta == 0.0)
-        np.negative(gamma, out=gamma, where=delta < 0.0)
+        self.flat = (delta == 0.0).nonzero()[0]
+        gamma *= np.where(delta < 0.0, -1.0, 1.0)
         self.flat_gamma = np.abs(gamma[self.flat])
         self.delta[self.flat] = 1.0
         # the strip rows turn into (lo, -hi) of the foot range and (-gamma, gamma)
@@ -304,7 +321,8 @@ class _PairGeometry:
         # Gather indices of each cell's hull pieces: its low edges (bottom, left),
         # then its high edges (top, right). Cell c = i*m + j has vertical edges
         # c and c + m and horizontal edges nv + c + i and nv + c + i + 1.
-        cell, row, col = np.arange(nm), np.repeat(np.arange(n), m), np.tile(np.arange(m), n)
+        cell = np.arange(nm)
+        row, col = cell // m, cell % m
         bottom = nv + cell + row
         self.hull = np.array(((bottom, cell), (bottom + 1, cell + m)))
         # Interior edges and the two cells each one joins: vertical edge c
@@ -334,12 +352,10 @@ class _PairGeometry:
 
     @np.errstate(over="ignore")  # ±inf is the monotone rounding; see the module docstring
     def solve(self, eps: float, tol: float) -> _Solved:
-        """Edge intervals and cell projections at eps.
+        """Edge intervals and cell projections at eps, a finite float >= 0.
 
         A discriminant within ``-tol..0`` is clamped to zero so tangencies survive.
         """
-        if not (math.isfinite(eps) and eps >= 0.0):
-            raise ValueError(f"eps must be a finite number >= 0, got {eps}")
         disc = self.ww - eps * eps  # qb2 - qa*(ww - eps²), in place
         disc *= self.qa
         np.subtract(self.qb2, disc, out=disc)
@@ -409,16 +425,24 @@ def _components(solved: _Solved, forest: np.ndarray | None = None):
     ``forest``, if given, holds the roots (:func:`_merge`) of the same pair
     at a smaller eps: the cells join from there, and it is left holding the
     roots at this eps. Free space only grows with eps, so the result is the
-    same as from single cells.
+    same as from single cells. Without it each cell c starts at the running
+    maximum of c, or 0 where c joins c - 1 across its bottom edge: the first
+    cell of its column run, the smallest node of a tree inside its component.
     """
     pair = solved.pair
     nm = pair.n * pair.m
     # cells join across the free shared edges only; every other cell stays alone
-    root = np.arange(nm) if forest is None else forest
     free = ~solved.empty[pair.join_edge]
-    _merge(root, pair.join_a[free], pair.join_b[free])
+    a, b, root = pair.join_a, pair.join_b, forest
+    if forest is None:
+        vertical = nm - pair.m  # joins across vertical edges, then horizontal ones
+        root = np.arange(nm)
+        root[b[vertical:][free[vertical:]]] = 0
+        root = np.maximum.accumulate(root)
+        a, b, free = a[:vertical], b[:vertical], free[:vertical]
+    _merge(root, a[free], b[free])
     proj = solved.proj
-    occupied = np.flatnonzero(proj[0, :nm] <= -proj[1, :nm])
+    occupied = (proj[0, :nm] <= -proj[1, :nm]).nonzero()[0]
     roots = occupied[root[occupied] == occupied]  # each component's first cell
     number = np.empty(nm, dtype=int)
     number[roots] = np.arange(len(roots))
@@ -440,20 +464,27 @@ def build_diagram(P: PolyCurve, Q: PolyCurve, eps: float) -> FreeSpaceDiagram:
     Components that never reach a cell edge, an ellipse interior to one
     cell, become single-cell components. Components are numbered in the
     row-major order (cell index i*m + j) of their first cell.
+    ``eps``, any finite real number >= 0 (else ``ValueError``), is solved as a float.
     """
     n, m = P.n, Q.n
     pair = _PairGeometry(P.vertices, Q.vertices)
-    solved = pair.solve(eps, default_tol())
+    try:
+        valid = math.isfinite(eps) and eps >= 0.0
+    except (OverflowError, TypeError):  # an int past the float range, a string
+        valid = False
+    if not valid:
+        raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
+    # as a float: the square of a numpy int would wrap, and of a big int overflow
+    solved = pair.solve(float(eps), default_tol())
     occupied, label, ends = _components(solved)
-    ii, jj = np.divmod(occupied, m)
-    members = [[] for _ in ends[0]]
-    for c, i, j in zip(label.tolist(), ii.tolist(), jj.tolist()):
-        members[c].append((i, j))
-
+    # component c's cells: the c-th run of the occupied cells stably sorted by label
+    occupied = occupied[label.argsort(kind="stable")]
+    members = zip((occupied // m).tolist(), (occupied % m).tolist())
     ends = ends.tolist()
     components = tuple(
-        Component(id=c, cells=frozenset(members[c]), proj_p=(plo, phi), proj_q=(qlo, qhi))
-        for c, (plo, phi, qlo, qhi) in enumerate(zip(*ends)))
+        Component(id=c, cells=frozenset(islice(members, size)), proj_p=(plo, phi),
+                  proj_q=(qlo, qhi))
+        for c, (size, plo, phi, qlo, qhi) in enumerate(zip(np.bincount(label).tolist(), *ends)))
     diagram = FreeSpaceDiagram(epsilon=eps, n=n, m=m, cells=_as_grid(solved),
                                components=components, z=_stab_number(ends))
     object.__setattr__(diagram, "_pair", pair)  # frozen; see FreeSpaceDiagram

@@ -39,6 +39,27 @@ def random_curve(rng, nseg: int, scale: float = 1.0) -> kf.PolyCurve:
             continue
 
 
+def reference_parse_curve(text: str) -> kf.PolyCurve:
+    """``kf.parse_curve`` as one loop over the lines, each stripped, tested,
+    split and converted on its own: the reference of the flat parse."""
+    vertices = []
+    underscores = "_" in text  # float() reads "1_0" as 10
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise kf.CurveError(f"line {lineno}: expected two numbers, got {stripped!r}")
+        if underscores and "_" in stripped:
+            raise kf.CurveError(f"line {lineno}: malformed number in {stripped!r}")
+        try:
+            vertices.append((float(parts[0]), float(parts[1])))
+        except ValueError as exc:
+            raise kf.CurveError(f"line {lineno}: malformed number in {stripped!r}") from exc
+    return kf.PolyCurve(vertices)
+
+
 def random_pair(rng, max_seg: int = 6):
     P = random_curve(rng, int(rng.integers(2, max_seg + 1)))
     Q = random_curve(rng, int(rng.integers(2, max_seg + 1)))

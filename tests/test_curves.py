@@ -1,3 +1,5 @@
+import collections
+import fractions
 import json
 import math
 
@@ -5,8 +7,8 @@ import numpy as np
 import pytest
 
 import kfrechet as kf
-from conftest import (point_segment_distance, random_curve, reference_union_covers,
-                      segment_distance, stub_diagram)
+from conftest import (point_segment_distance, random_curve, reference_parse_curve,
+                      reference_union_covers, segment_distance, stub_diagram)
 from kfrechet.intervals import _axis_cover
 import oracles
 
@@ -50,6 +52,76 @@ class TestParseCurve:
     def test_nan_rejected(self):
         with pytest.raises(kf.CurveError, match="finite"):
             kf.PolyCurve([(0, 0), (float("nan"), 1)])
+
+    def test_flat_parse_equals_the_line_loop(self, rng):
+        # random mixes of what the format allows and rejects, each text parsed
+        # by parse_curve and by the loop it replaced
+        # float() reads the Arabic-Indic digits "\u0661\u0662" as 12
+        numbers = ["0", "1.5", "-2.25e3", "+.5", "7.", "1e-320", "3", "-0", "\u0661\u0662"]
+        odd = ["nan", "inf", "-inf", "1e999", "1_0", "\ufeff1", "x", "0x1p3"]
+        breaks = ["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"]
+        spaces = [" ", "\t", "  ", " \t "]
+        comments = ["# c", "  # my_curve", "#1 2", "\t#", "#"]
+        blanks = ["", "   ", "\t"]
+
+        def token():
+            return str(rng.choice(odd if rng.random() < 0.05 else numbers))
+
+        def line():
+            kind = rng.random()
+            if kind < 0.75:
+                tokens = [token(), token()]
+            elif kind < 0.85:
+                return str(rng.choice(comments + blanks))
+            else:
+                tokens = [token() for _ in range(int(rng.choice([1, 3])))]
+            pad = [str(rng.choice(["", *spaces])) for _ in range(2)]
+            return pad[0] + str(rng.choice(spaces)).join(tokens) + pad[1]
+
+        def outcome(parse, text):
+            try:
+                v = parse(text).vertices
+            except kf.CurveError as exc:
+                return str(exc)
+            return [x.hex() for x in v.ravel().tolist()], v.shape, v.dtype, v.flags.writeable
+
+        texts = ["", " ", "\n\n", "# only a comment\n", "0 0", "0 0\n1 1", "\ufeff0 0\n1 1"]
+        texts += ["".join(line() + str(rng.choice(breaks)) for _ in range(int(rng.integers(0, 7))))
+                  for _ in range(3000)]
+        results = collections.Counter()
+        for text in texts:
+            got, want = outcome(kf.parse_curve, text), outcome(reference_parse_curve, text)
+            assert got == want, repr(text)
+            if not isinstance(want, str):
+                assert want[2] == np.float64 and not want[3]
+            results["curve" if not isinstance(want, str) else
+                    "line" if want.startswith("line ") else want] += 1
+        assert outcome(kf.parse_curve, "") == "expected a sequence of (x, y) vertices"
+        assert results["curve"] >= 300 and results["line"] >= 300
+        assert {"expected a sequence of (x, y) vertices", "a curve needs at least 2 vertices",
+                "vertex coordinates must be finite",
+                "zero-length segment: repeated consecutive vertex"} <= set(results)
+
+    @pytest.mark.parametrize("vertices", [
+        np.array([[0, 0], [1 + 1j, 0]]),  # numpy would drop the imaginary part
+        [[0, 0], [1 + 1j, 0]],
+        np.array([[True, False], [False, True]]),
+        np.array([["0", "0"], ["1", "1"]]),
+        np.array([[b"0", b"0"], [b"1", b"1"]]),
+        np.array([[0, 0], [1, 1]], dtype="datetime64[s]"),
+        np.array([[0, 0], [1, 1]], dtype="timedelta64[s]"),
+        [[0, 0], [np.datetime64(1, "s"), 1]],  # an array of objects
+        [[0, 0], [1, np.timedelta64(1, "s")]],
+    ])
+    def test_non_numbers_rejected(self, vertices):
+        with pytest.raises(kf.CurveError, match="pairs of numbers"):
+            kf.PolyCurve(vertices)
+
+    def test_numbers_of_any_real_type_accepted(self):
+        want = [[0.0, 0.0], [0.5, 2.0]]
+        for vertices in ([[0, 0], [fractions.Fraction(1, 2), 2]], [[False, 0], [0.5, 2]],
+                         np.array(want, dtype=np.float32), [[0, 0], [0.5, np.int8(2)]]):
+            assert kf.PolyCurve(vertices).vertices.tolist() == want
 
     def test_json_format(self):
         c = kf.parse_curve_json('{"vertices": [[0, 0], [1, 0], [1, 1]]}')

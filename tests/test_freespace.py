@@ -1,4 +1,6 @@
 import collections
+import decimal
+import fractions
 import math
 import warnings
 
@@ -139,11 +141,24 @@ class TestBuildDiagram:
         with pytest.raises(ValueError):
             kf.build_diagram(P, Q, -0.1)
 
-    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    # an int past the float range and a string raised OverflowError and TypeError
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf,
+                                     pytest.param(10**400, id="10**400"), "0.2"])
     def test_non_finite_eps_rejected(self, eps):
         P, Q = diagonal_pair()
-        with pytest.raises(ValueError, match="eps"):
+        with pytest.raises(ValueError, match="eps must be a finite number >= 0, got"):
             kf.build_diagram(P, Q, eps)
+
+    @pytest.mark.parametrize("eps", [np.int64(2**40), 10**300, fractions.Fraction(3, 10),
+                                     decimal.Decimal("0.3"), np.float32(0.3), True],
+                             ids=["int64", "10**300", "Fraction", "Decimal", "float32", "True"])
+    def test_eps_of_any_real_type_solved_as_its_float(self, eps):
+        # np.int64(2**40) squared wrapped to 0, and the diagram mixed eps = 0 and
+        # 2**40; 10**300 squared overflowed, a Fraction and a Decimal raised TypeError
+        P = kf.PolyCurve([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)])
+        Q = kf.PolyCurve([(0.0, 0.1), (2.0, 1.1)])
+        d, want = kf.build_diagram(P, Q, eps), kf.build_diagram(P, Q, float(eps))
+        assert d.cells == want.cells and d.components == want.components and d.epsilon is eps
 
     def test_squared_length_underflow_rejected(self):
         # d·d of a 1e-170 segment underflows to 0: every edge would read as empty
@@ -420,9 +435,139 @@ class TestMerge:
         assert warm >= 100  # forests with chains longer than one step
 
 
+class TestComponentLabels:
+    """freespace._components on synthetic solved grids against a flood fill.
+
+    A grid is a set of free joins between neighbouring cells plus, per cell,
+    its two local projections (empty where the cell holds no free point).
+    Every cell a free join touches is occupied, as in a solved grid."""
+
+    @staticmethod
+    def grid_pair(n: int, m: int):
+        """A prepared pair of n×m cells: only its join indices and shifts are read."""
+        P = kf.PolyCurve([(float(i), 0.0) for i in range(n + 1)])
+        Q = kf.PolyCurve([(0.0, float(j)) for j in range(m + 1)])
+        return freespace._PairGeometry(P.vertices, Q.vertices)
+
+    @staticmethod
+    def solved(pair, free, occupied, rng):
+        """A solve of ``pair`` with the joins ``free`` open and the cells
+        ``occupied`` holding random projections, as (lo, -hi) rows."""
+        empty = np.ones(pair.qa.shape, dtype=bool)
+        empty[pair.join_edge[free]] = False
+        nm = pair.n * pair.m
+        lo = rng.uniform(0.0, 1.0, size=(2, nm))
+        hi = lo + rng.uniform(0.0, 1.0, size=(2, nm)) * (1.0 - lo)
+        proj = np.where(occupied, np.stack((lo.ravel(), -hi.ravel())), math.inf)
+        return freespace._Solved(pair, None, empty, proj)
+
+    @staticmethod
+    def flood_fill(pair, free, occupied, proj):
+        """Occupied cells, labels, ends and forest by a scalar flood fill:
+        components numbered by their first occupied cell, each node's root the
+        smallest node of its component."""
+        n, m = pair.n, pair.m
+        neighbours = collections.defaultdict(list)
+        for a, b in zip(pair.join_a[free].tolist(), pair.join_b[free].tolist()):
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+        root = list(range(n * m))
+        for start in range(n * m):
+            if root[start] == start:
+                todo = [start]
+                while todo:
+                    for c in neighbours[todo.pop()]:
+                        if root[c] == c and c != start:
+                            root[c] = start
+                            todo.append(c)
+        cells = [c for c in range(n * m) if occupied[c]]
+        number = {r: k for k, r in enumerate(dict.fromkeys(root[c] for c in cells))}
+        labels = [number[root[c]] for c in cells]
+        ends = [[math.inf] * len(number), [-math.inf] * len(number),
+                [math.inf] * len(number), [-math.inf] * len(number)]
+        for c, k in zip(cells, labels):
+            i, j = divmod(c, m)
+            s_lo, t_lo = proj[0, c], proj[0, n * m + c]
+            s_hi, t_hi = -proj[1, c], -proj[1, n * m + c]
+            ends[0][k], ends[1][k] = min(ends[0][k], s_lo + i), max(ends[1][k], s_hi + i)
+            ends[2][k], ends[3][k] = min(ends[2][k], t_lo + j), max(ends[3][k], t_hi + j)
+        return cells, labels, ends, root
+
+    @staticmethod
+    def path_joins(pair, path) -> np.ndarray:
+        """The joins between consecutive cells (i, j) of ``path``, as a mask."""
+        index = {(a, b): k for k, (a, b) in enumerate(zip(pair.join_a.tolist(),
+                                                           pair.join_b.tolist()))}
+        free = np.zeros(len(pair.join_edge), dtype=bool)
+        cells = [i * pair.m + j for i, j in path]
+        for a, b in zip(cells, cells[1:]):
+            free[index[min(a, b), max(a, b)]] = True
+        return free
+
+    def check(self, pair, free, rng, monkeypatch):
+        """Cold and warm labelling of the grid with joins ``free`` equal the
+        flood fill, and so does the forest each leaves."""
+        nm = pair.n * pair.m
+        touched = np.zeros(nm, dtype=bool)
+        touched[pair.join_a[free]] = touched[pair.join_b[free]] = True
+        occupied = np.tile(touched | (rng.random(nm) < 0.5), 2)
+        solved = self.solved(pair, free, occupied, rng)
+        want = self.flood_fill(pair, free, occupied[:nm], solved.proj)
+
+        def same(got):
+            cells, labels, ends = got
+            return (cells.tolist(), labels.tolist(), ends.tolist()) == want[:3]
+
+        forests = []
+        merge = freespace._merge
+        monkeypatch.setattr(freespace, "_merge", lambda root, a, b: (merge(root, a, b),
+                                                                    forests.append(root)))
+        assert same(freespace._components(solved))  # cold, from the column runs
+        assert forests.pop().tolist() == want[3]
+        # warm, from the forest of a sub-mask of the joins
+        forest = np.arange(nm)
+        freespace._components(self.solved(pair, free & (rng.random(len(free)) < 0.5),
+                                          occupied, rng), forest)
+        assert same(freespace._components(solved, forest))
+        assert forest.tolist() == want[3]
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 7), (7, 1), (5, 6), (9, 4)])
+    def test_no_joins_and_all_joins(self, n, m, rng, monkeypatch):
+        pair = self.grid_pair(n, m)
+        for free in (np.zeros(len(pair.join_edge), dtype=bool),
+                     np.ones(len(pair.join_edge), dtype=bool)):
+            self.check(pair, free, rng, monkeypatch)
+
+    @pytest.mark.parametrize("n, m", [(1, 9), (9, 1), (6, 6), (12, 5), (5, 12)])
+    def test_serpentines_and_spirals(self, n, m, rng, monkeypatch):
+        # one long path each, the worst case for hooking and pointer jumps:
+        # a serpentine along either axis, and a spiral inwards from a corner
+        pair = self.grid_pair(n, m)
+        along_q = [(i, j if i % 2 == 0 else m - 1 - j) for i in range(n) for j in range(m)]
+        along_p = [(i if j % 2 == 0 else n - 1 - i, j) for j in range(m) for i in range(n)]
+        spiral, seen, (i, j), (di, dj) = [], set(), (0, 0), (0, 1)
+        while len(spiral) < n * m:
+            spiral.append((i, j))
+            seen.add((i, j))
+            if not (0 <= i + di < n and 0 <= j + dj < m) or (i + di, j + dj) in seen:
+                di, dj = dj, -di
+            i, j = i + di, j + dj
+        for path in (along_q, along_p, spiral, spiral[::-1]):
+            self.check(pair, self.path_joins(pair, path), rng, monkeypatch)
+
+    @pytest.mark.parametrize("density", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_random_masks(self, density, rng, monkeypatch):
+        for _ in range(30):
+            pair = self.grid_pair(int(rng.integers(1, 13)), int(rng.integers(1, 13)))
+            self.check(pair, rng.random(len(pair.join_edge)) < density, rng, monkeypatch)
+
+
 class TestComponent:
+    # float("nan") is no math.nan: float ends take a fast path that must test
+    # each end, as a tuple compares items by identity first
     @pytest.mark.parametrize("proj", [(math.nan, 1.0), (0.0, math.nan), [0.0, 1.0], (0.0,),
-                                      (0.0, 1.0, 2.0), (0.0, "1"), (0, 10**400)])
+                                      (0.0, 1.0, 2.0), (0.0, "1"), (0, 10**400),
+                                      (float("nan"), 1.0), (0.0, float("nan"))])
     def test_projection_must_be_a_tuple_of_two_numbers(self, proj):
         # the cover search would read a NaN end as a match (covers_both and
         # decide_hausdorff True on a 1 x 1 diagram), and a list does not hash

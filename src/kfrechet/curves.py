@@ -65,7 +65,7 @@ class PolyCurve:
         return isinstance(other, PolyCurve) and np.array_equal(self.vertices, other.vertices)
 
     def __hash__(self):
-        return hash(self.vertices.tobytes())
+        return hash((self.vertices + 0.0).tobytes())  # -0.0 == 0.0
 
     def __repr__(self) -> str:
         return f"PolyCurve({self.vertices.tolist()!r})"

@@ -146,7 +146,8 @@ class FreeSpaceDiagram:
 
     A selection names components by id, and the decisions read an id as a
     position in ``components``, so a component whose id is not its position
-    raises ``ValueError``.
+    raises ``ValueError``; so does an ``n`` or ``m`` that is no integer >= 1,
+    as a diagram of no cells would be covered by no component at all.
     """
 
     epsilon: float
@@ -159,6 +160,9 @@ class FreeSpaceDiagram:
     _covers: tuple | None = field(default=None, init=False, repr=False, compare=False)  # tol, axes, (a, b)
 
     def __post_init__(self):
+        for name, size in (("n", self.n), ("m", self.m)):
+            if not (hasattr(type(size), "__index__") and size >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
         for position, comp in enumerate(self.components):
             if comp.id != position:
                 raise ValueError(f"component ids must equal their positions, got id "
@@ -275,8 +279,9 @@ class _PairGeometry:
     prepares the pair once.
 
     The pair also keeps its vertices, segment directions and the ``w·w`` of
-    every vertex pair, for :meth:`vertex_segment_distances` and
-    :func:`~kfrechet.optimize.distance_candidates`.
+    every vertex pair, for :meth:`vertex_segment_distances`,
+    :func:`~kfrechet.optimize.distance_candidates` and
+    :func:`~kfrechet.optimize.pairwise_vertex_max`.
 
     Raises ``ValueError`` when a term leaves the float64 range (a squared
     length that overflows or underflows to 0): every edge would then read

@@ -2,31 +2,9 @@
 
 Minimise the number of covering components at fixed eps, or the distance
 eps at a fixed component budget k. Both lean on monotonicity: a positive
-decision stays positive when k or eps grows. The eps search decides
-eps = 0 on a built diagram, whose build prepares the eps-independent
-geometry of the pair once; each further probe solves only the eps terms
-of that prepared pair, labels the components and runs the decider
-(certificate first, then the search tree) on their projections, without
-building a
-:class:`FreeSpaceDiagram`. Free space only grows with eps (in
-floating point too, see :mod:`kfrechet.freespace`), so each probe starts
-its union-find from the components found at the largest eps found
-infeasible so far and adds only the joins free at its own eps; the labels
-and projections, hence the returned eps, are those of a cold probe.
-
-The decision is monotone in eps too, so the bisection probes only the
-points of its path that lie strictly between the largest eps found
-infeasible and the smallest found feasible; every other outcome is
-implied. It first predicts where feasibility starts and probes the two
-path points around the prediction: if the prediction is right, they
-imply the whole path. The first prediction is the vertex bound, the
-largest distance from a vertex of either curve to the other curve, a
-lower bound on the Hausdorff distance and so on every k-Fréchet
-distance; later ones come from the vertex-segment distances above it,
-the nearer ones weighted more (1/rank). Both come from the prepared
-pair, whose vertex-segment distances are the floats of
-:func:`distance_candidates`. A wrong prediction costs only its own
-probes, so the returned float is the plain bisection's.
+decision stays positive when k or eps grows. The eps search, a bisection
+that probes only the outcomes its predictions leave open, is described in
+:func:`minimize_epsilon`.
 """
 
 from __future__ import annotations
@@ -54,21 +32,24 @@ def minimize_k(diagram: FreeSpaceDiagram) -> int | None:
     return None if cover is None else len(cover)
 
 
-@np.errstate(over="ignore")  # an overflow raises below
 def pairwise_vertex_max(P: PolyCurve, Q: PolyCurve) -> float:
     """Largest vertex-to-vertex distance between the two curves.
 
     At this eps every cell of the diagram is entirely free (the distance
     of two segment points is maximised at a vertex pair), so the whole
-    diagram is one component and any budget k >= 1 succeeds. Raises
-    ``ValueError`` where a squared distance overflows, or where the largest
-    one underflows to 0.
+    diagram is one component and any budget k >= 1 succeeds. Read off the
+    pair that :func:`~kfrechet.freespace.build_diagram` prepares, so this
+    raises its ``ValueError`` exactly where it does.
     """
-    diff = P.vertices[:, None, :] - Q.vertices[None, :, :]
-    top = (diff ** 2).sum(axis=2).max()
+    return _vertex_max(_PairGeometry(P.vertices, Q.vertices))
+
+
+def _vertex_max(pair: _PairGeometry) -> float:
+    """:func:`pairwise_vertex_max` of a prepared pair."""
+    top = pair.vertex_ww.max()
     # a curve has two distinct vertices, so one of them is off each vertex of
     # the other curve and the largest distance is never 0 but by underflow
-    if not (math.isfinite(top) and top > 0.0):
+    if not top > 0.0:
         raise ValueError(_OUT_OF_RANGE)
     return float(np.sqrt(top))
 
@@ -142,9 +123,14 @@ def minimize_epsilon(P: PolyCurve, Q: PolyCurve, k: int, tol: float = 1e-6) -> f
     eps decides exactly what ``decide_fpt(build_diagram(P, Q, eps), k) is
     not None`` decides, comparing interval ends with the one tolerance
     setting (``KFRECHET_TOL`` or 1e-9), read once per search; ``tol`` is only
-    the search width. The pair is prepared once, by the eps = 0 build: every later probe re-solves
-    that build's prepared pair and starts from the components of the
-    largest eps found infeasible.
+    the search width. The pair is prepared once, by the eps = 0 build, and
+    the range end, the vertex bound and the prior's distances are read off
+    it, not computed again from the curves. Every later probe re-solves that
+    pair. Free space only grows with eps (in floating point too, see
+    :mod:`kfrechet.freespace`), so each probe starts its union-find from the
+    components found at the largest eps found infeasible so far and adds
+    only the joins free at its own eps; the labels and projections, hence
+    the returned eps, are those of a cold probe.
 
     The search follows the plain bisection's path but probes only outcomes
     not yet implied: the decision is monotone in eps, so an eps at or
@@ -158,18 +144,16 @@ def minimize_epsilon(P: PolyCurve, Q: PolyCurve, k: int, tol: float = 1e-6) -> f
     and each probe goes to the one of its two path points that splits the
     prior more evenly. The prior puts 3 on the vertex bound (the largest
     distance from a vertex of either curve to the other curve, a lower
-    bound on the answer, and often the answer itself), as much as on all
-    the rest, so that the vertex bound is checked first, with two probes;
-    2 over the vertex-segment distances above it (the
-    :func:`distance_candidates` at which edges open), split in proportion
-    to 1/rank, rank 1 the nearest the bound, since an answer at such a
-    distance mostly lies among the first few; and 1 over the range by
-    length, so that an answer no distance predicts costs at most a few
-    probes more than plain bisection. The vertex bound and the distances
-    come from the prepared pair
-    (:meth:`~kfrechet.freespace._PairGeometry.vertex_segment_distances`),
-    not from a second pass over the curves, and are the floats of
-    :func:`distance_candidates`. A wrong prediction costs
+    bound on the Hausdorff distance and so on every k-Fréchet distance,
+    and often the answer itself), as much as on all the rest, so that the
+    vertex bound is checked first, with two probes; 2 over the
+    vertex-segment distances above it (the :func:`distance_candidates` at
+    which edges open, from
+    :meth:`~kfrechet.freespace._PairGeometry.vertex_segment_distances`),
+    split in proportion to 1/rank, rank 1 the nearest the bound, since an
+    answer at such a distance mostly lies among the first few; and 1 over
+    the range by length, so that an answer no distance predicts costs at
+    most a few probes more than plain bisection. A wrong prediction costs
     only its own probes: every outcome on the path is still the one a
     probe would give, so the returned float is the plain bisection's,
     bit for bit.
@@ -183,30 +167,11 @@ def minimize_epsilon(P: PolyCurve, Q: PolyCurve, k: int, tol: float = 1e-6) -> f
     start = build_diagram(P, Q, 0.0)
     if decide_fpt(start, k) is not None:
         return 0.0
-    geometry = start._pair
+    pair = start._pair
     cmp_tol = default_tol()
-    # Free space only grows with eps, so the cells joined at the largest eps
-    # found infeasible so far stay joined at every later probe, which lies
-    # above it.
-    forest = np.arange(geometry.n * geometry.m)
     # every point of the bisection path lies below top, so none needs top decided
-    top = pairwise_vertex_max(P, Q)
-    infeasible_at, feasible_at = 0.0, top
-
-    def feasible(eps: float) -> bool:
-        nonlocal forest, infeasible_at, feasible_at
-        if eps <= infeasible_at:
-            return False
-        if eps >= feasible_at:
-            return True
-        roots = forest.copy()
-        if _cover_exists(geometry, eps, k, cmp_tol, roots):
-            feasible_at = eps
-            return True
-        forest, infeasible_at = roots, eps
-        return False
-
-    p_to_q, q_to_p = geometry.vertex_segment_distances()
+    top = _vertex_max(pair)
+    p_to_q, q_to_p = pair.vertex_segment_distances()
     # The prior (see above): atoms[0] is the vertex bound, of mass 3, and the
     # atoms[t] for t >= 1 the larger vertex-segment distances, of mass 2 in
     # all split in proportion to 1/t; 1 more is spread over (0, top] by length.
@@ -217,27 +182,28 @@ def minimize_epsilon(P: PolyCurve, Q: PolyCurve, k: int, tol: float = 1e-6) -> f
     weights = 1.0 / np.arange(1, len(atoms))  # the sum is at least 1 unless empty
     held = np.cumsum([0.0, 3.0, *(2.0 / max(weights.sum(), 1.0) * weights)]).tolist()
 
-    def mass(eps: float, atoms_in: int) -> float:
-        """Prior mass of (0, eps], given the atoms it holds."""
-        return held[atoms_in] + eps / top
+    def mass(eps: float) -> float:
+        """Prior mass of (0, eps]."""
+        return held[bisect.bisect_right(atoms, eps)] + eps / top
 
-    def mass_at(eps: float) -> float:
-        return mass(eps, bisect.bisect_right(atoms, eps))
-
-    def median(lo: float, hi: float, half: float) -> float:
-        """Least eps in (lo, hi] whose mass reaches ``half``."""
-        i, j = bisect.bisect_right(atoms, lo), bisect.bisect_right(atoms, hi)
-        t = bisect.bisect_left(range(i, j), half, key=lambda t: mass(atoms[t], t + 1)) + i
-        start = atoms[t - 1] if t > i else lo
-        return min(start + (half - mass(start, t)) * top, atoms[t] if t < j else hi)
-
+    # lo is the largest eps found infeasible, hi the smallest found feasible,
+    # and forest the cells joined at lo, which stay joined at every probe above
+    lo, hi, forest = 0.0, top, np.arange(pair.n * pair.m)
     while True:
-        lo, hi = infeasible_at, feasible_at
-        half = 0.5 * (mass_at(lo) + mass_at(hi))
+        # the median: the least eps in (lo, hi] whose mass reaches half
+        half = 0.5 * (mass(lo) + mass(hi))
+        i, j = bisect.bisect_right(atoms, lo), bisect.bisect_right(atoms, hi)
+        t = bisect.bisect_left(atoms, half, i, j, key=mass)
+        below = atoms[t - 1] if t > i else lo
+        median = min(below + (half - mass(below)) * top, atoms[t] if t < j else hi)
         # the path ends if feasibility started at the median; if neither lies
         # inside (lo, hi), every outcome on the path is implied
-        ends = [eps for eps in _bisect(0.0, top, tol, median(lo, hi, half).__le__)
-                if lo < eps < hi]
+        ends = [eps for eps in _bisect(0.0, top, tol, median.__le__) if lo < eps < hi]
         if not ends:
-            return _bisect(0.0, top, tol, feasible)[1]
-        feasible(min(ends, key=lambda eps: abs(mass_at(eps) - half)))
+            return _bisect(0.0, top, tol, hi.__le__)[1]
+        eps = min(ends, key=lambda eps: abs(mass(eps) - half))
+        roots = forest.copy()
+        if _cover_exists(pair, eps, k, cmp_tol, roots):
+            hi = eps
+        else:
+            lo, forest = eps, roots

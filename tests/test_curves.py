@@ -200,6 +200,12 @@ class TestPointAt:
         with pytest.raises(ValueError):
             c.vertices[0, 0] = 5.0
 
+    def test_negative_zero_twin_hashes_equal(self):
+        # -0.0 == 0.0, so the twins are equal and a set must keep one
+        c, twin = kf.PolyCurve([(0.0, 0.0), (1.0, 0.0)]), kf.PolyCurve([(-0.0, -0.0), (1.0, -0.0)])
+        assert c == twin and hash(c) == hash(twin)
+        assert len({c, twin}) == 1
+
 
 class TestInterval:
     def test_containment(self):

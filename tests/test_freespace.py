@@ -583,6 +583,19 @@ class TestComponent:
         d = kf.FreeSpaceDiagram(epsilon=1.0, n=1, m=1, cells=(), components=(comp,), z=1)
         assert hash(d) == hash(d)
 
+    @pytest.mark.parametrize("n, m", [(0, 0), (0, 1), (1, 0), (-1, 2), (1.0, 1), (1, 2.5),
+                                      (1, None), ("1", 1), (np.float64(1.0), 1)])
+    def test_grid_size_must_be_an_integer_at_least_one(self, n, m):
+        # a diagram of no cells read as covered: decide_weak_frechet True,
+        # decide_fpt(d, 0) == () and minimize_k 0 with no component at all
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            kf.FreeSpaceDiagram(epsilon=1.0, n=n, m=m, cells=(), components=(), z=0)
+
+    def test_numpy_integer_grid_size_accepted(self):
+        d = kf.FreeSpaceDiagram(epsilon=1.0, n=np.int64(2), m=np.int32(1), cells=(),
+                                components=(), z=0)
+        assert (d.n, d.m) == (2, 1)
+
     def test_ids_must_equal_positions(self):
         # a selection's ids are read as positions: with the ids swapped,
         # decide_fpt(d, 1) returned (1,), which covers_both read as the small

@@ -631,16 +631,21 @@ def test_probes_at_most_plain_bisection_plus_three(monkeypatch):
     calls = _count_probes(monkeypatch)
     searches = [(P, Q, k, tol) for P, Q in _search_pairs(6, 6)
                 for k in (1, 2, 3, 4) for tol in (1e-3, 1e-4, 1e-7)]
+    pinned = len(searches)
     searches += [(P, Q, k, 1e-4) for P, Q, _ in CASES[::40] for k in (1, 2, 3)]
-    saved = 0
-    for P, Q, k, tol in searches:
+    saved = total = 0
+    for index, (P, Q, k, tol) in enumerate(searches):
         calls.clear()
         eps = kf.minimize_epsilon(P, Q, k, tol=tol)
+        total += len(calls) if index < pinned else 0
         if eps > 0.0:
             plain = _plain_probes(P, Q, tol, eps)
             assert len(calls) <= plain + 3, (P, Q, k, tol)
             saved += plain - len(calls)
     assert saved > 0
+    # the probe total over the random pairs, pinned: a change to the prior,
+    # the range end or the probe choice that costs or saves probes shows here
+    assert total == 1037
 
 
 def test_prior_distances_from_the_prepared_pair():

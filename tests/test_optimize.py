@@ -191,22 +191,22 @@ class TestHelpers:
         # every vertex-vertex square is finite, the square of P's one segment not
         P = kf.PolyCurve([(-1e154, 0.0), (1e154, 0.0)])
         Q = kf.PolyCurve([(0.0, 1.0), (1.0, 1.0)])
-        assert kf.pairwise_vertex_max(P, Q) == pytest.approx(1e154)
-        for call in (kf.distance_candidates, lambda P, Q: kf.build_diagram(P, Q, 1.0)):
+        for call in (kf.pairwise_vertex_max, kf.distance_candidates,
+                     lambda P, Q: kf.build_diagram(P, Q, 1.0)):
             with pytest.raises(ValueError, match="curve coordinates out of range"):
                 call(P, Q)
 
     def test_underflowing_squares_rejected(self):
         # the squared length of a 1e-170 segment underflows to 0, so the
-        # vertex distances would read 0; build_diagram rejects the same pair
+        # vertex distances would read 0; build_diagram rejects the same pair,
+        # and the pair with a far curve too, whose distances do not underflow
         P = kf.PolyCurve([(0.0, 0.0), (1e-170, 0.0)])
         far = kf.PolyCurve([(5.0, 0.0), (6.0, 0.0)])
-        for call, Q in ((kf.pairwise_vertex_max, P), (kf.distance_candidates, P),
-                        (kf.distance_candidates, far), (lambda P, Q: kf.build_diagram(P, Q, 1.0), P)):
+        for call, Q in ((kf.pairwise_vertex_max, P), (kf.pairwise_vertex_max, far),
+                        (kf.distance_candidates, P), (kf.distance_candidates, far),
+                        (lambda P, Q: kf.build_diagram(P, Q, 1.0), P)):
             with pytest.raises(ValueError, match="curve coordinates out of range"):
                 call(P, Q)
-        # its distances to a far curve do not underflow
-        assert kf.pairwise_vertex_max(P, far) == 6.0
         # a 1e-150 segment squares to 1e-300, a normal float, and still answers
         P = kf.PolyCurve([(0.0, 0.0), (1e-150, 0.0)])
         assert kf.pairwise_vertex_max(P, P) == 1e-150
@@ -225,9 +225,9 @@ class TestHelpers:
         assert 0.0 < kf.minimize_epsilon(P, Q, k=1) <= math.sqrt(2)
 
     def test_distance_candidates_raise_where_build_diagram_does(self):
-        # the candidates are read off the pair that build_diagram prepares, so
-        # both reject the same pairs: one pair at every scale 2^j, and the
-        # out-of-range pairs above
+        # the candidates and the vertex maximum are read off the pair that
+        # build_diagram prepares, so all three reject the same pairs: one pair
+        # at every scale 2^j, and the out-of-range pairs above
         P = kf.PolyCurve([(0.0, 0.0), (1.0, 0.3), (2.0, -0.4), (2.5, 1.0)])
         Q = kf.PolyCurve([(0.2, 1.0), (1.4, 0.8), (2.6, 1.5)])
         pairs = [(kf.PolyCurve(P.vertices * 2.0 ** j), kf.PolyCurve(Q.vertices * 2.0 ** j))
@@ -247,11 +247,13 @@ class TestHelpers:
                 kf.build_diagram(P, Q, 1.0)
             except ValueError:
                 rejected.append(True)
-                with pytest.raises(ValueError, match="curve coordinates out of range"):
-                    kf.distance_candidates(P, Q)
+                for call in (kf.distance_candidates, kf.pairwise_vertex_max):
+                    with pytest.raises(ValueError, match="curve coordinates out of range"):
+                        call(P, Q)
             else:
                 rejected.append(False)
                 assert all(map(math.isfinite, kf.distance_candidates(P, Q)))
+                assert 0.0 < kf.pairwise_vertex_max(P, Q) < math.inf
         assert rejected[-5:] == [True] * 5
         assert 0 < sum(rejected[:-5]) < len(rejected) - 5
 
